@@ -15,7 +15,6 @@ from .spectral import (
     exp_A_c,
     phi,
     phi_moment,
-    phi_of_operator,
     sobolev_norm,
 )
 from .model import (

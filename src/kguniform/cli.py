@@ -20,26 +20,21 @@ from .harness import (
 from .integrators import SchemeId
 from .verify import run_all
 
-_SCHEME_ALIASES = {
-    "uei1": SchemeId.UEI1,
-    "uei1_real": SchemeId.UEI1_REAL,
-    "uei2": SchemeId.UEI2_REAL,
-    "lie": SchemeId.LIE_LIMIT,
-    "strang": SchemeId.STRANG_LIMIT,
-    "largec": SchemeId.LARGE_C_UEI1,
-}
+_SCHEMES = {s.value: s for s in SchemeId}
 
 
 def _parse_schemes(text):
     out = []
     for name in text.split(","):
         name = name.strip().lower()
-        if name not in _SCHEME_ALIASES:
-            raise ValueError(
-                f"unknown scheme {name!r}; choose from {sorted(_SCHEME_ALIASES)}"
-            )
-        out.append(_SCHEME_ALIASES[name])
+        if name not in _SCHEMES:
+            raise ValueError(f"unknown scheme {name!r}; choose from {sorted(_SCHEMES)}")
+        out.append(_SCHEMES[name])
     return out
+
+
+def _parse_floats(text):
+    return [float(c) for c in text.split(",")]
 
 
 def _parse_exponents(text):
@@ -68,32 +63,16 @@ def _build_config(args) -> SweepConfig:
     opts = _read_config(args.config) if args.config else {}
 
     def pick(flag, key, conv, default):
-        if flag is not None:
-            return flag
-        if key in opts:
-            return conv(opts[key])
-        return default
+        raw = flag if flag is not None else opts.get(key)
+        return default if raw is None else conv(raw)
 
     paper = args.paper or opts.get("paper", "false").lower() in ("1", "true", "yes")
-    cfg = SweepConfig(
-        schemes=pick(
-            _parse_schemes(args.schemes) if args.schemes else None,
-            "schemes",
-            _parse_schemes,
-            [SchemeId.UEI1, SchemeId.UEI2_REAL],
-        ),
+    return SweepConfig(
+        schemes=pick(args.schemes, "schemes", _parse_schemes, [SchemeId.UEI1, SchemeId.UEI2_REAL]),
         c_list=pick(
-            [float(c) for c in args.c.split(",")] if args.c else None,
-            "c",
-            lambda s: [float(c) for c in s.split(",")],
-            PAPER_C_LIST if paper else [1.0, 10.0, 100.0, 1000.0, 10000.0],
+            args.c, "c", _parse_floats, PAPER_C_LIST if paper else [1.0, 10.0, 100.0, 1000.0, 10000.0]
         ),
-        tau_exponents=pick(
-            _parse_exponents(args.tau_exp) if args.tau_exp else None,
-            "tau_exp",
-            _parse_exponents,
-            list(range(4, 11)),
-        ),
+        tau_exponents=pick(args.tau_exp, "tau_exp", _parse_exponents, list(range(4, 11))),
         T=pick(args.T, "T", float, 0.1),
         # the full-scale preset uses 1024 grid points (K = 512), i.e. the
         # mesh 2*pi/1024 ~ 0.0061 of the reference study
@@ -103,7 +82,6 @@ def _build_config(args) -> SweepConfig:
         output_path=pick(args.out, "out", str, "results.csv"),
         out_format=pick(args.format, "format", str, "csv"),
     )
-    return cfg
 
 
 def _cmd_sweep(args) -> int:

@@ -184,16 +184,12 @@ def run_sweep(cfg: SweepConfig, progress=None) -> ErrorTable:
         for m_exp in cfg.tau_exponents
     ]
     workers = max(1, int(os.environ.get("KG_THREADS", "1")))
+    # both pool.map and the comprehension return rows in task order
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda t: run_cell(*t), tasks))
+            rows = list(pool.map(lambda t: run_cell(*t), tasks))
     else:
-        results = [run_cell(*t) for t in tasks]
-    by_key = {(r.scheme, r.c, r.tau): r for r in results}
-    rows = [
-        by_key[(scheme.value, c, cfg.T * 2.0**-m_exp)]
-        for scheme, c, m_exp in tasks
-    ]
+        rows = [run_cell(*t) for t in tasks]
 
     fitted = {}
     for scheme in cfg.schemes:
@@ -257,12 +253,19 @@ def parse_table(path: str, out_format: str = "csv") -> ErrorTable:
     except OSError as exc:
         raise OSError(f"cannot read table from {path}: {exc}") from exc
     if out_format == "csv":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if lines[0] != _CSV_HEADER:
-            raise ValueError(f"unexpected CSV header {lines[0]!r} in {path}")
+        lines = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+        if not lines:
+            raise ValueError(f"{path}:1: empty CSV table, expected header {_CSV_HEADER!r}")
+        if lines[0][1] != _CSV_HEADER:
+            raise ValueError(f"unexpected CSV header {lines[0][1]!r} in {path}")
         rows = []
-        for ln in lines[1:]:
-            scheme, c, tau, err, wall = ln.split(",")
+        for lineno, ln in lines[1:]:
+            fields = ln.split(",")
+            if len(fields) != 5:
+                raise ValueError(
+                    f"{path}:{lineno}: expected 5 fields, got {len(fields)} in {ln!r}"
+                )
+            scheme, c, tau, err, wall = fields
             err_f = float(err)
             rows.append(
                 SweepRow(

@@ -48,6 +48,9 @@ from .model import (
     KgState,
     TwistedPair,
     _block_core,
+    _branch_phis,
+    _branches,
+    _cubes,
     _phase_factors,
     _theta_core,
     _to_coeffs,
@@ -115,14 +118,16 @@ class StepContext:
             raise ValueError("multiplier set was built for a different grid")
 
     def stepper(self, scheme: SchemeId):
-        st = self._cache.get(scheme)
-        if st is None:
-            st = _STEPPERS[scheme](self)
-            self._cache[scheme] = st
-        return st
+        """The scheme's stepper; step(uc, vc, t_n) -> (uc, vc) advances the
+        coefficient pair from t_n, and real-data schemes return (u, u)."""
+        if scheme not in self._cache:
+            self._cache[scheme] = _STEPPERS[scheme](self)
+        return self._cache[scheme]
 
 
-class _Uei1PairStepper:
+class _Uei1Stepper:
+    """UEI1 on the pair; when v* is u* (real data) only u* is stepped."""
+
     def __init__(self, ctx: StepContext):
         m, tau = ctx.m, ctx.tau
         self.n = ctx.grid.n_points
@@ -130,18 +135,17 @@ class _Uei1PairStepper:
         self.c = m.c
         self.exp_full = np.exp(1j * tau * m.a_c)
         self.cinv = m.c_inv
-        x = 2j * m.c * m.c * tau
-        self.phi1_p2 = phi(1, x)
-        self.phi1_m2 = phi(1, -x)
-        self.phi1_m4 = phi(1, -2.0 * x)
+        self.phi1 = _branch_phis(lambda z: phi(1, z), m.c, tau)
 
-    def _component(self, up, op, w, p2, m2, m4):
+    def _component(self, up, op, w, phases):
         # fused update for one component: up is stepped, op is the partner
         tau, n = self.tau, self.n
+        p2, m2, m4 = phases
+        f2, f_m2, f_m4 = self.phi1
         osc = (
-            p2 * self.phi1_p2 * (up * up * op)
-            + m2 * self.phi1_m2 * ((2.0 * np.abs(up) ** 2 + np.abs(op) ** 2) * np.conj(op))
-            + m4 * self.phi1_m4 * (np.conj(op) ** 2 * np.conj(up))
+            p2 * f2 * (up * up * op)
+            + m2 * f_m2 * ((2.0 * np.abs(up) ** 2 + np.abs(op) ** 2) * np.conj(op))
+            + m4 * f_m4 * (np.conj(op) ** 2 * np.conj(up))
         )
         p1 = np.exp(-0.125j * tau * w) * up + 0.125j * tau * w * up
         return self.exp_full * (
@@ -150,35 +154,27 @@ class _Uei1PairStepper:
 
     def step(self, uc, vc, t_n):
         n = self.n
+        phases = _phase_factors(self.c, t_n)
         up = _to_phys(uc, n)
+        if vc is uc:
+            u = self._component(up, up, 3.0 * np.abs(up) ** 2, phases)
+            return u, u
         vp = _to_phys(vc, n)
-        p2, m2, m4 = _phase_factors(self.c, t_n)
         au2 = np.abs(up) ** 2
         av2 = np.abs(vp) ** 2
-        unew = self._component(up, vp, au2 + 2.0 * av2, p2, m2, m4)
-        vnew = self._component(vp, up, av2 + 2.0 * au2, p2, m2, m4)
+        unew = self._component(up, vp, au2 + 2.0 * av2, phases)
+        vnew = self._component(vp, up, av2 + 2.0 * au2, phases)
         return unew, vnew
-
-
-class _Uei1RealStepper:
-    def __init__(self, ctx: StepContext):
-        self.pair = _Uei1PairStepper(ctx)
-
-    def step(self, uc, t_n):
-        st = self.pair
-        up = _to_phys(uc, st.n)
-        p2, m2, m4 = _phase_factors(st.c, t_n)
-        return st._component(up, up, 3.0 * np.abs(up) ** 2, p2, m2, m4)
 
 
 class _Uei2RealStepper:
     def __init__(self, ctx: StepContext):
         self.co = _Uei2Coeffs(ctx.m, ctx.tau)
 
-    def step(self, uc, t_n):
+    def step(self, uc, vc, t_n):
         co = self.co
         n, tau = co.n, co.tau
-        p2, m2, m4 = _phase_factors(co.c, t_n)
+        phases = _phase_factors(co.c, t_n)
 
         # Strang-like core on the half-propagated field
         Uc = co.exp_half * uc
@@ -196,14 +192,8 @@ class _Uei2RealStepper:
 
         # vartheta coupling, evaluated at u*^n
         up = _to_phys(uc, n)
-        u3 = up**3
-        uau = np.abs(up) ** 2 * up
-        vt = (
-            p2 * co.phi2_p2 * u3
-            + 3.0 * m2 * co.phi2_m2 * np.conj(uau)
-            + m4 * co.phi2_m4 * np.conj(u3)
-        )
-        xw = _to_phys(co.cinv * _to_coeffs(vt, n), n)
+        cubes = _cubes(up)
+        xw = _to_phys(co.cinv * _to_coeffs(_branches(cubes, phases, co.phi2), n), n)
         out -= (
             0.046875  # 3/64
             * tau
@@ -213,17 +203,21 @@ class _Uei2RealStepper:
         )
 
         # oscillatory branches
-        out -= 0.125j * co.cinv * _block_core(co, t_n, uc, up, u3, uau)
-        return out
+        out -= 0.125j * co.cinv * _block_core(co, phases, uc, up, cubes)
+        return out, out
 
 
-class _LieStepper:
-    def __init__(self, ctx: StepContext):
+class _SplitStepper:
+    """Lie splitting e^(i tau L) e^(-i tau w/8) of the pair, with the linear
+    operator L given by its symbol: -Delta/2 for the Schroedinger limit, A_c
+    for the large-c UEI1 (which drops every phi_1 branch)."""
+
+    def __init__(self, ctx: StepContext, symbol):
         self.n = ctx.grid.n_points
         self.tau = ctx.tau
-        self.exp_lin = np.exp(-0.5j * ctx.tau * ctx.m.laplace)
+        self.exp_lin = np.exp(1j * ctx.tau * symbol)
 
-    def step(self, uc, vc):
+    def step(self, uc, vc, t_n):
         n, tau = self.n, self.tau
         up = _to_phys(uc, n)
         vp = _to_phys(vc, n)
@@ -240,39 +234,21 @@ class _StrangStepper:
         self.tau = ctx.tau
         self.exp_half = np.exp(-0.25j * ctx.tau * ctx.m.laplace)
 
-    def step(self, uc):
+    def step(self, uc, vc, t_n):
         n = self.n
         um = self.exp_half * uc
         ump = _to_phys(um, n)
-        return self.exp_half * _to_coeffs(
-            np.exp(-0.375j * self.tau * np.abs(ump) ** 2) * ump, n
-        )
-
-
-class _LargeCStepper:
-    def __init__(self, ctx: StepContext):
-        self.n = ctx.grid.n_points
-        self.tau = ctx.tau
-        self.exp_full = np.exp(1j * ctx.tau * ctx.m.a_c)
-
-    def step(self, uc, vc):
-        n, tau = self.n, self.tau
-        up = _to_phys(uc, n)
-        vp = _to_phys(vc, n)
-        au2 = np.abs(up) ** 2
-        av2 = np.abs(vp) ** 2
-        unew = self.exp_full * _to_coeffs(np.exp(-0.125j * tau * (au2 + 2 * av2)) * up, n)
-        vnew = self.exp_full * _to_coeffs(np.exp(-0.125j * tau * (av2 + 2 * au2)) * vp, n)
-        return unew, vnew
+        u = self.exp_half * _to_coeffs(np.exp(-0.375j * self.tau * np.abs(ump) ** 2) * ump, n)
+        return u, u
 
 
 _STEPPERS = {
-    SchemeId.UEI1: _Uei1PairStepper,
-    SchemeId.UEI1_REAL: _Uei1RealStepper,
+    SchemeId.UEI1: _Uei1Stepper,
+    SchemeId.UEI1_REAL: _Uei1Stepper,
     SchemeId.UEI2_REAL: _Uei2RealStepper,
-    SchemeId.LIE_LIMIT: _LieStepper,
+    SchemeId.LIE_LIMIT: lambda ctx: _SplitStepper(ctx, -0.5 * ctx.m.laplace),
     SchemeId.STRANG_LIMIT: _StrangStepper,
-    SchemeId.LARGE_C_UEI1: _LargeCStepper,
+    SchemeId.LARGE_C_UEI1: lambda ctx: _SplitStepper(ctx, ctx.m.a_c),
 }
 
 
@@ -281,47 +257,55 @@ def _check_pair_c(p: TwistedPair, ctx: StepContext):
         raise ValueError(f"pair was twisted at c={p.c} but context has c={ctx.m.c}")
 
 
-def step_uei1(p: TwistedPair, ctx: StepContext) -> TwistedPair:
-    """One first-order exponential step of the coupled (u*, v*) system."""
+def _pair(grid, uc, vc, t, c) -> TwistedPair:
+    """A TwistedPair that owns its u* and v* coefficients separately."""
+    return TwistedPair(
+        SpectralField(grid, uc), SpectralField(grid, uc.copy() if vc is uc else vc), t, c
+    )
+
+
+def _step_pair(scheme: SchemeId, p: TwistedPair, ctx: StepContext) -> TwistedPair:
     _check_pair_c(p, ctx)
-    uc, vc = ctx.stepper(SchemeId.UEI1).step(
+    uc, vc = ctx.stepper(scheme).step(
         p.u_star.coeffs, p.v_star.coeffs, np.longdouble(p.t)
     )
-    g = p.u_star.grid
-    return TwistedPair(SpectralField(g, uc), SpectralField(g, vc), p.t + ctx.tau, p.c)
+    return _pair(p.u_star.grid, uc, vc, p.t + ctx.tau, p.c)
+
+
+def _step_real(scheme: SchemeId, u: SpectralField, t_n: float, ctx: StepContext) -> SpectralField:
+    uc, _ = ctx.stepper(scheme).step(u.coeffs, u.coeffs, np.longdouble(t_n))
+    return SpectralField(u.grid, uc)
+
+
+def step_uei1(p: TwistedPair, ctx: StepContext) -> TwistedPair:
+    """One first-order exponential step of the coupled (u*, v*) system."""
+    return _step_pair(SchemeId.UEI1, p, ctx)
 
 
 def step_uei1_real(u: SpectralField, t_n: float, ctx: StepContext) -> SpectralField:
     """One first-order step of the real-data (u == v) specialization."""
-    return SpectralField(
-        u.grid, ctx.stepper(SchemeId.UEI1_REAL).step(u.coeffs, np.longdouble(t_n))
-    )
+    return _step_real(SchemeId.UEI1_REAL, u, t_n, ctx)
 
 
 def step_uei2_real(u: SpectralField, t_n: float, ctx: StepContext) -> SpectralField:
     """One second-order exponential step for real data."""
-    return SpectralField(
-        u.grid, ctx.stepper(SchemeId.UEI2_REAL).step(u.coeffs, np.longdouble(t_n))
-    )
+    return _step_real(SchemeId.UEI2_REAL, u, t_n, ctx)
 
 
 def step_lie_limit(u: SpectralField, v: SpectralField, ctx: StepContext):
     """One Lie splitting step of the cubic Schroedinger limit system."""
-    uc, vc = ctx.stepper(SchemeId.LIE_LIMIT).step(u.coeffs, v.coeffs)
+    uc, vc = ctx.stepper(SchemeId.LIE_LIMIT).step(u.coeffs, v.coeffs, 0.0)
     return SpectralField(u.grid, uc), SpectralField(u.grid, vc)
 
 
 def step_strang_limit(u: SpectralField, ctx: StepContext) -> SpectralField:
     """One Strang splitting step of the limit system (real-data case)."""
-    return SpectralField(u.grid, ctx.stepper(SchemeId.STRANG_LIMIT).step(u.coeffs))
+    return _step_real(SchemeId.STRANG_LIMIT, u, 0.0, ctx)
 
 
 def step_largec_uei1(p: TwistedPair, ctx: StepContext) -> TwistedPair:
     """Simplified first-order step for the tau*c > 1 regime (not enforced)."""
-    _check_pair_c(p, ctx)
-    uc, vc = ctx.stepper(SchemeId.LARGE_C_UEI1).step(p.u_star.coeffs, p.v_star.coeffs)
-    g = p.u_star.grid
-    return TwistedPair(SpectralField(g, uc), SpectralField(g, vc), p.t + ctx.tau, p.c)
+    return _step_pair(SchemeId.LARGE_C_UEI1, p, ctx)
 
 
 def evolve(scheme: SchemeId, state: TwistedPair, T: float, ctx: StepContext, callback=None) -> TwistedPair:
@@ -347,54 +331,41 @@ def evolve(scheme: SchemeId, state: TwistedPair, T: float, ctx: StepContext, cal
         du = np.linalg.norm(uc - vc)
         if du > 1e-8 * max(np.linalg.norm(uc), 1e-300):
             raise ValueError(f"{scheme.value} requires real data (u* == v*)")
+        vc = uc
 
     st = ctx.stepper(scheme)
     t0 = np.longdouble(state.t)
     tau_ld = np.longdouble(ctx.tau)
     for k in range(n):
-        t_n = t0 + np.longdouble(k) * tau_ld
-        if scheme is SchemeId.UEI1:
-            uc, vc = st.step(uc, vc, t_n)
-        elif scheme is SchemeId.UEI1_REAL:
-            uc = st.step(uc, t_n)
-            vc = uc
-        elif scheme is SchemeId.UEI2_REAL:
-            uc = st.step(uc, t_n)
-            vc = uc
-        elif scheme is SchemeId.LIE_LIMIT:
-            uc, vc = st.step(uc, vc)
-        elif scheme is SchemeId.STRANG_LIMIT:
-            uc = st.step(uc)
-            vc = uc
-        else:
-            uc, vc = st.step(uc, vc)
+        uc, vc = st.step(uc, vc, t0 + np.longdouble(k) * tau_ld)
         if callback is not None:
             callback(
                 k + 1,
-                TwistedPair(
-                    SpectralField(grid, uc.copy()),
-                    SpectralField(grid, vc.copy()),
-                    state.t + (k + 1) * ctx.tau,
-                    state.c,
-                ),
+                _pair(grid, uc.copy(), vc.copy(), state.t + (k + 1) * ctx.tau, state.c),
             )
-    return TwistedPair(
-        SpectralField(grid, uc),
-        SpectralField(grid, vc if vc is not uc else uc.copy()),
-        state.t + n * ctx.tau,
-        state.c,
-    )
+    return _pair(grid, uc, vc, state.t + n * ctx.tau, state.c)
 
 
 # ---------------------------------------------------------------------------
 # brute-force Duhamel oracle
 
 
+def _gauss_legendre(a: float, b: float, q: int, panels: int = 1):
+    """Composite q-point Gauss-Legendre rule on `panels` equal panels of [a, b]:
+    nodes (panels, q) and the weights of one panel (q,).  Panels are mapped
+    about their centres, so [-1, 1] in one panel gives the reference rule exactly."""
+    xg, wg = roots_legendre(q)
+    h = (b - a) / panels
+    centres = a + h * (np.arange(panels)[:, None] + 0.5)
+    return centres + 0.5 * h * xg, 0.5 * h * wg
+
+
 @lru_cache(maxsize=8)
 def _panel_rule(q: int):
     """Gauss-Legendre nodes/weights on [-1, 1] plus the partial-integration
     matrix PM with PM[i, j] = int_{-1}^{x_i} ell_j(x) dx (Lagrange basis)."""
-    xg, wg = roots_legendre(q)
+    nodes, wg = _gauss_legendre(-1.0, 1.0, q)
+    xg = nodes[0]
     pm = np.zeros((q, q))
     for j in range(q):
         e = np.zeros(q)
@@ -438,10 +409,10 @@ def duhamel_oracle_step(
             f"oracle would need {panels} panels to resolve the oscillation; "
             "reduce tau, c, or the grid size"
         )
-    xg, wg, pm = _panel_rule(q)
+    _, _, pm = _panel_rule(q)
+    nodes, wfull = _gauss_legendre(0.0, tau, q, panels)
     h = tau / panels
-    edges = h * np.arange(panels)
-    s = (edges[:, None] + 0.5 * h * (xg[None, :] + 1.0)).ravel()  # (M,)
+    s = nodes.ravel()  # (M,)
     mtot = panels * q
 
     efwd = np.exp(1j * np.outer(s, m.a_c))  # (M, N)
@@ -453,7 +424,6 @@ def duhamel_oracle_step(
     ph = np.exp(1j * arg)  # e^(i c^2 (t_n + s))
 
     u0 = u.coeffs
-    wfull = (0.5 * h) * wg
 
     def integrate(dcur):
         vals = _to_phys(efwd * dcur, n)

@@ -208,6 +208,33 @@ def cubic(z: SpectralField, dealias: bool = False) -> SpectralField:
 # oscillatory kernels
 
 
+def _branch_phis(f, c, t):
+    """f at the three branch arguments i l c^2 t, l = 2, -2, -4."""
+    x = 2j * c * c * t
+    return f(x), f(-x), f(-2.0 * x)
+
+
+def _cubes(vv):
+    """The branch cubes (v^3, |v|^2 conj(v), conj(v)^3) of physical samples."""
+    v3 = vv**3
+    return v3, np.conj(np.abs(vv) ** 2 * vv), np.conj(v3)
+
+
+def _branches(cubes, phases, weights):
+    """Sum p2 w1 v^3 + 3 m2 w2 |v|^2 conj(v) + m4 w3 conj(v)^3 over the branches
+    l = 2, -2, -4: cubes from _cubes (or their Fourier coefficients), phases
+    (p2, m2, m4) from _phase_factors, one scalar weight per branch."""
+    a, b, cc = cubes
+    p2, m2, m4 = phases
+    w1, w2, w3 = weights
+    return p2 * w1 * a + 3.0 * m2 * w2 * b + m4 * w3 * cc
+
+
+def _branch_field(v: SpectralField, c, t_n, weights) -> SpectralField:
+    sums = _branches(_cubes(v.values()), _phase_factors(c, t_n), weights)
+    return field_from_values(v.grid, sums)
+
+
 def kernel_psi(t_n: float, t: float, v: SpectralField, c: float) -> SpectralField:
     """Psi(t_n, t, v) = t e^(2ic^2 t_n) phi_1(2ic^2 t) v^3
     + 3t e^(-2ic^2 t_n) phi_1(-2ic^2 t) |v|^2 conj(v)
@@ -215,17 +242,7 @@ def kernel_psi(t_n: float, t: float, v: SpectralField, c: float) -> SpectralFiel
     """
     if t < 0:
         raise ValueError("kernel_psi requires t >= 0")
-    p2, m2, m4 = _phase_factors(c, t_n)
-    x = 2j * c * c * t
-    vv = v.values()
-    v3 = vv**3
-    vau = np.abs(vv) ** 2 * vv
-    out = (
-        t * p2 * phi(1, x) * v3
-        + 3.0 * t * m2 * phi(1, -x) * np.conj(vau)
-        + t * m4 * phi(1, -2.0 * x) * np.conj(v3)
-    )
-    return field_from_values(v.grid, out)
+    return t * _branch_field(v, c, t_n, _branch_phis(lambda z: phi(1, z), c, t))
 
 
 def kernel_vartheta(t_n: float, tau: float, v: SpectralField, c: float) -> SpectralField:
@@ -236,17 +253,7 @@ def kernel_vartheta(t_n: float, tau: float, v: SpectralField, c: float) -> Spect
     """
     if tau <= 0:
         raise ValueError("kernel_vartheta requires tau > 0")
-    p2, m2, m4 = _phase_factors(c, t_n)
-    x = 2j * c * c * tau
-    vv = v.values()
-    v3 = vv**3
-    vau = np.abs(vv) ** 2 * vv
-    out = (
-        p2 * phi(2, x) * v3
-        + 3.0 * m2 * phi(2, -x) * np.conj(vau)
-        + m4 * phi(2, -2.0 * x) * np.conj(v3)
-    )
-    return field_from_values(v.grid, out)
+    return _branch_field(v, c, t_n, _branch_phis(lambda z: phi(2, z), c, tau))
 
 
 _DD_SERIES_CUTOFF = 0.25
@@ -287,14 +294,6 @@ def _omega_quotients(tau: float, c: float, l: int):
     )
 
 
-def _omega_vals(vals_cubes, phases, quotients):
-    """Omega from precomputed cubes (v^3, |v|^2 conj v, conj(v)^3)."""
-    v3, vaub, vb3 = vals_cubes
-    p2, m2, m4 = phases
-    q1, q2, q3 = quotients
-    return p2 * q1 * v3 + 3.0 * m2 * q2 * vaub + m4 * q3 * vb3
-
-
 def kernel_omega(t_n: float, tau: float, v: SpectralField, c: float, l: int) -> SpectralField:
     """Omega_l(t_n, tau, v) = (1/tau^2) int_0^tau e^(i l c^2 s) Psi(t_n, s, v) ds.
 
@@ -306,15 +305,7 @@ def kernel_omega(t_n: float, tau: float, v: SpectralField, c: float, l: int) -> 
         raise ValueError("kernel_omega requires tau > 0")
     if l not in (-4, -2, 2):
         raise ValueError(f"invalid oscillation index l={l}; need l in {{-4, -2, 2}}")
-    vv = v.values()
-    v3 = vv**3
-    vaub = np.abs(vv) ** 2 * np.conj(vv)
-    out = _omega_vals(
-        (v3, vaub, np.conj(v3)),
-        _phase_factors(c, t_n),
-        _omega_quotients(tau, c, l),
-    )
-    return field_from_values(v.grid, out)
+    return _branch_field(v, c, t_n, _omega_quotients(tau, c, l))
 
 
 def kernel_theta(t_n: float, tau: float, v: SpectralField, m: MultiplierSet) -> SpectralField:
@@ -356,7 +347,6 @@ class _Uei2Coeffs:
 
     def __init__(self, m: MultiplierSet, tau: float):
         grid = m.grid
-        self.m = m
         self.tau = float(tau)
         self.n = grid.n_points
         self.grid = grid
@@ -384,35 +374,27 @@ class _Uei2Coeffs:
         self.phi1_nr4 = phi(1, nr4_sym)
         self.psim_nr4 = phi_moment(nr4_sym)
 
-        x = 2j * c * c * tau
-        self.phi2_p2 = phi(2, x)
-        self.phi2_m2 = phi(2, -x)
-        self.phi2_m4 = phi(2, -2.0 * x)
-        self.psim_p2 = phi_moment(x)
-        self.psim_m2 = phi_moment(-x)
-        self.psim_m4 = phi_moment(-2.0 * x)
+        # per-branch weights, branches ordered l = 2, -2, -4
+        self.phi2 = _branch_phis(lambda z: phi(2, z), c, tau)
+        self.psim = _branch_phis(phi_moment, c, tau)
         self.omega_q = {l: _omega_quotients(tau, c, l) for l in (2, -2, 4)}
 
 
-def _block_core(co: _Uei2Coeffs, t_n, u_hat, up, u3=None, uau=None):
+def _block_core(co: _Uei2Coeffs, phases, u_hat, up, cubes):
     """Fourier coefficients of the oscillatory second-order block.
 
-    u_hat are the coefficients of u*, up its physical samples; u3 and uau
-    (u^3 and |u|^2 u in physical space) may be passed in when the caller has
-    them already.
+    u_hat are the coefficients of u*, up its physical samples, cubes =
+    _cubes(up) and phases = _phase_factors(c, t_n).
     """
     n, tau = co.n, co.tau
     grid = co.grid
-    p2, m2, m4 = _phase_factors(co.c, t_n)
-    if u3 is None:
-        u3 = up**3
-    if uau is None:
-        uau = np.abs(up) ** 2 * up
+    p2, m2, m4 = phases
+    psim_p2, psim_m2, psim_m4 = co.psim
 
-    u3_hat = _to_coeffs(u3, n)
-    uau_hat = _to_coeffs(uau, n)
-    ub3_hat = _conjrefl(u3_hat, grid)
-    uaub_hat = _conjrefl(uau_hat, grid)
+    u3_hat = _to_coeffs(cubes[0], n)
+    uau_hat = _to_coeffs(np.conj(cubes[1]), n)
+    hat_cubes = (u3_hat, _conjrefl(uau_hat, grid), _conjrefl(u3_hat, grid))
+    _, uaub_hat, ub3_hat = hat_cubes
 
     acu = _to_phys(co.a_c * u_hat, n)
     wq_hat = _to_coeffs(up * up * acu, n)
@@ -429,15 +411,11 @@ def _block_core(co: _Uei2Coeffs, t_n, u_hat, up, u3=None, uau=None):
     main *= co.exp_full
 
     # branch-filtered moments of Psi (and of conj Psi, via the reflection)
-    def omega_hat(l):
-        q1, q2, q3 = co.omega_q[l]
-        return p2 * q1 * u3_hat + 3.0 * m2 * q2 * uaub_hat + m4 * q3 * ub3_hat
-
-    om2 = omega_hat(2)
-    b1 = 3.0 * co.psim_p2 * uau_hat + om2
-    b2 = 3.0 * co.psim_m2 * uau_hat + omega_hat(-2)
-    b3 = 3.0 * co.psim_m2 * uaub_hat + _conjrefl(om2, grid)
-    b4 = 3.0 * co.psim_m4 * uaub_hat + _conjrefl(omega_hat(4), grid)
+    om2 = _branches(hat_cubes, phases, co.omega_q[2])
+    b1 = 3.0 * psim_p2 * uau_hat + om2
+    b2 = 3.0 * psim_m2 * uau_hat + _branches(hat_cubes, phases, co.omega_q[-2])
+    b3 = 3.0 * psim_m2 * uaub_hat + _conjrefl(om2, grid)
+    b4 = 3.0 * psim_m4 * uaub_hat + _conjrefl(_branches(hat_cubes, phases, co.omega_q[4]), grid)
     v1, v2, v3, v4 = _to_phys(co.cinv * np.stack([b1, b2, b3, b4]), n)
 
     up2 = up * up
@@ -457,7 +435,9 @@ def oscillatory_block(tau: float, t_n: float, u: SpectralField, m: MultiplierSet
         raise ValueError("oscillatory_block requires tau > 0")
     co = _Uei2Coeffs(m, tau)
     up = u.values()
-    return SpectralField(u.grid, _block_core(co, t_n, u.coeffs, up))
+    return SpectralField(
+        u.grid, _block_core(co, _phase_factors(m.c, t_n), u.coeffs, up, _cubes(up))
+    )
 
 
 def kernel_bundle(t_n: float, tau: float, v: SpectralField, m: MultiplierSet) -> KernelBundle:

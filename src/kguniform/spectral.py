@@ -50,7 +50,6 @@ __all__ = [
     "exp_A_c",
     "phi",
     "phi_moment",
-    "phi_of_operator",
     "sobolev_norm",
 ]
 
@@ -236,11 +235,6 @@ def apply_symbol(symbol: np.ndarray, f: SpectralField) -> SpectralField:
 def exp_A_c(t: float, m: MultiplierSet, f: SpectralField) -> SpectralField:
     """Apply the isometry e^(i t A_c)."""
     return SpectralField(f.grid, np.exp(1j * t * m.a_c) * f.coeffs)
-
-
-def phi_of_operator(j: int, z_symbol: np.ndarray, f: SpectralField) -> SpectralField:
-    """Apply phi_j of a diagonal operator given by its symbol vector."""
-    return apply_symbol(phi(j, np.asarray(z_symbol, dtype=np.complex128)), f)
 
 
 def sobolev_norm(f: SpectralField, r: float) -> float:

@@ -13,10 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft as _fft
-from scipy.special import roots_legendre
 
 from .harness import fit_order, paper_initial_data
-from .integrators import StepContext, duhamel_oracle_step, step_uei1_real, step_uei2_real
+from .integrators import (
+    StepContext,
+    _gauss_legendre,
+    duhamel_oracle_step,
+    step_uei1_real,
+    step_uei2_real,
+)
 from .model import kernel_omega, oscillatory_block, phase_factor, to_first_order
 from .spectral import (
     SpectralField,
@@ -131,11 +136,6 @@ def check_stability_bounds(K=64, cs=(1.0, 10.0, 100.0, 1e4), n_fields=20, r=1.0,
 # kernel quadrature
 
 
-def _gl_nodes(a, b, nodes):
-    x, w = roots_legendre(nodes)
-    return a + 0.5 * (b - a) * (x + 1.0), 0.5 * (b - a) * w
-
-
 def _psi_raw(t_n, s, vv, c):
     """Independent transcription of Psi from its three-branch definition."""
     x = 2j * c * c * s
@@ -161,7 +161,8 @@ def check_omega_quadrature(K=64, tol=1e-10, seed=3):
     tau, t_n = 0.01, 0.37
     worst = 0.0
     for c in (1.0, 10.0):
-        s_nodes, w_nodes = _gl_nodes(0.0, tau, 64)
+        nodes, w_nodes = _gauss_legendre(0.0, tau, 64)
+        s_nodes = nodes[0]
         for l in (-4, -2, 2):
             acc = np.zeros(grid.n_points, dtype=complex)
             for s, w in zip(s_nodes, w_nodes):
@@ -188,21 +189,19 @@ def _block_quadrature(tau, t_n, u, m, q=16):
     uau = np.abs(uv) ** 2 * uv
     rate = 4 * c * c + 2 * float(np.max(m.a_c))
     panels = max(2, math.ceil(tau * rate / 3.0))
+    nodes, weights = _gauss_legendre(0.0, tau, q, panels)
     acc = np.zeros(n, dtype=complex)
-    for p in range(panels):
-        a, b = tau * p / panels, tau * (p + 1) / panels
-        s_nodes, w_nodes = _gl_nodes(a, b, q)
-        for s, w in zip(s_nodes, w_nodes):
-            inner = 3.0 * s * uau + _psi_raw(t_n, s, uv, c)
-            ut_hat = np.exp(1j * s * m.a_c) * u.coeffs - 0.125j * m.c_inv * (
-                _fft.fft(inner) / n
-            )
-            wv = _fft.ifft(ut_hat) * n
-            ph = phase_factor(1, c, t_n + s)
-            w3 = wv**3
-            wau = np.abs(wv) ** 2 * wv
-            g = ph**2 * w3 + 3.0 * ph.conjugate() ** 2 * np.conj(wau) + ph.conjugate() ** 4 * np.conj(w3)
-            acc += w * np.exp(1j * (tau - s) * m.a_c) * (_fft.fft(g) / n)
+    for s, w in zip(nodes.ravel(), np.tile(weights, panels)):
+        inner = 3.0 * s * uau + _psi_raw(t_n, s, uv, c)
+        ut_hat = np.exp(1j * s * m.a_c) * u.coeffs - 0.125j * m.c_inv * (
+            _fft.fft(inner) / n
+        )
+        wv = _fft.ifft(ut_hat) * n
+        ph = phase_factor(1, c, t_n + s)
+        w3 = wv**3
+        wau = np.abs(wv) ** 2 * wv
+        g = ph**2 * w3 + 3.0 * ph.conjugate() ** 2 * np.conj(wau) + ph.conjugate() ** 4 * np.conj(w3)
+        acc += w * np.exp(1j * (tau - s) * m.a_c) * (_fft.fft(g) / n)
     return SpectralField(grid, acc)
 
 

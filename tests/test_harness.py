@@ -130,6 +130,21 @@ def test_emit_failed_cell_roundtrip(tmp_path):
     assert parse_table(str(path_csv), "csv").rows[0].failed is not None
 
 
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("", ":1: empty CSV"),
+        ("\n  \n", ":1: empty CSV"),
+        ("scheme,c,tau,err_h1,wall_time_s\nuei1,1.0,0.1,0.5,0.2\nuei1,1.0,0.05\n", ":3: expected 5 fields"),
+    ],
+)
+def test_parse_table_rejects_malformed_csv(tmp_path, text, where):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"bad.csv{where}"):
+        parse_table(str(path), "csv")
+
+
 def test_emit_bad_path():
     with pytest.raises(OSError, match="no/such/dir"):
         emit(_sample_table(), "csv", "/no/such/dir/out.csv")

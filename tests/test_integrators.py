@@ -332,6 +332,51 @@ def test_evolve_contracts(grid64):
     assert np.array_equal(full.v_star.coeffs, again.v_star.coeffs)
 
 
+@pytest.mark.parametrize("scheme", list(SchemeId), ids=lambda s: s.value)
+def test_evolve_matches_public_steps(grid64, scheme):
+    # the single stepper dispatch in evolve and the public step functions
+    # must take the same path: 3 steps agree bitwise (dyadic tau, t_0 = 0)
+    c, tau = 3.0, 2.0**-7
+    m = make_multipliers(grid64, c)
+    ctx = StepContext(grid64, m, tau)
+    x = grid64.x
+    zv = (0.3 + 0.2j) * np.sin(x) / (2.0 + np.cos(x))
+    ztv = c * c * 0.2 * np.cos(2.0 * x) / (2.0 + np.cos(x))
+    complex_pair = twist(
+        *to_first_order(KgState(field_from_values(grid64, zv), field_from_values(grid64, ztv)), m),
+        0.0,
+        c,
+    )
+    real_pair = _standard_pair(grid64, c)[2]
+
+    pair_steps = {
+        SchemeId.UEI1: step_uei1,
+        SchemeId.LARGE_C_UEI1: step_largec_uei1,
+        SchemeId.LIE_LIMIT: lambda p, ctx: TwistedPair(
+            *step_lie_limit(p.u_star, p.v_star, ctx), p.t + ctx.tau, p.c
+        ),
+    }
+    real_steps = {
+        SchemeId.UEI1_REAL: step_uei1_real,
+        SchemeId.UEI2_REAL: step_uei2_real,
+        SchemeId.STRANG_LIMIT: lambda u, t_n, ctx: step_strang_limit(u, ctx),
+    }
+    if scheme in pair_steps:
+        p = complex_pair
+        for _ in range(3):
+            p = pair_steps[scheme](p, ctx)
+        want_u, want_v = p.u_star.coeffs, p.v_star.coeffs
+        got = evolve(scheme, complex_pair, 3 * tau, ctx)
+    else:
+        u = real_pair.u_star
+        for k in range(3):
+            u = real_steps[scheme](u, k * tau, ctx)
+        want_u = want_v = u.coeffs
+        got = evolve(scheme, real_pair, 3 * tau, ctx)
+    assert np.array_equal(got.u_star.coeffs, want_u)
+    assert np.array_equal(got.v_star.coeffs, want_v)
+
+
 def test_evolve_callback_and_determinism(grid64):
     c = 2.0
     m, s0, p0 = _standard_pair(grid64, c)

@@ -14,7 +14,6 @@ from kguniform import (
     make_multipliers,
     phi,
     phi_moment,
-    phi_of_operator,
     sobolev_norm,
     zero_field,
 )
@@ -237,15 +236,6 @@ def test_exp_A_c_properties(rng):
         assert np.max(np.abs(back.coeffs - f.coeffs)) < 1e-12
 
 
-def test_phi_of_operator(rng):
-    g = make_grid(1, 32)
-    f = random_field(g, rng)
-    out = phi_of_operator(1, np.zeros(g.n_points), f)
-    assert np.max(np.abs(out.coeffs - f.coeffs)) < 1e-14
-    with pytest.raises(ValueError, match="phi index"):
-        phi_of_operator(5, np.zeros(g.n_points), f)
-
-
 def test_phi2_resonant_contraction(rng):
     # scalar oracle: |phi_2(iy)| <= 1/2 on the imaginary axis
     ys = np.linspace(-80.0, 80.0, 8001)
@@ -255,7 +245,7 @@ def test_phi2_resonant_contraction(rng):
     sym = 1j * tau * (2 * c * c + 0.5 * g.wavenumbers**2)
     assert np.all(np.abs(sym) > 0)  # resonant symbol never vanishes for c > 0
     f = random_field(g, rng)
-    out = phi_of_operator(2, sym, f)
+    out = apply_symbol(phi(2, sym), f)
     assert sobolev_norm(out, 1.0) <= 0.5 * sobolev_norm(f, 1.0) + 1e-12
 
 
