@@ -59,36 +59,38 @@ def _read_config(path):
     return opts
 
 
-def _build_config(args) -> SweepConfig:
+# config-file key (also the flag's dest), SweepConfig field, converter
+_SWEEP_OPTIONS = (
+    ("schemes", "schemes", _parse_schemes),
+    ("c", "c_list", _parse_floats),
+    ("tau_exp", "tau_exponents", _parse_exponents),
+    ("T", "T", float),
+    ("K", "K", int),
+    ("r", "r", float),
+    ("ref_exp", "ref_exponent", int),
+)
+
+
+def _build_config(args):
+    """(SweepConfig, output path, output format); flags win over the config
+    file, and fields that neither sets keep the SweepConfig defaults."""
     opts = _read_config(args.config) if args.config else {}
-
-    def pick(flag, key, conv, default):
-        raw = flag if flag is not None else opts.get(key)
-        return default if raw is None else conv(raw)
-
     paper = args.paper or opts.get("paper", "false").lower() in ("1", "true", "yes")
-    return SweepConfig(
-        schemes=pick(args.schemes, "schemes", _parse_schemes, [SchemeId.UEI1, SchemeId.UEI2_REAL]),
-        c_list=pick(
-            args.c, "c", _parse_floats, PAPER_C_LIST if paper else [1.0, 10.0, 100.0, 1000.0, 10000.0]
-        ),
-        tau_exponents=pick(args.tau_exp, "tau_exp", _parse_exponents, list(range(4, 11))),
-        T=pick(args.T, "T", float, 0.1),
-        # the full-scale preset uses 1024 grid points (K = 512), i.e. the
-        # mesh 2*pi/1024 ~ 0.0061 of the reference study
-        K=pick(args.K, "K", int, 512 if paper else 256),
-        r=pick(args.r, "r", float, 1.0),
-        ref_exponent=pick(args.ref_exp, "ref_exp", int, 16),
-        output_path=pick(args.out, "out", str, "results.csv"),
-        out_format=pick(args.format, "format", str, "csv"),
-    )
+    opts.update((key, value) for key, value in vars(args).items() if value is not None)
+    # the full-scale preset uses 1024 grid points (K = 512), i.e. the mesh
+    # 2*pi/1024 ~ 0.0061 of the reference study, and the nine standard c
+    kw = {"c_list": PAPER_C_LIST, "K": 512} if paper else {}
+    for key, name, conv in _SWEEP_OPTIONS:
+        if key in opts:
+            kw[name] = conv(opts[key])
+    return SweepConfig(**kw), opts.get("out", "results.csv"), opts.get("format", "csv")
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _build_config(args)
+    cfg, out_path, out_format = _build_config(args)
     table = run_sweep(cfg, progress=print if args.verbose else None)
-    emit(table, cfg.out_format, cfg.output_path)
-    print(f"wrote {len(table.rows)} rows to {cfg.output_path} [{cfg.out_format}]")
+    emit(table, out_format, out_path)
+    print(f"wrote {len(table.rows)} rows to {out_path} [{out_format}]")
 
     status = 0
     for (scheme, c), order in sorted(table.fitted_orders.items()):

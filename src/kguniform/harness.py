@@ -86,8 +86,6 @@ class SweepConfig:
     K: int = 256
     r: float = 1.0
     ref_exponent: int = 16
-    output_path: str | None = None
-    out_format: str = "csv"
 
     def __post_init__(self):
         if self.T <= 0:
@@ -154,9 +152,8 @@ def run_sweep(cfg: SweepConfig, progress=None) -> ErrorTable:
     for c in cfg.c_list:
         m = make_multipliers(grid, c)
         s0 = paper_initial_data(grid, c)
-        ctx = StepContext(grid, m, cfg.T, cfg.r)
         try:
-            ref = reference_solution(s0, c, cfg.T, ctx, tau_ref=tau_ref)
+            ref = reference_solution(s0, cfg.T, m, tau_ref=tau_ref, r=cfg.r)
             refs[c] = (m, s0, reconstruct_z(ref.pair), ref.certificate)
         except ReferenceUnreliableError as exc:
             refs[c] = (m, s0, None, str(exc))
@@ -168,7 +165,7 @@ def run_sweep(cfg: SweepConfig, progress=None) -> ErrorTable:
         tau = cfg.T * 2.0**-m_exp
         if z_ref is None:
             return SweepRow(scheme.value, c, tau, float("nan"), 0.0, failed=cert)
-        ctx = StepContext(grid, m, tau, cfg.r)
+        ctx = StepContext(grid, m, tau)
         u0, v0 = to_first_order(s0, m)
         pair0 = twist(u0, v0, s0.t, c)
         start = time.perf_counter()
@@ -265,26 +262,22 @@ def parse_table(path: str, out_format: str = "csv") -> ErrorTable:
                 raise ValueError(
                     f"{path}:{lineno}: expected 5 fields, got {len(fields)} in {ln!r}"
                 )
-            scheme, c, tau, err, wall = fields
-            err_f = float(err)
-            rows.append(
-                SweepRow(
-                    scheme,
-                    float(c),
-                    float(tau),
-                    err_f,
-                    float(wall),
-                    failed="failed" if np.isnan(err_f) else None,
-                )
-            )
+            try:
+                c, tau, err, wall = map(float, fields[1:])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc} in {ln!r}") from None
+            failed = "failed" if np.isnan(err) else None
+            rows.append(SweepRow(fields[0], c, tau, err, wall, failed=failed))
         return ErrorTable(rows=rows, fitted_orders={})
     payload = json.loads(text)
-    rows = [
-        SweepRow(
-            d["scheme"], d["c"], d["tau"], d["err_h1"], d["wall_time_s"], d["failed"]
-        )
-        for d in payload["rows"]
-    ]
+    rows = []
+    for i, d in enumerate(payload["rows"]):
+        try:
+            rows.append(
+                SweepRow(d["scheme"], d["c"], d["tau"], d["err_h1"], d["wall_time_s"], d["failed"])
+            )
+        except KeyError as exc:
+            raise ValueError(f"{path}: row {i} has no key {exc}") from None
     fitted = {
         (d["scheme"], d["c"]): d["order"] for d in payload["fitted_orders"]
     }

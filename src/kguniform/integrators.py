@@ -41,7 +41,7 @@ from enum import Enum
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial import polynomial as _poly
+from numpy.polynomial import legendre as _leg
 from scipy.special import roots_legendre
 
 from .model import (
@@ -65,8 +65,6 @@ from .spectral import (
     MultiplierSet,
     SpectralField,
     SpectralGrid,
-    exp_A_c,
-    make_multipliers,
     phi,
     sobolev_norm,
 )
@@ -85,6 +83,7 @@ __all__ = [
     "duhamel_oracle_step",
     "evolve",
     "reference_solution",
+    "CERTIFICATE_TOL",
 ]
 
 
@@ -108,7 +107,6 @@ class StepContext:
     grid: SpectralGrid
     m: MultiplierSet
     tau: float
-    r: float = 1.0
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -140,13 +138,13 @@ class _Uei1Stepper:
     def _component(self, up, op, w, phases):
         # fused update for one component: up is stepped, op is the partner
         tau, n = self.tau, self.n
-        p2, m2, m4 = phases
-        f2, f_m2, f_m4 = self.phi1
-        osc = (
-            p2 * f2 * (up * up * op)
-            + m2 * f_m2 * ((2.0 * np.abs(up) ** 2 + np.abs(op) ** 2) * np.conj(op))
-            + m4 * f_m4 * (np.conj(op) ** 2 * np.conj(up))
+        opb = np.conj(op)
+        cubes = (
+            up * up * op,
+            (2.0 * np.abs(up) ** 2 + np.abs(op) ** 2) * opb,
+            opb**2 * np.conj(up),
         )
+        osc = _branches(cubes, phases, self.phi1)
         p1 = np.exp(-0.125j * tau * w) * up + 0.125j * tau * w * up
         return self.exp_full * (
             _to_coeffs(p1, n) - 0.125j * tau * self.cinv * _to_coeffs(w * up + osc, n)
@@ -186,9 +184,7 @@ class _Uei2RealStepper:
         out -= 0.375j * tau * co.cinvm1 * co.exp_half * cub_hat
 
         # quintic theta block, evaluated at U
-        out += tau * tau * _theta_core(
-            Up, aU2, cub, cub_hat, co.exp_half, co.cinv, co.cinvm1, n
-        )
+        out += tau * tau * _theta_core(co, Up, aU2, cub, cub_hat)
 
         # vartheta coupling, evaluated at u*^n
         up = _to_phys(uc, n)
@@ -363,16 +359,13 @@ def _gauss_legendre(a: float, b: float, q: int, panels: int = 1):
 @lru_cache(maxsize=8)
 def _panel_rule(q: int):
     """Gauss-Legendre nodes/weights on [-1, 1] plus the partial-integration
-    matrix PM with PM[i, j] = int_{-1}^{x_i} ell_j(x) dx (Lagrange basis)."""
+    matrix PM with PM[i, j] = int_{-1}^{x_i} ell_j(x) dx (Lagrange basis),
+    built from the exact ell_j = w_j sum_k (k + 1/2) P_k(x_j) P_k: unlike a
+    monomial fit it stays well conditioned at large q."""
     nodes, wg = _gauss_legendre(-1.0, 1.0, q)
     xg = nodes[0]
-    pm = np.zeros((q, q))
-    for j in range(q):
-        e = np.zeros(q)
-        e[j] = 1.0
-        coef = _poly.polyfit(xg, e, q - 1)
-        integ = _poly.polyint(coef)
-        pm[:, j] = _poly.polyval(xg, integ) - _poly.polyval(-1.0, integ)
+    coef = (np.arange(q) + 0.5)[:, None] * _leg.legvander(xg, q - 1).T * wg
+    pm = _leg.legval(xg, _leg.legint(coef, lbnd=-1.0)).T
     return xg, wg, pm
 
 
@@ -380,7 +373,7 @@ _ORACLE_MAX_PANELS = 20000
 
 
 def duhamel_oracle_step(
-    u: SpectralField, t_n: float, ctx: StepContext, nodes: int = 64, nonlinear: bool = True
+    u: SpectralField, t_n: float, ctx: StepContext, nodes: int = 64
 ) -> SpectralField:
     """Advance u* by one step of the exact (real-data) Duhamel formula,
     discretized by composite Gauss-Legendre quadrature with the unknown
@@ -389,7 +382,6 @@ def duhamel_oracle_step(
     `nodes` is a floor on the total number of quadrature points; panels are
     added until the fastest oscillation (rate 4c^2 + max A_c) is resolved,
     so the quadrature error is negligible against the O(tau^4) Picard error.
-    Setting nonlinear=False integrates the free flow only (sanity hook).
     """
     if nodes < 16:
         raise ValueError(f"need nodes >= 16, got {nodes}")
@@ -397,9 +389,6 @@ def duhamel_oracle_step(
     tau = ctx.tau
     grid = u.grid
     n = grid.n_points
-    if not nonlinear:
-        return exp_A_c(tau, m, u)
-
     c = m.c
     q = 16
     rate = 4.0 * c * c + float(np.max(m.a_c))
@@ -450,6 +439,10 @@ def duhamel_oracle_step(
 # reference solutions
 
 
+# largest H^r self-convergence certificate a reference may have
+CERTIFICATE_TOL = 1e-9
+
+
 class ReferenceUnreliableError(RuntimeError):
     """The fine-step reference failed its self-convergence certificate."""
 
@@ -464,24 +457,16 @@ class ReferenceSolution:
 
 
 def reference_solution(
-    s0: KgState,
-    c: float,
-    T: float,
-    ctx: StepContext,
-    tau_ref: float | None = None,
-    certificate_tol: float = 1e-9,
+    s0: KgState, T: float, m: MultiplierSet, tau_ref: float | None = None, r: float = 1.0
 ) -> ReferenceSolution:
     """Fine-step second-order run standing in for the exact solution.
 
     Runs UEI2_REAL at tau_ref (default T * 2^-16) and at 2*tau_ref; the H^r
     difference of the reconstructed z at time T is the certificate.  If the
-    certificate exceeds certificate_tol the reference is rejected.
+    certificate exceeds CERTIFICATE_TOL the reference is rejected.
     """
     if tau_ref is None:
         tau_ref = T * 2.0**-16
-    grid = ctx.grid
-    m = ctx.m if abs(ctx.m.c - c) <= 1e-12 * max(1.0, c) else make_multipliers(grid, c)
-
     zv = s0.z.values()
     ztv = s0.zt.values()
     scale = max(np.max(np.abs(zv)), np.max(np.abs(ztv)), 1.0)
@@ -489,14 +474,14 @@ def reference_solution(
         raise ValueError("reference_solution requires real-valued initial data")
 
     u0, v0 = to_first_order(s0, m)
-    pair0 = twist(u0, v0, s0.t, c)
+    pair0 = twist(u0, v0, s0.t, m.c)
 
-    fine = evolve(SchemeId.UEI2_REAL, pair0, T, StepContext(grid, m, tau_ref, ctx.r))
-    coarse = evolve(SchemeId.UEI2_REAL, pair0, T, StepContext(grid, m, 2 * tau_ref, ctx.r))
-    cert = sobolev_norm(reconstruct_z(fine) - reconstruct_z(coarse), ctx.r)
-    if not np.isfinite(cert) or cert > certificate_tol:
+    fine = evolve(SchemeId.UEI2_REAL, pair0, T, StepContext(m.grid, m, tau_ref))
+    coarse = evolve(SchemeId.UEI2_REAL, pair0, T, StepContext(m.grid, m, 2 * tau_ref))
+    cert = sobolev_norm(reconstruct_z(fine) - reconstruct_z(coarse), r)
+    if not np.isfinite(cert) or cert > CERTIFICATE_TOL:
         raise ReferenceUnreliableError(
             f"reference self-convergence certificate {cert:.3e} exceeds "
-            f"{certificate_tol:.1e} (c={c}, tau_ref={tau_ref:.3e})"
+            f"{CERTIFICATE_TOL:.1e} (c={m.c}, tau_ref={tau_ref:.3e})"
         )
     return ReferenceSolution(pair=fine, certificate=float(cert), tau_ref=float(tau_ref))

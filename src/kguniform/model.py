@@ -182,26 +182,10 @@ def reconstruct_z(p: TwistedPair) -> SpectralField:
     return SpectralField(p.u_star.grid, coeffs)
 
 
-def cubic(z: SpectralField, dealias: bool = False) -> SpectralField:
-    """Pointwise |z|^2 z, optionally with 3/2-rule zero padding.
-
-    The solvers use the plain (non-dealiased) product; the padded variant
-    exists for diagnostics only.
-    """
-    n = z.grid.n_points
-    if not dealias:
-        v = z.values()
-        return field_from_values(z.grid, np.abs(v) ** 2 * v)
-    K = z.grid.modes
-    m = 3 * K
-    big = np.zeros(m, dtype=np.complex128)
-    big[:K] = z.coeffs[:K]
-    big[m - K :] = z.coeffs[K:]
-    vals = _fft.ifft(big) * m
-    w = np.abs(vals) ** 2 * vals
-    what = _fft.fft(w) / m
-    out = np.concatenate([what[:K], what[m - K :]])
-    return SpectralField(z.grid, out)
+def cubic(z: SpectralField) -> SpectralField:
+    """Pointwise |z|^2 z on the grid (no dealiasing, as in the solvers)."""
+    v = z.values()
+    return field_from_values(z.grid, np.abs(v) ** 2 * v)
 
 
 # ---------------------------------------------------------------------------
@@ -215,19 +199,19 @@ def _branch_phis(f, c, t):
 
 
 def _cubes(vv):
-    """The branch cubes (v^3, |v|^2 conj(v), conj(v)^3) of physical samples."""
+    """The branch cubes (v^3, 3|v|^2 conj(v), conj(v)^3) of physical samples."""
     v3 = vv**3
-    return v3, np.conj(np.abs(vv) ** 2 * vv), np.conj(v3)
+    return v3, np.conj(3.0 * np.abs(vv) ** 2 * vv), np.conj(v3)
 
 
-def _branches(cubes, phases, weights):
-    """Sum p2 w1 v^3 + 3 m2 w2 |v|^2 conj(v) + m4 w3 conj(v)^3 over the branches
-    l = 2, -2, -4: cubes from _cubes (or their Fourier coefficients), phases
-    (p2, m2, m4) from _phase_factors, one scalar weight per branch."""
-    a, b, cc = cubes
+def _branches(terms, phases, weights):
+    """Sum p2 w1 a + m2 w2 b + m4 w3 cc over the branches l = 2, -2, -4:
+    terms (a, b, cc) such as _cubes or their Fourier coefficients, phases
+    (p2, m2, m4) from _phase_factors, weights scalars or symbols."""
+    a, b, cc = terms
     p2, m2, m4 = phases
     w1, w2, w3 = weights
-    return p2 * w1 * a + 3.0 * m2 * w2 * b + m4 * w3 * cc
+    return p2 * w1 * a + m2 * w2 * b + m4 * w3 * cc
 
 
 def _branch_field(v: SpectralField, c, t_n, weights) -> SpectralField:
@@ -287,11 +271,7 @@ def _dd_phi1(a: complex, b: complex) -> complex:
 def _omega_quotients(tau: float, c: float, l: int):
     """The three phi_1 difference quotients entering Omega_l."""
     z = 1j * c * c * tau
-    return (
-        _dd_phi1(l * z, (l + 2) * z),
-        _dd_phi1(l * z, (l - 2) * z),
-        _dd_phi1(l * z, (l - 4) * z),
-    )
+    return tuple(_dd_phi1(l * z, (l + d) * z) for d in (2, -2, -4))
 
 
 def kernel_omega(t_n: float, tau: float, v: SpectralField, c: float, l: int) -> SpectralField:
@@ -318,18 +298,16 @@ def kernel_theta(t_n: float, tau: float, v: SpectralField, m: MultiplierSet) -> 
     """
     if tau <= 0:
         raise ValueError("kernel_theta requires tau > 0")
-    n = v.grid.n_points
-    exp_half = np.exp(0.5j * tau * m.a_c)
-    cinvm1 = m.c_inv - 1.0
+    co = _Uei2Coeffs(m, tau)
     vv = v.values()
     av2 = np.abs(vv) ** 2
     cau = av2 * vv
-    out = _theta_core(vv, av2, cau, _to_coeffs(cau, n), exp_half, m.c_inv, cinvm1, n)
-    return SpectralField(v.grid, out)
+    return SpectralField(v.grid, _theta_core(co, vv, av2, cau, _to_coeffs(cau, co.n)))
 
 
-def _theta_core(vv, av2, cau, cau_hat, exp_half, cinv, cinvm1, n):
+def _theta_core(co, vv, av2, cau, cau_hat):
     """theta in Fourier coefficients, given precomputed cubes of v."""
+    n, exp_half, cinv, cinvm1 = co.n, co.exp_half, co.cinv, co.cinvm1
     quint_hat = _to_coeffs(av2 * cau, n)
     w = _to_phys(cinvm1 * cau_hat, n)
     t1 = -0.5 * (9.0 / 64.0) * exp_half * cinvm1 * quint_hat
@@ -360,21 +338,18 @@ class _Uei2Coeffs:
         self.exp_full = np.exp(1j * tau * m.a_c)
         self.exp_half = np.exp(0.5j * tau * m.a_c)
 
-        # resonant branch: i tau (2c^2 - Delta/2) and the shift (Delta/2 - A_c)
-        res_sym = 1j * tau * (2.0 * c * c + 0.5 * k2)
-        self.phi1_res = phi(1, res_sym)
-        self.psim_res = phi_moment(res_sym)
+        # branch symbols l = 2, -2, -4: resonant i tau (2c^2 - Delta/2), then
+        # i tau (delta c^2 - A_c) for delta = -2, -4; resonant shift Delta/2 - A_c
+        syms = (
+            1j * tau * (2.0 * c * c + 0.5 * k2),
+            -1j * tau * (c * c + c * m.bracket_c),
+            -1j * tau * (3.0 * c * c + c * m.bracket_c),
+        )
+        self.tau_phi1_sym = tuple(tau * phi(1, z) for z in syms)
+        self.psim_sym = tuple(phi_moment(z) for z in syms)
         self.res_shift = -0.5 * k2 - m.a_c
-        # non-resonant branches: delta c^2 - A_c = -(c^2 + c<grad>_c) for
-        # delta = -2 and -(3c^2 + c<grad>_c) for delta = -4
-        nr2_sym = -1j * tau * (c * c + c * m.bracket_c)
-        nr4_sym = -1j * tau * (3.0 * c * c + c * m.bracket_c)
-        self.phi1_nr2 = phi(1, nr2_sym)
-        self.psim_nr2 = phi_moment(nr2_sym)
-        self.phi1_nr4 = phi(1, nr4_sym)
-        self.psim_nr4 = phi_moment(nr4_sym)
 
-        # per-branch weights, branches ordered l = 2, -2, -4
+        # per-branch scalar weights, same branch order
         self.phi2 = _branch_phis(lambda z: phi(2, z), c, tau)
         self.psim = _branch_phis(phi_moment, c, tau)
         self.omega_q = {l: _omega_quotients(tau, c, l) for l in (2, -2, 4)}
@@ -394,28 +369,23 @@ def _block_core(co: _Uei2Coeffs, phases, u_hat, up, cubes):
     u3_hat = _to_coeffs(cubes[0], n)
     uau_hat = _to_coeffs(np.conj(cubes[1]), n)
     hat_cubes = (u3_hat, _conjrefl(uau_hat, grid), _conjrefl(u3_hat, grid))
-    _, uaub_hat, ub3_hat = hat_cubes
+    uaub_hat = hat_cubes[1]
 
     acu = _to_phys(co.a_c * u_hat, n)
     wq_hat = _to_coeffs(up * up * acu, n)
     nr2b_hat = _to_coeffs(np.conj(up) ** 2 * acu - 2.0 * np.abs(up) ** 2 * np.conj(acu), n)
 
-    main = (
-        tau * p2 * co.phi1_res * u3_hat
-        + 1j * tau * tau * p2 * co.psim_res * (co.res_shift * u3_hat + 3.0 * wq_hat)
-        + 3.0 * tau * m2 * co.phi1_nr2 * uaub_hat
-        + 3j * tau * tau * m2 * co.psim_nr2 * nr2b_hat
-        + tau * m4 * co.phi1_nr4 * ub3_hat
-        - 3j * tau * tau * m4 * co.psim_nr4 * _conjrefl(wq_hat, grid)
-    )
+    moments = (co.res_shift * u3_hat + 3.0 * wq_hat, 3.0 * nr2b_hat, -3.0 * _conjrefl(wq_hat, grid))
+    main = _branches(hat_cubes, phases, co.tau_phi1_sym)
+    main += (1j * tau * tau) * _branches(moments, phases, co.psim_sym)
     main *= co.exp_full
 
     # branch-filtered moments of Psi (and of conj Psi, via the reflection)
     om2 = _branches(hat_cubes, phases, co.omega_q[2])
-    b1 = 3.0 * psim_p2 * uau_hat + om2
-    b2 = 3.0 * psim_m2 * uau_hat + _branches(hat_cubes, phases, co.omega_q[-2])
-    b3 = 3.0 * psim_m2 * uaub_hat + _conjrefl(om2, grid)
-    b4 = 3.0 * psim_m4 * uaub_hat + _conjrefl(_branches(hat_cubes, phases, co.omega_q[4]), grid)
+    b1 = psim_p2 * uau_hat + om2
+    b2 = psim_m2 * uau_hat + _branches(hat_cubes, phases, co.omega_q[-2])
+    b3 = psim_m2 * uaub_hat + _conjrefl(om2, grid)
+    b4 = psim_m4 * uaub_hat + _conjrefl(_branches(hat_cubes, phases, co.omega_q[4]), grid)
     v1, v2, v3, v4 = _to_phys(co.cinv * np.stack([b1, b2, b3, b4]), n)
 
     up2 = up * up

@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import numpy as np
@@ -136,6 +137,7 @@ def test_emit_failed_cell_roundtrip(tmp_path):
         ("", ":1: empty CSV"),
         ("\n  \n", ":1: empty CSV"),
         ("scheme,c,tau,err_h1,wall_time_s\nuei1,1.0,0.1,0.5,0.2\nuei1,1.0,0.05\n", ":3: expected 5 fields"),
+        ("scheme,c,tau,err_h1,wall_time_s\n\nuei1,1.0,abc,0.5,0.2\n", ":3: could not convert"),
     ],
 )
 def test_parse_table_rejects_malformed_csv(tmp_path, text, where):
@@ -143,6 +145,14 @@ def test_parse_table_rejects_malformed_csv(tmp_path, text, where):
     path.write_text(text)
     with pytest.raises(ValueError, match=f"bad.csv{where}"):
         parse_table(str(path), "csv")
+
+
+def test_parse_table_rejects_json_row_without_key(tmp_path):
+    row = {"scheme": "uei1", "tau": 0.1, "err_h1": 0.5, "wall_time_s": 0.2, "failed": None}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"rows": [row], "fitted_orders": []}))
+    with pytest.raises(ValueError, match="bad.json: row 0 has no key 'c'"):
+        parse_table(str(path), "json")
 
 
 def test_emit_bad_path():
@@ -300,11 +310,21 @@ def test_cli_paper_preset_builds_full_scale_config():
     from kguniform.cli import _build_config
     from kguniform.harness import PAPER_C_LIST
 
-    args = argparse.Namespace(
-        config=None, schemes=None, c=None, tau_exp=None, T=None, K=None,
-        r=None, ref_exp=None, paper=True, out=None, format=None,
-    )
-    cfg = _build_config(args)
+    def args(paper):
+        return argparse.Namespace(
+            config=None, schemes=None, c=None, tau_exp=None, T=None, K=None,
+            r=None, ref_exp=None, paper=paper, out=None, format=None,
+        )
+
+    # nothing set: exactly the SweepConfig defaults
+    default, out_path, out_format = _build_config(args(False))
+    assert default == SweepConfig()
+    assert (out_path, out_format) == ("results.csv", "csv")
+
+    cfg, _, _ = _build_config(args(True))
     assert cfg.K == 512  # 1024 grid points: dx = 2*pi/1024 ~ 0.0061
     assert cfg.c_list == PAPER_C_LIST
     assert cfg.T == 0.1
+    # --paper changes the grid and the c list only
+    changed = {k for k in vars(cfg) if getattr(cfg, k) != getattr(default, k)}
+    assert changed == {"K", "c_list"}

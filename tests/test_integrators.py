@@ -12,7 +12,6 @@ from kguniform import (
     duhamel_oracle_step,
     energy,
     evolve,
-    exp_A_c,
     field_from_values,
     from_first_order,
     make_multipliers,
@@ -270,21 +269,13 @@ def test_largec_close_to_uei1(grid64):
 
 
 def test_panel_rule_partial_weights():
-    xg, wg, pm = _panel_rule(16)
-    # exact partial integrals of monomials: int_{-1}^{x_i} x^p dx
-    for p in range(0, 6):
-        ref = (xg ** (p + 1) - (-1.0) ** (p + 1)) / (p + 1)
-        np.testing.assert_allclose(pm @ xg**p, ref, atol=1e-12)
-
-
-def test_oracle_linear_only(grid64, rng):
-    c = 7.0
-    m = make_multipliers(grid64, c)
-    ctx = StepContext(grid64, m, 0.02)
-    u = random_field(grid64, rng, decay=2.0)
-    out = duhamel_oracle_step(u, 0.0, ctx, nodes=64, nonlinear=False)
-    ref = exp_A_c(0.02, m, u)
-    assert np.max(np.abs(out.coeffs - ref.coeffs)) < 1e-14
+    # exact partial integrals of every monomial the rule resolves:
+    # int_{-1}^{x_i} x^p dx for p < q
+    for q in (16, 32, 64):
+        xg, wg, pm = _panel_rule(q)
+        for p in range(q):
+            ref = (xg ** (p + 1) - (-1.0) ** (p + 1)) / (p + 1)
+            np.testing.assert_allclose(pm @ xg**p, ref, rtol=0, atol=1e-13, err_msg=f"q={q} p={p}")
 
 
 def test_oracle_rejects_few_nodes(grid64):
@@ -428,8 +419,7 @@ def test_reference_certificate_and_oracle_agreement(grid64):
     c, T = 1.0, 0.1
     m = make_multipliers(grid64, c)
     s0 = paper_initial_data(grid64, c)
-    ctx = StepContext(grid64, m, T)
-    ref = reference_solution(s0, c, T, ctx, tau_ref=T * 2.0**-12)
+    ref = reference_solution(s0, T, m, tau_ref=T * 2.0**-12)
     assert 0.0 <= ref.certificate < 1e-9
 
     # energy conservation along the reference endpoint
@@ -453,9 +443,8 @@ def test_reference_unreliable_raises(grid64):
     c, T = 1.0, 0.1
     m = make_multipliers(grid64, c)
     s0 = paper_initial_data(grid64, c)
-    ctx = StepContext(grid64, m, T)
     with pytest.raises(ReferenceUnreliableError):
-        reference_solution(s0, c, T, ctx, tau_ref=T / 4)
+        reference_solution(s0, T, m, tau_ref=T / 4)
 
 
 def test_reference_rejects_complex_data(grid64, rng):
@@ -463,4 +452,4 @@ def test_reference_rejects_complex_data(grid64, rng):
     m = make_multipliers(grid64, c)
     s0 = KgState(z=random_field(grid64, rng), zt=zero_field(grid64))
     with pytest.raises(ValueError, match="real"):
-        reference_solution(s0, c, T, StepContext(grid64, m, T))
+        reference_solution(s0, T, m)

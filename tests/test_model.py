@@ -132,19 +132,6 @@ def test_cubic_values(grid64):
     assert out.coeffs[0] == pytest.approx(2.0 + 2.0j, abs=1e-13)
 
 
-def test_cubic_dealias_matches_on_resolved_data(grid64, rng):
-    # band-limited data (|k| <= K/4) has alias-free cubes already
-    co = np.zeros(grid64.n_points, dtype=complex)
-    band = np.abs(grid64.wavenumbers) <= grid64.modes // 4
-    co[band] = rng.standard_normal(band.sum()) + 1j * rng.standard_normal(band.sum())
-    from kguniform.spectral import SpectralField
-
-    f = SpectralField(grid64, co)
-    plain = cubic(f)
-    padded = cubic(f, dealias=True)
-    assert sobolev_norm(plain - padded, 1.0) < 1e-11 * sobolev_norm(plain, 1.0)
-
-
 # ---------------------------------------------------------------------------
 # oscillatory kernels
 
