@@ -48,14 +48,16 @@ def _parse_exponents(text):
 def _read_config(path):
     opts = {}
     with open(path) as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
-                raise ValueError(f"bad config line {raw.rstrip()!r} in {path}")
-            key, value = line.split("=", 1)
-            opts[key.strip()] = value.strip()
+                raise ValueError(f"{path}:{lineno}: bad config line {raw.rstrip()!r}")
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key not in _CONFIG_KEYS:
+                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            opts[key] = value
     return opts
 
 
@@ -69,6 +71,8 @@ _SWEEP_OPTIONS = (
     ("r", "r", float),
     ("ref_exp", "ref_exponent", int),
 )
+_CONFIG_KEYS = [key for key, _, _ in _SWEEP_OPTIONS] + ["paper", "out", "format"]
+_FORMATS = ("csv", "json")
 
 
 def _build_config(args):
@@ -77,13 +81,16 @@ def _build_config(args):
     opts = _read_config(args.config) if args.config else {}
     paper = args.paper or opts.get("paper", "false").lower() in ("1", "true", "yes")
     opts.update((key, value) for key, value in vars(args).items() if value is not None)
+    out_format = opts.get("format", "csv")
+    if out_format not in _FORMATS:
+        raise ValueError(f"{args.config}: unknown format {out_format!r}; choose from {_FORMATS}")
     # the full-scale preset uses 1024 grid points (K = 512), i.e. the mesh
     # 2*pi/1024 ~ 0.0061 of the reference study, and the nine standard c
     kw = {"c_list": PAPER_C_LIST, "K": 512} if paper else {}
     for key, name, conv in _SWEEP_OPTIONS:
         if key in opts:
             kw[name] = conv(opts[key])
-    return SweepConfig(**kw), opts.get("out", "results.csv"), opts.get("format", "csv")
+    return SweepConfig(**kw), opts.get("out", "results.csv"), out_format
 
 
 def _cmd_sweep(args) -> int:
@@ -140,7 +147,7 @@ def main(argv=None) -> int:
     ps.add_argument("--ref-exp", dest="ref_exp", type=int, help="reference tau = T*2^-ref_exp")
     ps.add_argument("--paper", action="store_true", help="full-scale preset: 1024-point grid, nine c values")
     ps.add_argument("--out", help="output path")
-    ps.add_argument("--format", choices=("csv", "json"), help="output format")
+    ps.add_argument("--format", choices=_FORMATS, help="output format")
     ps.add_argument("-v", "--verbose", action="store_true")
     ps.set_defaults(func=_cmd_sweep)
 

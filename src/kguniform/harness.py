@@ -17,9 +17,7 @@ decrease with tau.
 from __future__ import annotations
 
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -141,30 +139,30 @@ def run_sweep(cfg: SweepConfig, progress=None) -> ErrorTable:
     """Run the full (scheme, c, tau) sweep against per-c references.
 
     A reference that fails its certificate marks all cells of that c as
-    failed instead of aborting the sweep.  Cells are independent pure
-    computations, so the optional KG_THREADS-sized worker pool cannot change
-    the results, only the wall time; rows are merged in configuration order.
+    failed instead of aborting the sweep.  Cells run one after another in
+    configuration order, so a row's wall_time is its own evolve time.
     """
     grid = make_grid(1, cfg.K)
     tau_ref = cfg.T * 2.0 ** -cfg.ref_exponent
 
+    # c -> (multipliers, initial state, reference z, certificate, failure)
     refs = {}
     for c in cfg.c_list:
         m = make_multipliers(grid, c)
         s0 = paper_initial_data(grid, c)
         try:
             ref = reference_solution(s0, cfg.T, m, tau_ref=tau_ref, r=cfg.r)
-            refs[c] = (m, s0, reconstruct_z(ref.pair), ref.certificate)
+            refs[c] = (m, s0, reconstruct_z(ref.pair), ref.certificate, None)
         except ReferenceUnreliableError as exc:
-            refs[c] = (m, s0, None, str(exc))
+            refs[c] = (m, s0, None, None, str(exc))
         if progress:
             progress(f"reference c={c} done")
 
     def run_cell(scheme: SchemeId, c: float, m_exp: int) -> SweepRow:
-        m, s0, z_ref, cert = refs[c]
+        m, s0, z_ref, _, failure = refs[c]
         tau = cfg.T * 2.0**-m_exp
-        if z_ref is None:
-            return SweepRow(scheme.value, c, tau, float("nan"), 0.0, failed=cert)
+        if failure is not None:
+            return SweepRow(scheme.value, c, tau, float("nan"), 0.0, failed=failure)
         ctx = StepContext(grid, m, tau)
         u0, v0 = to_first_order(s0, m)
         pair0 = twist(u0, v0, s0.t, c)
@@ -174,32 +172,25 @@ def run_sweep(cfg: SweepConfig, progress=None) -> ErrorTable:
         err = sobolev_norm(reconstruct_z(final) - z_ref, cfg.r)
         return SweepRow(scheme.value, c, tau, float(err), wall)
 
-    tasks = [
-        (scheme, c, m_exp)
+    rows = [
+        run_cell(scheme, c, m_exp)
         for scheme in cfg.schemes
         for c in cfg.c_list
         for m_exp in cfg.tau_exponents
     ]
-    workers = max(1, int(os.environ.get("KG_THREADS", "1")))
-    # both pool.map and the comprehension return rows in task order
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda t: run_cell(*t), tasks))
-    else:
-        rows = [run_cell(*t) for t in tasks]
 
     fitted = {}
     for scheme in cfg.schemes:
         for c in cfg.c_list:
-            cert = refs[c][3]
+            *_, cert, failure = refs[c]
             group = [r for r in rows if r.scheme == scheme.value and r.c == c]
-            fitted[(scheme.value, c)] = (
-                None if isinstance(cert, str) else _fit_rows(group, cert)
-            )
+            fitted[(scheme.value, c)] = None if failure else _fit_rows(group, cert)
     return ErrorTable(rows=rows, fitted_orders=fitted)
 
 
 _CSV_HEADER = "scheme,c,tau,err_h1,wall_time_s"
+# JSON row keys, in SweepRow field order
+_JSON_ROW_KEYS = ("scheme", "c", "tau", "err_h1", "wall_time_s", "failed")
 
 
 def emit(table: ErrorTable, out_format: str, path: str) -> None:
@@ -219,14 +210,7 @@ def emit(table: ErrorTable, out_format: str, path: str) -> None:
     else:
         payload = {
             "rows": [
-                {
-                    "scheme": r.scheme,
-                    "c": r.c,
-                    "tau": r.tau,
-                    "err_h1": r.err,
-                    "wall_time_s": r.wall_time,
-                    "failed": r.failed,
-                }
+                dict(zip(_JSON_ROW_KEYS, (r.scheme, r.c, r.tau, r.err, r.wall_time, r.failed)))
                 for r in table.rows
             ],
             "fitted_orders": [
@@ -269,16 +253,21 @@ def parse_table(path: str, out_format: str = "csv") -> ErrorTable:
             failed = "failed" if np.isnan(err) else None
             rows.append(SweepRow(fields[0], c, tau, err, wall, failed=failed))
         return ErrorTable(rows=rows, fitted_orders={})
-    payload = json.loads(text)
-    rows = []
-    for i, d in enumerate(payload["rows"]):
-        try:
-            rows.append(
-                SweepRow(d["scheme"], d["c"], d["tau"], d["err_h1"], d["wall_time_s"], d["failed"])
-            )
-        except KeyError as exc:
-            raise ValueError(f"{path}: row {i} has no key {exc}") from None
-    fitted = {
-        (d["scheme"], d["c"]): d["order"] for d in payload["fitted_orders"]
-    }
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not a JSON table: {exc}") from None
+    where = "the table"
+    try:
+        raw_rows, raw_fitted = payload["rows"], payload["fitted_orders"]
+        rows = []
+        for i, d in enumerate(raw_rows):
+            where = f"row {i}"
+            rows.append(SweepRow(*(d[key] for key in _JSON_ROW_KEYS)))
+        fitted = {}
+        for i, d in enumerate(raw_fitted):
+            where = f"fitted order {i}"
+            fitted[(d["scheme"], d["c"])] = d["order"]
+    except KeyError as exc:
+        raise ValueError(f"{path}: {where} has no key {exc}") from None
     return ErrorTable(rows=rows, fitted_orders=fitted)

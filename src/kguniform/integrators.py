@@ -51,12 +51,13 @@ from .model import (
     _branch_phis,
     _branches,
     _cubes,
+    _not_real,
     _phase_factors,
     _theta_core,
     _to_coeffs,
     _to_phys,
-    _TWO_PI_LD,
     _Uei2Coeffs,
+    phase_factor,
     reconstruct_z,
     to_first_order,
     twist,
@@ -406,11 +407,7 @@ def duhamel_oracle_step(
 
     efwd = np.exp(1j * np.outer(s, m.a_c))  # (M, N)
     ebwd = np.conj(efwd)
-    arg = np.mod(
-        np.longdouble(c) ** 2 * (np.longdouble(t_n) + s.astype(np.longdouble)),
-        _TWO_PI_LD,
-    ).astype(np.float64)
-    ph = np.exp(1j * arg)  # e^(i c^2 (t_n + s))
+    ph = phase_factor(1, c, np.longdouble(t_n) + s)  # e^(i c^2 (t_n + s))
 
     u0 = u.coeffs
 
@@ -467,10 +464,7 @@ def reference_solution(
     """
     if tau_ref is None:
         tau_ref = T * 2.0**-16
-    zv = s0.z.values()
-    ztv = s0.zt.values()
-    scale = max(np.max(np.abs(zv)), np.max(np.abs(ztv)), 1.0)
-    if max(np.max(np.abs(zv.imag)), np.max(np.abs(ztv.imag))) > 1e-9 * scale:
+    if _not_real(1e-9, s0.z.values(), s0.zt.values()):
         raise ValueError("reference_solution requires real-valued initial data")
 
     u0, v0 = to_first_order(s0, m)

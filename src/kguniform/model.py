@@ -101,14 +101,18 @@ class KernelBundle:
     theta: SpectralField
 
 
-def phase_factor(l: int, c: float, t) -> complex:
+def phase_factor(l: int, c: float, t):
     """e^(i l c^2 t), with the argument reduced mod 2pi in extended precision.
 
     At c = 1e4 and t ~ 0.1 the raw argument reaches 1e7; reducing it in
-    80-bit arithmetic keeps the phase accurate to ~1e-12 rad.
+    80-bit arithmetic keeps the phase accurate to ~1e-12 rad.  A scalar t
+    gives a complex, an array of times an array of phases.
     """
     arg = np.longdouble(l) * np.longdouble(c) * np.longdouble(c) * np.longdouble(t)
     arg = np.mod(arg, _TWO_PI_LD)
+    if arg.ndim:
+        a = arg.astype(np.float64)
+        return np.cos(a) + 1j * np.sin(a)
     a = float(arg)
     return complex(np.cos(a), np.sin(a))
 
@@ -424,6 +428,12 @@ def kernel_bundle(t_n: float, tau: float, v: SpectralField, m: MultiplierSet) ->
 # conserved energy
 
 
+def _not_real(tol, zv, ztv) -> bool:
+    """Whether z or z_t values have an imaginary part above tol * max(scale, 1)."""
+    scale = max(np.max(np.abs(zv)), np.max(np.abs(ztv)), 1.0)
+    return max(np.max(np.abs(zv.imag)), np.max(np.abs(ztv.imag))) > tol * scale
+
+
 def energy(s: KgState, m: MultiplierSet) -> float:
     """E = int (1/2) c^-2 z_t^2 + (1/2)|grad z|^2 + (1/2) c^2 z^2 - (1/4) z^4 dx.
 
@@ -431,9 +441,7 @@ def energy(s: KgState, m: MultiplierSet) -> float:
     side, the quartic one by the (spectrally accurate) trapezoid rule.
     """
     zv = s.z.values()
-    ztv = s.zt.values()
-    scale = max(np.max(np.abs(zv)), np.max(np.abs(ztv)), 1.0)
-    if max(np.max(np.abs(zv.imag)), np.max(np.abs(ztv.imag))) > 1e-10 * scale:
+    if _not_real(1e-10, zv, s.zt.values()):
         raise ValueError("energy is defined for real-valued states")
     k2 = s.z.grid.wavenumbers**2
     c2 = m.c * m.c

@@ -154,6 +154,17 @@ def test_parse_table_rejects_json_row_without_key(tmp_path):
     with pytest.raises(ValueError, match="bad.json: row 0 has no key 'c'"):
         parse_table(str(path), "json")
 
+    order = {"scheme": "uei1", "c": 1.0}
+    for text, where in [
+        ("scheme,c,tau", "not a JSON table"),
+        (json.dumps({"fitted_orders": []}), "the table has no key 'rows'"),
+        (json.dumps({"rows": []}), "the table has no key 'fitted_orders'"),
+        (json.dumps({"rows": [], "fitted_orders": [order]}), "fitted order 0 has no key 'order'"),
+    ]:
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"bad.json: {where}"):
+            parse_table(str(path), "json")
+
 
 def test_emit_bad_path():
     with pytest.raises(OSError, match="no/such/dir"):
@@ -229,22 +240,6 @@ def test_sweep_marks_unreliable_reference():
     assert table.fitted_orders[("uei1", 1.0)] is None
 
 
-def test_sweep_thread_count_invariance(monkeypatch):
-    cfg = SweepConfig(
-        schemes=[SchemeId.LIE_LIMIT, SchemeId.STRANG_LIMIT],
-        c_list=[1.0, 10.0],
-        tau_exponents=[4, 5, 6],
-        K=32,
-        ref_exponent=12,
-    )
-    monkeypatch.delenv("KG_THREADS", raising=False)
-    seq = run_sweep(cfg)
-    monkeypatch.setenv("KG_THREADS", "4")
-    par = run_sweep(cfg)
-    for a, b in zip(seq.rows, par.rows):
-        assert (a.scheme, a.c, a.tau, a.err) == (b.scheme, b.c, b.tau, b.err)
-
-
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -297,6 +292,26 @@ def test_cli_out_of_band_order_fails(tmp_path, monkeypatch):
          "--out", str(tmp_path / "o.csv")]
     )
     assert rc == 1
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("c = 1\ntau_exps = 4..5\n", r"sweep.cfg:2: unknown config key 'tau_exps'"),
+        ("c = 1\nformat = xml\n", r"sweep.cfg: unknown format 'xml'"),
+    ],
+)
+def test_cli_rejects_bad_config_file_before_running(tmp_path, monkeypatch, text, match):
+    import kguniform.cli as cli_mod
+
+    def no_sweep(cfg, progress=None):
+        raise AssertionError("the sweep ran before the config file was checked")
+
+    monkeypatch.setattr(cli_mod, "run_sweep", no_sweep)
+    cfgfile = tmp_path / "sweep.cfg"
+    cfgfile.write_text(text)
+    with pytest.raises(ValueError, match=match):
+        cli_main(["sweep", "--config", str(cfgfile), "--out", str(tmp_path / "x.csv")])
 
 
 def test_cli_rejects_unknown_scheme(tmp_path):

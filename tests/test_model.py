@@ -47,6 +47,14 @@ def test_phase_factor_accuracy():
     assert abs(phase_factor(l, c, t) - ref) < 1e-11
     assert abs(phase_factor(2, c, 0.0) - 1.0) == 0.0
 
+    # an array of times gives the scalar calls' phases bitwise
+    times = np.longdouble(0.37) + np.linspace(0.0, 0.1, 257)
+    for cc in (1.0, 7.3, 100.0, 1e4):
+        for ll in (-4, -1, 1, 2):
+            ph = phase_factor(ll, cc, times)
+            assert ph.shape == times.shape
+            assert np.array_equal(ph, [phase_factor(ll, cc, t) for t in times])
+
 
 # ---------------------------------------------------------------------------
 # first-order reformulation
