@@ -41,6 +41,7 @@ from .integrators import (
     StepContext,
     ReferenceSolution,
     ReferenceUnreliableError,
+    NonFiniteStateError,
     step_uei1,
     step_uei1_real,
     step_uei2_real,

@@ -45,7 +45,18 @@ def _parse_exponents(text):
     return [int(p) for p in text.split(",")]
 
 
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _parse_bool(text):
+    value = text.strip().lower()
+    if value not in _BOOLEANS:
+        raise ValueError(f"expected one of {sorted(_BOOLEANS)}")
+    return _BOOLEANS[value]
+
+
 def _read_config(path):
+    """key -> (value, line number) of a flat key=value config file."""
     opts = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -57,7 +68,7 @@ def _read_config(path):
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            opts[key] = value
+            opts[key] = (value, lineno)
     return opts
 
 
@@ -77,20 +88,35 @@ _FORMATS = ("csv", "json")
 
 def _build_config(args):
     """(SweepConfig, output path, output format); flags win over the config
-    file, and fields that neither sets keep the SweepConfig defaults."""
-    opts = _read_config(args.config) if args.config else {}
-    paper = args.paper or opts.get("paper", "false").lower() in ("1", "true", "yes")
-    opts.update((key, value) for key, value in vars(args).items() if value is not None)
-    out_format = opts.get("format", "csv")
+    file, and fields that neither sets keep the SweepConfig defaults.  A
+    config-file value its converter rejects raises ValueError naming the
+    file and line."""
+    filed = _read_config(args.config) if args.config else {}
+    flags = {key: value for key, value in vars(args).items() if value is not None}
+
+    def from_file(key, conv, default=None):
+        if key not in filed:
+            return default
+        value, lineno = filed[key]
+        try:
+            return conv(value)
+        except ValueError as exc:
+            raise ValueError(f"{args.config}:{lineno}: bad {key} value {value!r}: {exc}") from None
+
+    paper = args.paper or from_file("paper", _parse_bool, False)
+    out_format = flags["format"] if "format" in flags else from_file("format", str, "csv")
     if out_format not in _FORMATS:
         raise ValueError(f"{args.config}: unknown format {out_format!r}; choose from {_FORMATS}")
     # the full-scale preset uses 1024 grid points (K = 512), i.e. the mesh
     # 2*pi/1024 ~ 0.0061 of the reference study, and the nine standard c
     kw = {"c_list": PAPER_C_LIST, "K": 512} if paper else {}
     for key, name, conv in _SWEEP_OPTIONS:
-        if key in opts:
-            kw[name] = conv(opts[key])
-    return SweepConfig(**kw), opts.get("out", "results.csv"), out_format
+        if key in flags:
+            kw[name] = conv(flags[key])
+        elif key in filed:
+            kw[name] = from_file(key, conv)
+    out_path = flags["out"] if "out" in flags else from_file("out", str, "results.csv")
+    return SweepConfig(**kw), out_path, out_format
 
 
 def _cmd_sweep(args) -> int:
@@ -111,7 +137,7 @@ def _cmd_sweep(args) -> int:
         print(f"  order {scheme:<10} c={c:<8g} {shown}{note}")
     n_failed = sum(1 for r in table.rows if r.failed is not None)
     if n_failed:
-        print(f"  {n_failed} cells failed (unreliable reference)")
+        print(f"  {n_failed} cells failed (unreliable reference or non-finite state)")
         status = 1
     return status
 

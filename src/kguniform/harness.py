@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .integrators import (
+    NonFiniteStateError,
     ReferenceUnreliableError,
     SchemeId,
     StepContext,
@@ -139,8 +140,10 @@ def run_sweep(cfg: SweepConfig, progress=None) -> ErrorTable:
     """Run the full (scheme, c, tau) sweep against per-c references.
 
     A reference that fails its certificate marks all cells of that c as
-    failed instead of aborting the sweep.  Cells run one after another in
-    configuration order, so a row's wall_time is its own evolve time.
+    failed instead of aborting the sweep, and a cell whose state blows up is
+    marked failed with the NonFiniteStateError message.  Cells run one after
+    another in configuration order, so a row's wall_time is its own evolve
+    time.
     """
     grid = make_grid(1, cfg.K)
     tau_ref = cfg.T * 2.0 ** -cfg.ref_exponent
@@ -167,7 +170,11 @@ def run_sweep(cfg: SweepConfig, progress=None) -> ErrorTable:
         u0, v0 = to_first_order(s0, m)
         pair0 = twist(u0, v0, s0.t, c)
         start = time.perf_counter()
-        final = evolve(scheme, pair0, cfg.T, ctx)
+        try:
+            final = evolve(scheme, pair0, cfg.T, ctx)
+        except NonFiniteStateError as exc:
+            wall = time.perf_counter() - start
+            return SweepRow(scheme.value, c, tau, float("nan"), wall, failed=str(exc))
         wall = time.perf_counter() - start
         err = sobolev_norm(reconstruct_z(final) - z_ref, cfg.r)
         return SweepRow(scheme.value, c, tau, float(err), wall)

@@ -9,11 +9,14 @@ and w_u = |u*|^2 + 2|v*|^2, the available steps are
                  - (i tau / 8) c<grad>_c^-1 E { e^(2ic^2 t_n) phi_1(2ic^2 tau) (u*^n)^2 v*^n
                    + e^(-2ic^2 t_n) phi_1(-2ic^2 tau) (2|u*^n|^2 + |v*^n|^2) conj(v*^n)
                    + e^(-4ic^2 t_n) phi_1(-4ic^2 tau) conj(v*^n)^2 conj(u*^n) }
-      and the u <-> v swapped update for v*.  Implemented in the fused
-      two-transform form (phase factor and correction grouped before one
-      application of E).
+      and the u <-> v swapped update for v*.  Each component's update is
+      E applied to the transform of e^(-i tau w_u/8) u* + (i tau/8) w_u u*,
+      plus -(i tau/8) c<grad>_c^-1 E applied to the transform of w_u u* + {...};
+      a step takes one stacked inverse transform of (u*, v*) and one stacked
+      forward transform of the four integrands.
 
-  UEI1_REAL: the u == v specialization (w = 3|u*|^2).
+  UEI1_REAL: the u == v specialization (w = 3|u*|^2): one inverse and one
+      stacked forward transform of its two integrands.
 
   UEI2_REAL (second order, uniform in c): with U = e^(i tau/2 A_c) u*^n,
       u*^(n+1) = e^(i tau/2 A_c) e^(-i tau 3|U|^2/8) U
@@ -22,6 +25,16 @@ and w_u = |u*|^2 + 2|v*|^2, the available steps are
                  - tau^2 (3/64) c<grad>_c^-1 [ 2|u*^n|^2 c<grad>_c^-1 vartheta
                    - (u*^n)^2 c<grad>_c^-1 conj(vartheta) ]
                  - (i/8) c<grad>_c^-1 * oscillatory_block(tau, t_n, u*^n).
+      Every scalar factor of a symbol-weighted term is folded into a symbol
+      built once per run (model._Uei2Coeffs), and a step makes 8 transform
+      calls: one stacked inverse transform of (U, u*^n, A_c u*^n); one
+      stacked forward transform of (e^(-3i tau|U|^2/8) U, |U|^2 U, |U|^4 U,
+      (u*^n)^3, 3|u*^n|^2 u*^n), whose last two give every branch cube by
+      reflection, so the transform of vartheta is a branch sum of them; two
+      for theta (model._theta_core); one inverse for the vartheta coupling;
+      two for the block (model._block_core); and one forward transform
+      shared by the vartheta and block integrands, which both carry
+      c<grad>_c^-1.
 
   LIE_LIMIT / STRANG_LIMIT: Lie and Strang splitting of the cubic
       Schroedinger system that the twisted variables solve as c -> infinity.
@@ -50,9 +63,10 @@ from .model import (
     _block_core,
     _branch_phis,
     _branches,
-    _cubes,
+    _cube_hats,
     _not_real,
     _phase_factors,
+    _rotate,
     _theta_core,
     _to_coeffs,
     _to_phys,
@@ -75,6 +89,7 @@ __all__ = [
     "StepContext",
     "ReferenceSolution",
     "ReferenceUnreliableError",
+    "NonFiniteStateError",
     "step_uei1",
     "step_uei1_real",
     "step_uei2_real",
@@ -129,41 +144,45 @@ class _Uei1Stepper:
 
     def __init__(self, ctx: StepContext):
         m, tau = ctx.m, ctx.tau
-        self.n = ctx.grid.n_points
         self.tau = tau
         self.c = m.c
         self.exp_full = np.exp(1j * tau * m.a_c)
-        self.cinv = m.c_inv
+        # symbol of the correction: -(i tau/8) c<grad>_c^-1 E
+        self.corr = -0.125j * tau * m.c_inv * self.exp_full
         self.phi1 = _branch_phis(lambda z: phi(1, z), m.c, tau)
 
-    def _component(self, up, op, w, phases):
-        # fused update for one component: up is stepped, op is the partner
-        tau, n = self.tau, self.n
+    def _integrands(self, out, up, op, w, w_op, phases):
+        # write the two physical integrands of one component's update into
+        # the rows of out: up is stepped, op is its partner, w and w_op
+        # their weights |.|^2 + 2|partner|^2
+        tau = self.tau
         opb = np.conj(op)
-        cubes = (
-            up * up * op,
-            (2.0 * np.abs(up) ** 2 + np.abs(op) ** 2) * opb,
-            opb**2 * np.conj(up),
-        )
-        osc = _branches(cubes, phases, self.phi1)
-        p1 = np.exp(-0.125j * tau * w) * up + 0.125j * tau * w * up
-        return self.exp_full * (
-            _to_coeffs(p1, n) - 0.125j * tau * self.cinv * _to_coeffs(w * up + osc, n)
-        )
+        wu = w * up
+        _rotate(out[0], (-0.125 * tau) * w, up)
+        out[0] += (0.125j * tau) * wu
+        cubes = (up * up * op, w_op * opb, opb**2 * np.conj(up))
+        np.add(wu, _branches(cubes, phases, self.phi1), out=out[1])
 
     def step(self, uc, vc, t_n):
-        n = self.n
         phases = _phase_factors(self.c, t_n)
-        up = _to_phys(uc, n)
         if vc is uc:
-            u = self._component(up, up, 3.0 * np.abs(up) ** 2, phases)
+            up = _to_phys(uc)
+            w = 3.0 * np.abs(up) ** 2
+            rows = np.empty((2, uc.shape[-1]), dtype=np.complex128)
+            self._integrands(rows, up, up, w, w, phases)
+            lin, corr = _to_coeffs(rows)
+            u = self.exp_full * lin + self.corr * corr
             return u, u
-        vp = _to_phys(vc, n)
+        up, vp = _to_phys(np.stack([uc, vc]))
         au2 = np.abs(up) ** 2
         av2 = np.abs(vp) ** 2
-        unew = self._component(up, vp, au2 + 2.0 * av2, phases)
-        vnew = self._component(vp, up, av2 + 2.0 * au2, phases)
-        return unew, vnew
+        wu = au2 + 2.0 * av2
+        wv = av2 + 2.0 * au2
+        rows = np.empty((4, uc.shape[-1]), dtype=np.complex128)
+        self._integrands(rows[:2], up, vp, wu, wv, phases)
+        self._integrands(rows[2:], vp, up, wv, wu, phases)
+        ulin, ucorr, vlin, vcorr = _to_coeffs(rows)
+        return self.exp_full * ulin + self.corr * ucorr, self.exp_full * vlin + self.corr * vcorr
 
 
 class _Uei2RealStepper:
@@ -172,35 +191,34 @@ class _Uei2RealStepper:
 
     def step(self, uc, vc, t_n):
         co = self.co
-        n, tau = co.n, co.tau
         phases = _phase_factors(co.c, t_n)
-
-        # Strang-like core on the half-propagated field
-        Uc = co.exp_half * uc
-        Up = _to_phys(Uc, n)
+        # U = e^(i tau/2 A_c) u*^n, u*^n and A_c u*^n in physical space
+        Up, up, acu = _to_phys(co.lift * uc)
         aU2 = np.abs(Up) ** 2
-        cub = aU2 * Up
-        cub_hat = _to_coeffs(cub, n)
-        out = co.exp_half * _to_coeffs(np.exp(-0.375j * tau * aU2) * Up, n)
-        out -= 0.375j * tau * co.cinvm1 * co.exp_half * cub_hat
+        up2 = up * up
+        au2 = np.abs(up) ** 2
+        # e^(-3i tau|U|^2/8) U, |U|^2 U, |U|^4 U, u*^3 and 3|u*|^2 u*
+        rows = np.empty((5, uc.shape[-1]), dtype=np.complex128)
+        _rotate(rows[0], (-0.375 * co.tau) * aU2, Up)
+        np.multiply(aU2, Up, out=rows[1])
+        np.multiply(aU2, rows[1], out=rows[2])
+        np.multiply(up2, up, out=rows[3])
+        np.multiply(3.0 * au2, up, out=rows[4])
+        lin_hat, cub_hat, quint_hat, u3_hat, uau_hat = _to_coeffs(rows)
 
-        # quintic theta block, evaluated at U
-        out += tau * tau * _theta_core(co, Up, aU2, cub, cub_hat)
+        # Strang-like core on the half-propagated field, then the quintic
+        # theta block, evaluated at U
+        out = co.exp_half * lin_hat + co.cub_w * cub_hat
+        out += _theta_core(co, Up, aU2, cub_hat, quint_hat)
 
-        # vartheta coupling, evaluated at u*^n
-        up = _to_phys(uc, n)
-        cubes = _cubes(up)
-        xw = _to_phys(co.cinv * _to_coeffs(_branches(cubes, phases, co.phi2), n), n)
-        out -= (
-            0.046875  # 3/64
-            * tau
-            * tau
-            * co.cinv
-            * _to_coeffs(2.0 * np.abs(up) ** 2 * xw - up * up * np.conj(xw), n)
-        )
-
-        # oscillatory branches
-        out -= 0.125j * co.cinv * _block_core(co, phases, uc, up, cubes)
+        # vartheta coupling at u*^n (its transform is a branch sum of the
+        # cubes' transforms) and the oscillatory block; both carry
+        # c<grad>_c^-1 and share the last transform
+        hats = _cube_hats(u3_hat, uau_hat, co.grid)
+        xw = _to_phys(co.cinv_s * _branches(hats[:3], phases, co.phi2))
+        hat, s = _block_core(co, phases, up, acu, hats)
+        out += hat
+        out += co.cinv * _to_coeffs(s + up2 * np.conj(xw) - 2.0 * au2 * xw)
         return out, out
 
 
@@ -210,32 +228,28 @@ class _SplitStepper:
     for the large-c UEI1 (which drops every phi_1 branch)."""
 
     def __init__(self, ctx: StepContext, symbol):
-        self.n = ctx.grid.n_points
         self.tau = ctx.tau
         self.exp_lin = np.exp(1j * ctx.tau * symbol)
 
     def step(self, uc, vc, t_n):
-        n, tau = self.n, self.tau
-        up = _to_phys(uc, n)
-        vp = _to_phys(vc, n)
+        tau = self.tau
+        up = _to_phys(uc)
+        vp = _to_phys(vc)
         au2 = np.abs(up) ** 2
         av2 = np.abs(vp) ** 2
-        unew = self.exp_lin * _to_coeffs(np.exp(-0.125j * tau * (au2 + 2 * av2)) * up, n)
-        vnew = self.exp_lin * _to_coeffs(np.exp(-0.125j * tau * (av2 + 2 * au2)) * vp, n)
+        unew = self.exp_lin * _to_coeffs(np.exp(-0.125j * tau * (au2 + 2 * av2)) * up)
+        vnew = self.exp_lin * _to_coeffs(np.exp(-0.125j * tau * (av2 + 2 * au2)) * vp)
         return unew, vnew
 
 
 class _StrangStepper:
     def __init__(self, ctx: StepContext):
-        self.n = ctx.grid.n_points
         self.tau = ctx.tau
         self.exp_half = np.exp(-0.25j * ctx.tau * ctx.m.laplace)
 
     def step(self, uc, vc, t_n):
-        n = self.n
-        um = self.exp_half * uc
-        ump = _to_phys(um, n)
-        u = self.exp_half * _to_coeffs(np.exp(-0.375j * self.tau * np.abs(ump) ** 2) * ump, n)
+        ump = _to_phys(self.exp_half * uc)
+        u = self.exp_half * _to_coeffs(np.exp(-0.375j * self.tau * np.abs(ump) ** 2) * ump)
         return u, u
 
 
@@ -305,13 +319,23 @@ def step_largec_uei1(p: TwistedPair, ctx: StepContext) -> TwistedPair:
     return _step_pair(SchemeId.LARGE_C_UEI1, p, ctx)
 
 
+class NonFiniteStateError(FloatingPointError):
+    """A run's state stopped being finite (it blew up)."""
+
+
+# evolve checks the state is finite every this many steps and after the last
+_FINITE_CHECK_EVERY = 64
+
+
 def evolve(scheme: SchemeId, state: TwistedPair, T: float, ctx: StepContext, callback=None) -> TwistedPair:
     """Advance a twisted pair by T using n = T/tau steps of the given scheme.
 
     T must be an integer multiple of ctx.tau.  Step times are formed as
     t_0 + k*tau in extended precision so the oscillatory phases e^(i l c^2 t_n)
     stay accurate up to c = 1e4.  The optional callback receives
-    (step_index, TwistedPair) after every step.
+    (step_index, TwistedPair) after every step.  A state that is no longer
+    finite raises NonFiniteStateError, checked every _FINITE_CHECK_EVERY
+    steps and after the last.
     """
     if T == 0:
         return state
@@ -340,6 +364,12 @@ def evolve(scheme: SchemeId, state: TwistedPair, T: float, ctx: StepContext, cal
                 k + 1,
                 _pair(grid, uc.copy(), vc.copy(), state.t + (k + 1) * ctx.tau, state.c),
             )
+        if (k + 1) % _FINITE_CHECK_EVERY == 0 or k + 1 == n:
+            if not (np.isfinite(uc).all() and np.isfinite(vc).all()):
+                raise NonFiniteStateError(
+                    f"{scheme.value} state is not finite at step {k + 1} of {n} "
+                    f"(c={ctx.m.c!r}, tau={ctx.tau!r})"
+                )
     return _pair(grid, uc, vc, state.t + n * ctx.tau, state.c)
 
 
@@ -412,9 +442,9 @@ def duhamel_oracle_step(
     u0 = u.coeffs
 
     def integrate(dcur):
-        vals = _to_phys(efwd * dcur, n)
+        vals = _to_phys(efwd * dcur)
         a = 2.0 * (ph[:, None] * vals).real
-        ghat = _to_coeffs(np.conj(ph)[:, None] * a**3, n)
+        ghat = _to_coeffs(np.conj(ph)[:, None] * a**3)
         hnode = (ebwd * ghat).reshape(panels, q, n)
         panel_sum = np.einsum("j,pjn->pn", wfull, hnode)
         prefix = np.zeros_like(panel_sum)
@@ -470,8 +500,11 @@ def reference_solution(
     u0, v0 = to_first_order(s0, m)
     pair0 = twist(u0, v0, s0.t, m.c)
 
-    fine = evolve(SchemeId.UEI2_REAL, pair0, T, StepContext(m.grid, m, tau_ref))
-    coarse = evolve(SchemeId.UEI2_REAL, pair0, T, StepContext(m.grid, m, 2 * tau_ref))
+    try:
+        fine = evolve(SchemeId.UEI2_REAL, pair0, T, StepContext(m.grid, m, tau_ref))
+        coarse = evolve(SchemeId.UEI2_REAL, pair0, T, StepContext(m.grid, m, 2 * tau_ref))
+    except NonFiniteStateError as exc:
+        raise ReferenceUnreliableError(f"reference run blew up: {exc}") from exc
     cert = sobolev_norm(reconstruct_z(fine) - reconstruct_z(coarse), r)
     if not np.isfinite(cert) or cert > CERTIFICATE_TOL:
         raise ReferenceUnreliableError(

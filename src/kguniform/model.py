@@ -118,9 +118,19 @@ def phase_factor(l: int, c: float, t):
 
 
 def _phase_factors(c, t):
-    """The three phases (e^(2ic^2 t_n), e^(-2ic^2 t_n), e^(-4ic^2 t_n))."""
+    """The three phases (e^(2ic^2 t_n), e^(-2ic^2 t_n), e^(-4ic^2 t_n)); the
+    last is the square of the second, within two units in the last place."""
     p2 = phase_factor(2, c, t)
-    return p2, p2.conjugate(), phase_factor(-4, c, t)
+    m2 = p2.conjugate()
+    return p2, m2, m2 * m2
+
+
+def _rotate(out, angle, vals):
+    """out = e^(i angle) vals for real angles, from cos and sin (cheaper than
+    the complex exponential)."""
+    np.cos(angle, out=out.real)
+    np.sin(angle, out=out.imag)
+    out *= vals
 
 
 def _conjrefl(coeffs: np.ndarray, grid) -> np.ndarray:
@@ -128,12 +138,14 @@ def _conjrefl(coeffs: np.ndarray, grid) -> np.ndarray:
     return np.conj(coeffs[grid.conj_index])
 
 
-def _to_phys(coeffs, n):
-    return _fft.ifft(coeffs) * n
+def _to_phys(coeffs):
+    """Physical samples of coefficient vectors (rows of a stack alike)."""
+    return _fft.ifft(coeffs, norm="forward")
 
 
-def _to_coeffs(vals, n):
-    return _fft.fft(vals) / n
+def _to_coeffs(vals):
+    """Coefficients of physical samples (rows of a stack alike)."""
+    return _fft.fft(vals, norm="forward")
 
 
 # ---------------------------------------------------------------------------
@@ -306,52 +318,76 @@ def kernel_theta(t_n: float, tau: float, v: SpectralField, m: MultiplierSet) -> 
     vv = v.values()
     av2 = np.abs(vv) ** 2
     cau = av2 * vv
-    return SpectralField(v.grid, _theta_core(co, vv, av2, cau, _to_coeffs(cau, co.n)))
+    cau_hat, quint_hat = _to_coeffs(np.stack([cau, av2 * cau]))
+    return SpectralField(v.grid, _theta_core(co, vv, av2, cau_hat, quint_hat) / (tau * tau))
 
 
-def _theta_core(co, vv, av2, cau, cau_hat):
-    """theta in Fourier coefficients, given precomputed cubes of v."""
-    n, exp_half, cinv, cinvm1 = co.n, co.exp_half, co.cinv, co.cinvm1
-    quint_hat = _to_coeffs(av2 * cau, n)
-    w = _to_phys(cinvm1 * cau_hat, n)
-    t1 = -0.5 * (9.0 / 64.0) * exp_half * cinvm1 * quint_hat
-    t2 = -0.5 * (9.0 / 32.0) * cinv * exp_half * _to_coeffs(av2 * w, n)
-    t3 = 0.5 * (9.0 / 64.0) * cinv * exp_half * _to_coeffs(vv * vv * np.conj(w), n)
-    return t1 + t2 + t3
+def _theta_core(co, vv, av2, cau_hat, quint_hat):
+    """tau^2 theta(t_n, tau, v), the step's term, in Fourier coefficients:
+    vv are the samples of v, av2 = |vv|^2, cau_hat and quint_hat the
+    coefficients of |v|^2 v and |v|^4 v.  The second and third terms of
+    theta carry the same symbol and share one transform."""
+    w = _to_phys(co.cinvm1 * cau_hat)
+    return co.theta_quint * quint_hat + co.theta_w * _to_coeffs(
+        vv * vv * np.conj(w) - 2.0 * av2 * w
+    )
 
 
 class _Uei2Coeffs:
     """Symbols and scalar phi values shared by the second-order machinery.
 
     Everything here depends only on (grid, c, tau), so a time-stepping loop
-    computes it once and reuses it every step.
+    computes it once and reuses it every step; every scalar factor of a
+    symbol-weighted term of the step is folded into its symbol here.
     """
 
     def __init__(self, m: MultiplierSet, tau: float):
         grid = m.grid
-        self.tau = float(tau)
-        self.n = grid.n_points
+        self.tau = tau = float(tau)
         self.grid = grid
         c = m.c
         self.c = c
         k2 = grid.wavenumbers**2
+        tau2 = tau * tau
 
-        self.a_c = m.a_c
         self.cinv = m.c_inv
         self.cinvm1 = m.c_inv - 1.0
-        self.exp_full = np.exp(1j * tau * m.a_c)
-        self.exp_half = np.exp(0.5j * tau * m.a_c)
+        exp_full = np.exp(1j * tau * m.a_c)
+        exp_half = np.exp(0.5j * tau * m.a_c)
+        # rows taking u* to (U = e^(i tau/2 A_c) u*, u*, A_c u*) before the
+        # step's first inverse transform
+        self.lift = np.stack([exp_half, np.ones_like(exp_half), m.a_c])
+        # Strang-like core: e^(i tau/2 A_c) on the transform of e^(-3i tau|U|^2/8) U,
+        # and the -(3i tau/8)(c<grad>_c^-1 - 1) e^(i tau/2 A_c) |U|^2 U correction
+        self.exp_half = exp_half
+        self.cub_w = -0.375j * tau * self.cinvm1 * exp_half
+        # tau^2 theta: the |v|^4 v term and the shared transform of the other two
+        self.theta_quint = (-9.0 / 128.0) * tau2 * self.cinvm1 * exp_half
+        self.theta_w = (9.0 / 128.0) * tau2 * self.cinv * exp_half
+        # (3/64) tau^2 c<grad>_c^-1, applied before the inverse transforms of
+        # the vartheta coupling and of the block's filtered moments
+        self.cinv_s = 0.046875 * tau2 * self.cinv
 
         # branch symbols l = 2, -2, -4: resonant i tau (2c^2 - Delta/2), then
-        # i tau (delta c^2 - A_c) for delta = -2, -4; resonant shift Delta/2 - A_c
-        syms = (
-            1j * tau * (2.0 * c * c + 0.5 * k2),
-            -1j * tau * (c * c + c * m.bracket_c),
-            -1j * tau * (3.0 * c * c + c * m.bracket_c),
+        # i tau (delta c^2 - A_c) for delta = -2, -4
+        syms = np.stack(
+            [
+                1j * tau * (2.0 * c * c + 0.5 * k2),
+                -1j * tau * (c * c + c * m.bracket_c),
+                -1j * tau * (3.0 * c * c + c * m.bracket_c),
+            ]
         )
-        self.tau_phi1_sym = tuple(tau * phi(1, z) for z in syms)
-        self.psim_sym = tuple(phi_moment(z) for z in syms)
-        self.res_shift = -0.5 * k2 - m.a_c
+        phi1 = phi(1, syms)
+        tau_phi1 = tau * phi1
+        psim = phi1 - phi(2, syms)  # phi_moment, sharing phi_1
+        # the resonant shift Delta/2 - A_c of the l = 2 moment acts on u^3
+        tau_phi1[0] += 1j * tau2 * psim[0] * (-0.5 * k2 - m.a_c)
+        # the block's main term enters the step as -(i/8) c<grad>_c^-1 e^(i tau A_c)
+        # times these branch weights of (u^3, 3|u|^2 conj u, conj u^3) and of
+        # the moments (u^2 A_c u, conj(u)^2 A_c u - 2|u|^2 conj(A_c u), conj(u^2 A_c u))
+        blk = -0.125j * self.cinv * exp_full
+        self.block_cubes = tuple(blk * w for w in tau_phi1)
+        self.block_moments = tuple(3j * tau2 * blk * w for w in (psim[0], psim[1], -psim[2]))
 
         # per-branch scalar weights, same branch order
         self.phi2 = _branch_phis(lambda z: phi(2, z), c, tau)
@@ -359,47 +395,65 @@ class _Uei2Coeffs:
         self.omega_q = {l: _omega_quotients(tau, c, l) for l in (2, -2, 4)}
 
 
-def _block_core(co: _Uei2Coeffs, phases, u_hat, up, cubes):
-    """Fourier coefficients of the oscillatory second-order block.
+def _cube_hats(u3_hat, uau_hat, grid):
+    """Rows (u^3, 3|u|^2 conj u, conj u^3, 3|u|^2 u) in Fourier coefficients:
+    the transforms of _cubes(u) followed by that of 3|u|^2 u, from the
+    coefficients of u^3 and 3|u|^2 u."""
+    h = np.empty((4, u3_hat.shape[-1]), dtype=np.complex128)
+    h[0] = u3_hat
+    np.conj(uau_hat[grid.conj_index], out=h[1])
+    np.conj(u3_hat[grid.conj_index], out=h[2])
+    h[3] = uau_hat
+    return h
 
-    u_hat are the coefficients of u*, up its physical samples, cubes =
-    _cubes(up) and phases = _phase_factors(c, t_n).
+
+def _block_core(co: _Uei2Coeffs, phases, up, acu, hats):
+    """The oscillatory block's term of a step, -(i/8) c<grad>_c^-1 B, as a pair
+    (hat, s): the term is hat + c<grad>_c^-1 fft(s), so a caller can add
+    other integrands carrying c<grad>_c^-1 to s before the one transform.
+
+    up and acu are the samples of u* and A_c u*, hats = _cube_hats(...) and
+    phases = _phase_factors(c, t_n).
     """
-    n, tau = co.n, co.tau
-    grid = co.grid
     p2, m2, m4 = phases
     psim_p2, psim_m2, psim_m4 = co.psim
-
-    u3_hat = _to_coeffs(cubes[0], n)
-    uau_hat = _to_coeffs(np.conj(cubes[1]), n)
-    hat_cubes = (u3_hat, _conjrefl(uau_hat, grid), _conjrefl(u3_hat, grid))
-    uaub_hat = hat_cubes[1]
-
-    acu = _to_phys(co.a_c * u_hat, n)
-    wq_hat = _to_coeffs(up * up * acu, n)
-    nr2b_hat = _to_coeffs(np.conj(up) ** 2 * acu - 2.0 * np.abs(up) ** 2 * np.conj(acu), n)
-
-    moments = (co.res_shift * u3_hat + 3.0 * wq_hat, 3.0 * nr2b_hat, -3.0 * _conjrefl(wq_hat, grid))
-    main = _branches(hat_cubes, phases, co.tau_phi1_sym)
-    main += (1j * tau * tau) * _branches(moments, phases, co.psim_sym)
-    main *= co.exp_full
-
-    # branch-filtered moments of Psi (and of conj Psi, via the reflection)
-    om2 = _branches(hat_cubes, phases, co.omega_q[2])
-    b1 = psim_p2 * uau_hat + om2
-    b2 = psim_m2 * uau_hat + _branches(hat_cubes, phases, co.omega_q[-2])
-    b3 = psim_m2 * uaub_hat + _conjrefl(om2, grid)
-    b4 = psim_m4 * uaub_hat + _conjrefl(_branches(hat_cubes, phases, co.omega_q[4]), grid)
-    v1, v2, v3, v4 = _to_phys(co.cinv * np.stack([b1, b2, b3, b4]), n)
-
     up2 = up * up
-    s_vals = (0.375j * tau * tau) * (
-        -p2 * up2 * v1
-        - m2 * np.conj(up2) * v2
-        + 2.0 * m2 * np.abs(up) ** 2 * v3
-        + m4 * np.conj(up2) * v4
+    au2 = np.abs(up) ** 2
+
+    moments = np.empty((2, up.shape[-1]), dtype=np.complex128)
+    np.multiply(up2, acu, out=moments[0])
+    np.multiply(np.conj(up2), acu, out=moments[1])
+    moments[1] -= 2.0 * au2 * np.conj(acu)
+    wq_hat, nr2b_hat = _to_coeffs(moments)
+    hat = _branches(hats[:3], phases, co.block_cubes)
+    hat += _branches(
+        (wq_hat, nr2b_hat, _conjrefl(wq_hat, co.grid)), phases, co.block_moments
     )
-    return main + _to_coeffs(s_vals, n)
+
+    # branch-filtered moments of Psi, b1 and b2, and of conj Psi, b3 and b4,
+    # are scalar combinations of the rows of hats (the reflection of a
+    # combination swaps rows 0 <-> 2 and 1 <-> 3 and conjugates the weights).
+    # As psim[1] = conj(psim[0]) and c<grad>_c^-1 is real and even, b3 is the
+    # reflection of b1, so its samples are conj(v1); b2 and b4 both multiply
+    # conj(u*^2), so m4 b4 - m2 b2 takes one inverse transform.  (Sums of
+    # products, not a matrix product: BLAS buffers would raise a run's peak
+    # memory.)
+    u3_hat, uaub_hat, u3b_hat, uau_hat = hats
+    # b2 = psim_m2 row 3 + sum of wm2 rows 0..2; b4 = psim_m4 row 1 + the
+    # reflection of the l = 4 combination, whose conjugated weights are r4
+    wm2 = [p * w for p, w in zip(phases, co.omega_q[-2])]
+    r4 = [(p * w).conjugate() for p, w in zip(phases, co.omega_q[4])]
+    b = np.empty((2, up.shape[-1]), dtype=np.complex128)
+    b[0] = _branches(hats[:3], phases, co.omega_q[2]) + psim_p2 * uau_hat
+    b[1] = (
+        (m4 * r4[2] - m2 * wm2[0]) * u3_hat
+        + (m4 * psim_m4 - m2 * wm2[1]) * uaub_hat
+        + (m4 * r4[0] - m2 * wm2[2]) * u3b_hat
+        + (m4 * r4[1] - m2 * psim_m2) * uau_hat
+    )
+    b *= co.cinv_s
+    v1, v24 = _to_phys(b)
+    return hat, 2.0 * m2 * au2 * np.conj(v1) - p2 * up2 * v1 + np.conj(up2) * v24
 
 
 def oscillatory_block(tau: float, t_n: float, u: SpectralField, m: MultiplierSet) -> SpectralField:
@@ -408,10 +462,12 @@ def oscillatory_block(tau: float, t_n: float, u: SpectralField, m: MultiplierSet
     if tau <= 0:
         raise ValueError("oscillatory_block requires tau > 0")
     co = _Uei2Coeffs(m, tau)
-    up = u.values()
-    return SpectralField(
-        u.grid, _block_core(co, _phase_factors(m.c, t_n), u.coeffs, up, _cubes(up))
-    )
+    up, acu = _to_phys(np.stack([u.coeffs, m.a_c * u.coeffs]))
+    u3_hat, uau_hat = _to_coeffs(np.stack([up**3, 3.0 * np.abs(up) ** 2 * up]))
+    hats = _cube_hats(u3_hat, uau_hat, u.grid)
+    hat, s = _block_core(co, _phase_factors(m.c, t_n), up, acu, hats)
+    # undo the step's -(i/8) c<grad>_c^-1
+    return SpectralField(u.grid, 8j * (hat / co.cinv + _to_coeffs(s)))
 
 
 def kernel_bundle(t_n: float, tau: float, v: SpectralField, m: MultiplierSet) -> KernelBundle:

@@ -30,6 +30,7 @@ which is the exact kernel of int_0^tau s e^(s B) ds = tau^2 phi_moment(tau B).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -180,13 +181,41 @@ def make_multipliers(grid: SpectralGrid, c: float) -> MultiplierSet:
 # at the cutoff with a wide margin.
 _PHI_SERIES_CUTOFF = 0.1
 _PHI_SERIES_TERMS = 17
+_INV_FACTORIALS = [1.0 / math.factorial(n) for n in range(_PHI_SERIES_TERMS + 2)]
 
 
-def _phi_series(j: int, z: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(z)
+def _phi_series(j: int, z):
+    """sum_n z^n / (n + j)! by Horner's rule, for arrays and Python complex alike."""
+    out = 0.0 * z
     for n in range(_PHI_SERIES_TERMS - 1, -1, -1):
-        out = out * z + 1.0 / math.factorial(n + j)
+        out = out * z + _INV_FACTORIALS[n + j]
     return out
+
+
+def _cdiv(x: complex, y: complex) -> complex:
+    """x / y by Smith's algorithm with one reciprocal, as numpy divides."""
+    if abs(y.real) >= abs(y.imag):
+        rat = y.imag / y.real
+        scl = 1.0 / (y.real + y.imag * rat)
+        return complex((x.real + x.imag * rat) * scl, (x.imag - x.real * rat) * scl)
+    rat = y.real / y.imag
+    scl = 1.0 / (y.imag + y.real * rat)
+    return complex((x.real * rat + x.imag) * scl, (x.imag * rat - x.real) * scl)
+
+
+def _phi_scalar(j: int, z: complex) -> complex:
+    """phi_j at one point in Python arithmetic, step for step the array path
+    (numpy's complex expm1 and division included) without its array round
+    trips; the two agree to a few units in the last place."""
+    if j == 0:
+        return cmath.exp(z)
+    if z.real * z.real + z.imag * z.imag < _PHI_SERIES_CUTOFF**2:
+        return _phi_series(j, z)
+    a = math.sin(0.5 * z.imag)
+    em1 = complex(
+        math.expm1(z.real) * math.cos(z.imag) - 2.0 * a * a, math.exp(z.real) * math.sin(z.imag)
+    )
+    return _cdiv(em1, z) if j == 1 else _cdiv(_cdiv(em1 - z, z), z)
 
 
 def phi(j: int, z):
@@ -197,20 +226,22 @@ def phi(j: int, z):
     """
     if j not in (0, 1, 2):
         raise ValueError(f"invalid phi index j={j}; need j in {{0, 1, 2}}")
+    if np.ndim(z) == 0:
+        return _phi_scalar(j, complex(z))
     zarr = np.asarray(z, dtype=np.complex128)
-    scalar = zarr.ndim == 0
-    zarr = np.atleast_1d(zarr)
     if j == 0:
-        out = np.exp(zarr)
-    else:
-        small = np.abs(zarr) < _PHI_SERIES_CUTOFF
-        zsafe = np.where(small, 1.0, zarr)
-        if j == 1:
-            direct = np.expm1(zsafe) / zsafe
-        else:
-            direct = (np.expm1(zsafe) - zsafe) / zsafe**2
-        out = np.where(small, _phi_series(j, zarr), direct)
-    return complex(out[0]) if scalar else out
+        return np.exp(zarr)
+    # |z|^2 against the squared cutoff: plain IEEE products and sums, so the
+    # scalar path draws the series/closed-form line at the same points
+    small = zarr.real**2 + zarr.imag**2 < _PHI_SERIES_CUTOFF**2
+    out = np.empty_like(zarr)
+    if small.any():
+        out[small] = _phi_series(j, zarr[small])
+    if not small.all():
+        zb = zarr[~small]
+        em1 = np.expm1(zb)
+        out[~small] = em1 / zb if j == 1 else (em1 - zb) / zb / zb
+    return out
 
 
 def phi_moment(z):

@@ -240,6 +240,35 @@ def test_sweep_marks_unreliable_reference():
     assert table.fitted_orders[("uei1", 1.0)] is None
 
 
+def test_sweep_records_blown_up_cell(monkeypatch):
+    # one cell starts from data a thousand times the standard size and blows
+    # up; it fails with the evolve error instead of leaving a NaN error
+    import kguniform.harness as harness_mod
+    from kguniform.model import TwistedPair
+
+    real_evolve = harness_mod.evolve
+    bad_tau = 0.1 * 2.0**-4
+
+    def evolve_with_one_unstable_cell(scheme, state, T, ctx):
+        if ctx.tau == bad_tau:
+            state = TwistedPair(1e3 * state.u_star, 1e3 * state.v_star, state.t, state.c)
+        return real_evolve(scheme, state, T, ctx)
+
+    monkeypatch.setattr(harness_mod, "evolve", evolve_with_one_unstable_cell)
+    cfg = SweepConfig(
+        schemes=[SchemeId.UEI1], c_list=[1.0], tau_exponents=[4, 5, 6, 7], K=16, ref_exponent=12
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = run_sweep(cfg)
+    bad = [r for r in table.rows if r.tau == bad_tau]
+    assert len(bad) == 1
+    assert "uei1 state is not finite at step 16 of 16" in bad[0].failed
+    assert "c=1.0" in bad[0].failed and f"tau={bad_tau!r}" in bad[0].failed
+    assert np.isnan(bad[0].err)
+    assert all(r.failed is None and np.isfinite(r.err) for r in table.rows if r.tau != bad_tau)
+    assert table.fitted_orders[("uei1", 1.0)] is not None
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -312,6 +341,49 @@ def test_cli_rejects_bad_config_file_before_running(tmp_path, monkeypatch, text,
     cfgfile.write_text(text)
     with pytest.raises(ValueError, match=match):
         cli_main(["sweep", "--config", str(cfgfile), "--out", str(tmp_path / "x.csv")])
+
+
+def _config_file_args(cfgfile):
+    # parsed `sweep` arguments with a config file and no flags
+    import argparse
+
+    return argparse.Namespace(
+        config=str(cfgfile), schemes=None, c=None, tau_exp=None, T=None, K=None,
+        r=None, ref_exp=None, paper=False, out=None, format=None,
+    )
+
+
+@pytest.mark.parametrize(
+    "line, match",
+    [
+        ("K = abc", r"sweep.cfg:3: bad K value 'abc': invalid literal for int"),
+        ("c = 1,x", r"sweep.cfg:3: bad c value '1,x': could not convert"),
+        ("tau_exp = 4..x", r"sweep.cfg:3: bad tau_exp value '4..x': invalid literal"),
+        ("schemes = uei3", r"sweep.cfg:3: bad schemes value 'uei3': unknown scheme"),
+        ("T = soon", r"sweep.cfg:3: bad T value 'soon'"),
+        ("paper = on", r"sweep.cfg:3: bad paper value 'on': expected one of"),
+    ],
+)
+def test_cli_config_value_errors_name_file_and_line(tmp_path, line, match):
+    from kguniform.cli import _build_config
+
+    cfgfile = tmp_path / "sweep.cfg"
+    cfgfile.write_text(f"# sweep\nref_exp = 8\n{line}\n")
+    with pytest.raises(ValueError, match=match):
+        _build_config(_config_file_args(cfgfile))
+
+
+@pytest.mark.parametrize(
+    "value, paper",
+    [("1", True), ("TRUE", True), ("Yes", True), ("0", False), ("false", False), ("NO", False)],
+)
+def test_cli_config_paper_booleans(tmp_path, value, paper):
+    from kguniform.cli import _build_config
+
+    cfgfile = tmp_path / "sweep.cfg"
+    cfgfile.write_text(f"paper = {value}\n")
+    cfg, _, _ = _build_config(_config_file_args(cfgfile))
+    assert (cfg.K == 512) is paper
 
 
 def test_cli_rejects_unknown_scheme(tmp_path):

@@ -147,44 +147,102 @@ def test_uei1_complex_data_self_convergence(grid64, rng):
     assert 0.8 <= fit_order(pts) <= 1.3
 
 
-def test_uei2_step_equals_public_kernel_assembly(grid64):
-    # the fused stepper must agree with the step assembled from the public
-    # kernel operations, term by term
+def _assembled_uei2_step(u, t_n, m, tau):
+    # the UEI2 step of the integrators docstring, term by term from the
+    # public kernel operations
     from kguniform import (
         apply_symbol,
         exp_A_c,
-        field_from_values,
         kernel_theta,
         kernel_vartheta,
         oscillatory_block,
     )
 
+    grid = u.grid
+    U = exp_A_c(0.5 * tau, m, u)
+    Up = U.values()
+    term1 = exp_A_c(
+        0.5 * tau, m, field_from_values(grid, np.exp(-0.375j * tau * np.abs(Up) ** 2) * Up)
+    )
+    term2 = -0.375j * tau * apply_symbol(
+        m.c_inv - 1.0,
+        exp_A_c(0.5 * tau, m, field_from_values(grid, np.abs(Up) ** 2 * Up)),
+    )
+    term3 = tau * tau * kernel_theta(t_n, tau, U, m)
+    up = u.values()
+    xw = apply_symbol(m.c_inv, kernel_vartheta(t_n, tau, u, m.c)).values()
+    term4 = (-3.0 / 64.0) * tau * tau * apply_symbol(
+        m.c_inv,
+        field_from_values(grid, 2.0 * np.abs(up) ** 2 * xw - up * up * np.conj(xw)),
+    )
+    term5 = -0.125j * apply_symbol(m.c_inv, oscillatory_block(tau, t_n, u, m))
+    return term1 + term2 + term3 + term4 + term5
+
+
+def test_uei2_step_equals_public_kernel_assembly(grid64):
+    # the fused stepper must agree with the step assembled from the public
+    # kernel operations, term by term
     c, tau, t_n = 10.0, 0.01, 0.37
     m = make_multipliers(grid64, c)
     s0 = paper_initial_data(grid64, c)
     u, _ = to_first_order(s0, m)
     ctx = StepContext(grid64, m, tau)
 
-    U = exp_A_c(0.5 * tau, m, u)
-    Up = U.values()
-    term1 = exp_A_c(
-        0.5 * tau, m, field_from_values(grid64, np.exp(-0.375j * tau * np.abs(Up) ** 2) * Up)
-    )
-    term2 = -0.375j * tau * apply_symbol(
-        m.c_inv - 1.0,
-        exp_A_c(0.5 * tau, m, field_from_values(grid64, np.abs(Up) ** 2 * Up)),
-    )
-    term3 = tau * tau * kernel_theta(t_n, tau, U, m)
-    up = u.values()
-    xw = apply_symbol(m.c_inv, kernel_vartheta(t_n, tau, u, c)).values()
-    term4 = (-3.0 / 64.0) * tau * tau * apply_symbol(
-        m.c_inv,
-        field_from_values(grid64, 2.0 * np.abs(up) ** 2 * xw - up * up * np.conj(xw)),
-    )
-    term5 = -0.125j * apply_symbol(m.c_inv, oscillatory_block(tau, t_n, u, m))
-    assembled = term1 + term2 + term3 + term4 + term5
+    assembled = _assembled_uei2_step(u, t_n, m, tau)
     fast = step_uei2_real(u, t_n, ctx)
     assert sobolev_norm(fast - assembled, 1.0) < 1e-13 * max(1.0, sobolev_norm(fast, 1.0))
+
+
+@pytest.mark.parametrize("c", [1.0, 100.0, 1e4])
+@pytest.mark.parametrize("t_n", [0.0, 0.37])
+def test_uei2_step_matches_docstring_composition(grid64, c, t_n):
+    # the step shares transforms between its terms; each term on its own,
+    # through the public kernels, must add up to the same step
+    tau = 2.0**-7
+    m, _, p0 = _standard_pair(grid64, c)
+    fast = step_uei2_real(p0.u_star, t_n, StepContext(grid64, m, tau))
+    assembled = _assembled_uei2_step(p0.u_star, t_n, m, tau)
+    assert sobolev_norm(fast - assembled, 1.0) <= 1e-14 * sobolev_norm(fast, 1.0)
+
+
+class _CountingFft:
+    """Stands in for scipy.fft, counting transform calls (a stacked call is one)."""
+
+    def __init__(self):
+        import scipy.fft
+
+        self._fft = scipy.fft
+        self.calls = 0
+
+    def fft(self, *args, **kwargs):
+        self.calls += 1
+        return self._fft.fft(*args, **kwargs)
+
+    def ifft(self, *args, **kwargs):
+        self.calls += 1
+        return self._fft.ifft(*args, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "scheme, budget",
+    [(SchemeId.UEI2_REAL, 8), (SchemeId.UEI1, 2), (SchemeId.UEI1_REAL, 2)],
+)
+def test_fft_calls_per_step(grid64, monkeypatch, scheme, budget):
+    # every transform of a step goes through model._fft; independent ones
+    # are stacked into one call
+    from kguniform import model
+
+    m, _, p0 = _standard_pair(grid64, 100.0)
+    ctx = StepContext(grid64, m, 0.01)
+    stepper = ctx.stepper(scheme)  # built outside the count
+    uc = p0.u_star.coeffs
+    vc = uc if scheme is not SchemeId.UEI1 else p0.v_star.coeffs.copy()
+    counter = _CountingFft()
+    monkeypatch.setattr(model, "_fft", counter)
+    steps = 3
+    for k in range(steps):
+        uc, vc = stepper.step(uc, vc, np.longdouble(k * 0.01))
+    assert counter.calls <= budget * steps
 
 
 def test_uei2_local_defect_order(grid64):
@@ -388,6 +446,24 @@ def test_evolve_requires_real_for_real_schemes(grid64, rng):
     p = TwistedPair(random_field(grid64, rng), random_field(grid64, rng), 0.0, c)
     with pytest.raises(ValueError, match="real"):
         evolve(SchemeId.UEI2_REAL, p, 0.1, ctx)
+
+
+@pytest.mark.parametrize("steps, where", [(100, "step 64 of 100"), (20, "step 20 of 20")])
+def test_evolve_raises_on_non_finite_state(grid64, steps, where):
+    # data a thousand times the standard size blow the first-order step up
+    # within a few steps; the check every 64 steps, or after the last,
+    # names the run
+    from kguniform import NonFiniteStateError
+
+    c, tau = 1.0, 0.01
+    m, _, p0 = _standard_pair(grid64, c)
+    big = TwistedPair(1e3 * p0.u_star, 1e3 * p0.v_star, 0.0, c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteStateError) as info:
+            evolve(SchemeId.UEI1, big, steps * tau, StepContext(grid64, m, tau))
+    msg = str(info.value)
+    assert f"uei1 state is not finite at {where}" in msg
+    assert f"c={c!r}" in msg and f"tau={tau!r}" in msg
 
 
 def test_trajectory_norms_bounded(grid64):

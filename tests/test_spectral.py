@@ -183,6 +183,22 @@ def test_phi_branches_agree_on_ring(j):
         assert abs(series - direct) <= 1e-12
 
 
+@pytest.mark.parametrize("j", [0, 1, 2])
+def test_phi_scalar_path_matches_array_path(j):
+    # scalars take a pure-Python path; it must agree with the array path on
+    # both sides of the series cutoff, on the axes and off them
+    radii = np.concatenate(
+        [np.geomspace(1e-8, 50.0, 200), _PHI_SERIES_CUTOFF * (1.0 + np.linspace(-1e-3, 1e-3, 41))]
+    )
+    angles = np.linspace(0.0, 2 * np.pi, 48, endpoint=False)
+    z = (radii[:, None] * np.exp(1j * angles)).ravel()
+    z = np.concatenate([z, radii, -radii, 1j * radii, -1j * radii])
+    arr = phi(j, z)
+    scalars = np.array([phi(j, complex(x)) for x in z])
+    assert np.all(np.abs(scalars - arr) <= 4e-16 * np.abs(arr))
+    assert isinstance(phi(j, 0.05), complex) and isinstance(phi(j, np.float64(3.0)), complex)
+
+
 def test_phi_example_ipi():
     # phi_1(i pi) = (e^{i pi} - 1)/(i pi) = 2i/pi
     assert phi(1, 1j * np.pi) == pytest.approx(2j / np.pi, abs=1e-14)
