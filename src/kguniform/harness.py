@@ -17,6 +17,7 @@ decrease with tau.
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -32,6 +33,7 @@ from .integrators import (
 )
 from .model import KgState, reconstruct_z, to_first_order, twist
 from .spectral import (
+    SpectralField,
     SpectralGrid,
     field_from_values,
     make_grid,
@@ -136,60 +138,99 @@ def _fit_rows(rows, certificate):
     return fit_order([(r.tau, r.err) for r in usable])
 
 
+def _worker_count() -> int:
+    """CPUs this process may run on: the size of the sweep's process pool."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _reference_task(m, s0, T, tau_ref, r):
+    """Pool task: (reference z coefficients at T, certificate, failure)."""
+    try:
+        ref = reference_solution(s0, T, m, tau_ref=tau_ref, r=r)
+    except ReferenceUnreliableError as exc:
+        return None, None, str(exc)
+    return reconstruct_z(ref.pair).coeffs, ref.certificate, None
+
+
+def _cell_task(m, s0, scheme, T, tau):
+    """Pool task: (cell z coefficients at T, its evolve time, failure)."""
+    u0, v0 = to_first_order(s0, m)
+    pair0 = twist(u0, v0, s0.t, m.c)
+    start = time.perf_counter()
+    try:
+        final = evolve(scheme, pair0, T, StepContext(m.grid, m, tau))
+    except NonFiniteStateError as exc:
+        return None, time.perf_counter() - start, str(exc)
+    wall = time.perf_counter() - start
+    return reconstruct_z(final).coeffs, wall, None
+
+
 def run_sweep(cfg: SweepConfig, progress=None) -> ErrorTable:
     """Run the full (scheme, c, tau) sweep against per-c references.
 
-    A reference that fails its certificate marks all cells of that c as
-    failed instead of aborting the sweep, and a cell whose state blows up is
-    marked failed with the NonFiniteStateError message.  Cells run one after
-    another in configuration order, so a row's wall_time is its own evolve
-    time.
+    Every reference and every cell is one task on a fork process pool with
+    one worker per available CPU; cells do not wait for their reference, and
+    the parent forms the errors and rows in configuration order, so the rows
+    do not depend on the worker count.  A row's wall_time is its cell's own
+    evolve time, measured in its worker.  A reference that fails its
+    certificate marks all cells of that c as failed instead of aborting the
+    sweep, and a cell whose state blows up is marked failed with the
+    NonFiniteStateError message; any other error propagates.
     """
     grid = make_grid(1, cfg.K)
     tau_ref = cfg.T * 2.0 ** -cfg.ref_exponent
-
-    # c -> (multipliers, initial state, reference z, certificate, failure)
-    refs = {}
-    for c in cfg.c_list:
-        m = make_multipliers(grid, c)
-        s0 = paper_initial_data(grid, c)
-        try:
-            ref = reference_solution(s0, cfg.T, m, tau_ref=tau_ref, r=cfg.r)
-            refs[c] = (m, s0, reconstruct_z(ref.pair), ref.certificate, None)
-        except ReferenceUnreliableError as exc:
-            refs[c] = (m, s0, None, None, str(exc))
-        if progress:
-            progress(f"reference c={c} done")
-
-    def run_cell(scheme: SchemeId, c: float, m_exp: int) -> SweepRow:
-        m, s0, z_ref, _, failure = refs[c]
-        tau = cfg.T * 2.0**-m_exp
-        if failure is not None:
-            return SweepRow(scheme.value, c, tau, float("nan"), 0.0, failed=failure)
-        ctx = StepContext(grid, m, tau)
-        u0, v0 = to_first_order(s0, m)
-        pair0 = twist(u0, v0, s0.t, c)
-        start = time.perf_counter()
-        try:
-            final = evolve(scheme, pair0, cfg.T, ctx)
-        except NonFiniteStateError as exc:
-            wall = time.perf_counter() - start
-            return SweepRow(scheme.value, c, tau, float("nan"), wall, failed=str(exc))
-        wall = time.perf_counter() - start
-        err = sobolev_norm(reconstruct_z(final) - z_ref, cfg.r)
-        return SweepRow(scheme.value, c, tau, float(err), wall)
-
-    rows = [
-        run_cell(scheme, c, m_exp)
+    # c -> (multipliers, initial state), built before any worker starts
+    inputs = {c: (make_multipliers(grid, c), paper_initial_data(grid, c)) for c in cfg.c_list}
+    cells = [
+        (scheme, c, cfg.T * 2.0**-m_exp)
         for scheme in cfg.schemes
         for c in cfg.c_list
         for m_exp in cfg.tau_exponents
     ]
+    # imported here, so that programs which never sweep do not hold the
+    # pool's modules (~0.3 MB)
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    workers = max(1, min(_worker_count(), len(inputs) + len(cells)))
+    # fork: a worker starts without importing numpy/scipy again (~0.4 s each)
+    # and sees the parent's module state.  The package starts no threads,
+    # and a fork-context pool forks every worker at its first submit, before
+    # it starts its own management thread
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        # references first: they are the longest tasks
+        ref_futures = {
+            c: pool.submit(_reference_task, *inputs[c], cfg.T, tau_ref, cfg.r) for c in inputs
+        }
+        cell_futures = [
+            pool.submit(_cell_task, *inputs[c], scheme, cfg.T, tau) for scheme, c, tau in cells
+        ]
+        # c -> (reference z coefficients, certificate, failure)
+        refs = {}
+        for c, fut in ref_futures.items():
+            refs[c] = fut.result()
+            if progress:
+                progress(f"reference c={c} done")
+        rows = []
+        for (scheme, c, tau), fut in zip(cells, cell_futures):
+            z, wall, failure = fut.result()
+            z_ref, _, ref_failure = refs[c]
+            failure = ref_failure or failure
+            err = float("nan")
+            if failure is None:
+                err = float(sobolev_norm(SpectralField(grid, z - z_ref), cfg.r))
+            rows.append(SweepRow(scheme.value, c, tau, err, wall, failed=failure))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
     fitted = {}
     for scheme in cfg.schemes:
         for c in cfg.c_list:
-            *_, cert, failure = refs[c]
+            _, cert, failure = refs[c]
             group = [r for r in rows if r.scheme == scheme.value and r.c == c]
             fitted[(scheme.value, c)] = None if failure else _fit_rows(group, cert)
     return ErrorTable(rows=rows, fitted_orders=fitted)

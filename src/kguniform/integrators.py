@@ -40,6 +40,8 @@ and w_u = |u*|^2 + 2|v*|^2, the available steps are
       Schroedinger system that the twisted variables solve as c -> infinity.
 
   LARGE_C_UEI1: the tau*c > 1 simplification dropping all phi_1 branches.
+      It and LIE_LIMIT share one Lie step: one stacked inverse transform of
+      (u*, v*) and one stacked forward transform of the two rotated fields.
 
 A brute-force Duhamel quadrature step (Picard iteration inside composite
 Gauss-Legendre panels) serves as the independent local oracle, and
@@ -233,12 +235,13 @@ class _SplitStepper:
 
     def step(self, uc, vc, t_n):
         tau = self.tau
-        up = _to_phys(uc)
-        vp = _to_phys(vc)
+        up, vp = _to_phys(np.stack([uc, vc]))
         au2 = np.abs(up) ** 2
         av2 = np.abs(vp) ** 2
-        unew = self.exp_lin * _to_coeffs(np.exp(-0.125j * tau * (au2 + 2 * av2)) * up)
-        vnew = self.exp_lin * _to_coeffs(np.exp(-0.125j * tau * (av2 + 2 * au2)) * vp)
+        rows = np.empty((2, uc.shape[-1]), dtype=np.complex128)
+        np.multiply(np.exp(-0.125j * tau * (au2 + 2 * av2)), up, out=rows[0])
+        np.multiply(np.exp(-0.125j * tau * (av2 + 2 * au2)), vp, out=rows[1])
+        unew, vnew = self.exp_lin * _to_coeffs(rows)
         return unew, vnew
 
 

@@ -269,6 +269,79 @@ def test_sweep_records_blown_up_cell(monkeypatch):
     assert table.fitted_orders[("uei1", 1.0)] is not None
 
 
+def test_sweep_rows_do_not_depend_on_worker_count(monkeypatch):
+    # rows and orders of a pool of one equal the default pool's bitwise,
+    # including a reference that fails its certificate and a blown-up cell,
+    # whose messages come back from the workers
+    import kguniform.harness as harness_mod
+    from kguniform.model import TwistedPair
+
+    real_evolve, real_reference = harness_mod.evolve, harness_mod.reference_solution
+    bad_c, bad_tau = 100.0, 0.1 * 2.0**-4
+
+    def evolve_with_one_unstable_cell(scheme, state, T, ctx):
+        if ctx.tau == bad_tau and state.c == 1.0:
+            state = TwistedPair(1e3 * state.u_star, 1e3 * state.v_star, state.t, state.c)
+        return real_evolve(scheme, state, T, ctx)
+
+    def reference_too_coarse_at_bad_c(s0, T, m, tau_ref=None, r=1.0):
+        # a reference at tau_ref = T/4 cannot certify itself
+        return real_reference(s0, T, m, tau_ref=T / 4 if m.c == bad_c else tau_ref, r=r)
+
+    monkeypatch.setattr(harness_mod, "evolve", evolve_with_one_unstable_cell)
+    monkeypatch.setattr(harness_mod, "reference_solution", reference_too_coarse_at_bad_c)
+    cfg = SweepConfig(
+        schemes=[SchemeId.UEI1, SchemeId.UEI2_REAL],
+        c_list=[1.0, bad_c, 1e4],
+        tau_exponents=[4, 5, 6, 7],
+        K=16,
+        ref_exponent=11,
+    )
+
+    def outcome():
+        with np.errstate(over="ignore", invalid="ignore"):
+            table = run_sweep(cfg)
+        rows = [(r.scheme, r.c, r.tau, r.err, r.failed) for r in table.rows]
+        return repr((rows, sorted(table.fitted_orders.items())))
+
+    pooled = outcome()
+    monkeypatch.setattr(harness_mod, "_worker_count", lambda: 1)
+    assert outcome() == pooled
+    assert "exceeds 1.0e-09 (c=100.0" in pooled
+    assert "uei1 state is not finite at step 16 of 16 (c=1.0" in pooled
+    assert "uei2 state is not finite at step 16 of 16 (c=1.0" in pooled
+
+
+def test_sweep_propagates_other_errors(monkeypatch):
+    # an error that is neither an unreliable reference nor a blow-up comes
+    # back from its worker with its type and message
+    import kguniform.harness as harness_mod
+
+    def broken_evolve(scheme, state, T, ctx):
+        raise ValueError(f"broken evolve at tau={ctx.tau!r}")
+
+    monkeypatch.setattr(harness_mod, "evolve", broken_evolve)
+    cfg = SweepConfig(schemes=[SchemeId.UEI1], c_list=[1.0], tau_exponents=[4, 5, 6], K=16,
+                      ref_exponent=11)
+    with pytest.raises(ValueError, match=r"^broken evolve at tau=0\.00625$"):
+        run_sweep(cfg)
+
+
+def test_sweep_rejects_bad_grid_before_starting_workers(monkeypatch):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("process pool started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    with pytest.raises(ValueError, match="invalid grid size K=0"):
+        run_sweep(SweepConfig(K=0))
+    cfg = SweepConfig(c_list=[1.0], K=16)
+    cfg.c_list = [1.0, 0.0]  # past SweepConfig's own check
+    with pytest.raises(ValueError, match="invalid parameter c=0.0"):
+        run_sweep(cfg)
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -301,6 +374,17 @@ def test_cli_sweep_failure_exit_code(tmp_path):
         ]
     )
     assert rc == 1
+
+
+def test_cli_verbose_reports_each_reference_in_order(tmp_path, capsys):
+    out = tmp_path / "res.csv"
+    argv = ["sweep", "--schemes", "uei1", "--c", "100,1", "--tau-exp", "4..6", "--K", "16",
+            "--ref-exp", "10", "--out", str(out)]
+    cli_main(argv + ["-v"])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == ["reference c=100.0 done", "reference c=1.0 done", f"wrote 6 rows to {out} [csv]"]
+    cli_main(argv)
+    assert not any(ln.startswith("reference") for ln in capsys.readouterr().out.splitlines())
 
 
 def test_cli_verify_quick():

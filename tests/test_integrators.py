@@ -225,7 +225,14 @@ class _CountingFft:
 
 @pytest.mark.parametrize(
     "scheme, budget",
-    [(SchemeId.UEI2_REAL, 8), (SchemeId.UEI1, 2), (SchemeId.UEI1_REAL, 2)],
+    [
+        (SchemeId.UEI2_REAL, 8),
+        (SchemeId.UEI1, 2),
+        (SchemeId.UEI1_REAL, 2),
+        (SchemeId.LIE_LIMIT, 2),
+        (SchemeId.LARGE_C_UEI1, 2),
+        (SchemeId.STRANG_LIMIT, 2),
+    ],
 )
 def test_fft_calls_per_step(grid64, monkeypatch, scheme, budget):
     # every transform of a step goes through model._fft; independent ones
@@ -236,7 +243,8 @@ def test_fft_calls_per_step(grid64, monkeypatch, scheme, budget):
     ctx = StepContext(grid64, m, 0.01)
     stepper = ctx.stepper(scheme)  # built outside the count
     uc = p0.u_star.coeffs
-    vc = uc if scheme is not SchemeId.UEI1 else p0.v_star.coeffs.copy()
+    pair_schemes = (SchemeId.UEI1, SchemeId.LIE_LIMIT, SchemeId.LARGE_C_UEI1)
+    vc = p0.v_star.coeffs.copy() if scheme in pair_schemes else uc
     counter = _CountingFft()
     monkeypatch.setattr(model, "_fft", counter)
     steps = 3
