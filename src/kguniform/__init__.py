@@ -12,7 +12,6 @@ from .spectral import (
     constant_field,
     conj_field,
     apply_symbol,
-    exp_A_c,
     phi,
     phi_moment,
     sobolev_norm,

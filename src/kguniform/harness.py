@@ -93,8 +93,12 @@ class SweepConfig:
             raise ValueError("T must be positive")
         if not self.tau_exponents:
             raise ValueError("tau exponent list must be nonempty")
+        if min(self.tau_exponents) < 0 or self.ref_exponent < 1:
+            raise ValueError("need tau exponents >= 0 and ref_exponent >= 1, so every step divides T")
         if any(c <= 0 for c in self.c_list):
             raise ValueError("all c must be positive")
+        if self.r < 0:
+            raise ValueError(f"need r >= 0, got r={self.r}")
 
 
 @dataclass

@@ -1,7 +1,9 @@
 """Time-stepping schemes for the twisted Klein-Gordon system.
 
-All schemes advance the twisted variables (u*, v*).  Writing E = e^(i tau A_c)
-and w_u = |u*|^2 + 2|v*|^2, the available steps are
+All schemes advance the twisted variables (u*, v*): a stepper takes their
+Fourier coefficients one step by step(uc, vc, phases), with the branch phases
+e^(i l c^2 t_n), l = 2, -2, -4, of one phase_factor table per evolve run.
+Writing E = e^(i tau A_c) and w_u = |u*|^2 + 2|v*|^2, the available steps are
 
   UEI1 (complex data, first order, uniform in c):
       u*^(n+1) = E e^(-i tau w_u / 8) u*^n
@@ -67,11 +69,9 @@ from .model import (
     _branches,
     _cube_hats,
     _not_real,
-    _phase_factors,
+    _phases,
     _rotate,
     _theta_core,
-    _to_coeffs,
-    _to_phys,
     _Uei2Coeffs,
     phase_factor,
     reconstruct_z,
@@ -82,6 +82,8 @@ from .spectral import (
     MultiplierSet,
     SpectralField,
     SpectralGrid,
+    _to_coeffs,
+    _to_phys,
     phi,
     sobolev_norm,
 )
@@ -134,8 +136,9 @@ class StepContext:
             raise ValueError("multiplier set was built for a different grid")
 
     def stepper(self, scheme: SchemeId):
-        """The scheme's stepper; step(uc, vc, t_n) -> (uc, vc) advances the
-        coefficient pair from t_n, and real-data schemes return (u, u)."""
+        """The scheme's stepper; step(uc, vc, phases) -> (uc, vc) advances the
+        coefficient pair from t_n, phases = model._phases(e^(2ic^2 t_n)) (the
+        splitting steps ignore them), and real-data schemes return (u, u)."""
         if scheme not in self._cache:
             self._cache[scheme] = _STEPPERS[scheme](self)
         return self._cache[scheme]
@@ -147,7 +150,6 @@ class _Uei1Stepper:
     def __init__(self, ctx: StepContext):
         m, tau = ctx.m, ctx.tau
         self.tau = tau
-        self.c = m.c
         self.exp_full = np.exp(1j * tau * m.a_c)
         # symbol of the correction: -(i tau/8) c<grad>_c^-1 E
         self.corr = -0.125j * tau * m.c_inv * self.exp_full
@@ -165,8 +167,7 @@ class _Uei1Stepper:
         cubes = (up * up * op, w_op * opb, opb**2 * np.conj(up))
         np.add(wu, _branches(cubes, phases, self.phi1), out=out[1])
 
-    def step(self, uc, vc, t_n):
-        phases = _phase_factors(self.c, t_n)
+    def step(self, uc, vc, phases):
         if vc is uc:
             up = _to_phys(uc)
             w = 3.0 * np.abs(up) ** 2
@@ -191,9 +192,8 @@ class _Uei2RealStepper:
     def __init__(self, ctx: StepContext):
         self.co = _Uei2Coeffs(ctx.m, ctx.tau)
 
-    def step(self, uc, vc, t_n):
+    def step(self, uc, vc, phases):
         co = self.co
-        phases = _phase_factors(co.c, t_n)
         # U = e^(i tau/2 A_c) u*^n, u*^n and A_c u*^n in physical space
         Up, up, acu = _to_phys(co.lift * uc)
         aU2 = np.abs(Up) ** 2
@@ -233,7 +233,7 @@ class _SplitStepper:
         self.tau = ctx.tau
         self.exp_lin = np.exp(1j * ctx.tau * symbol)
 
-    def step(self, uc, vc, t_n):
+    def step(self, uc, vc, phases):
         tau = self.tau
         up, vp = _to_phys(np.stack([uc, vc]))
         au2 = np.abs(up) ** 2
@@ -250,7 +250,7 @@ class _StrangStepper:
         self.tau = ctx.tau
         self.exp_half = np.exp(-0.25j * ctx.tau * ctx.m.laplace)
 
-    def step(self, uc, vc, t_n):
+    def step(self, uc, vc, phases):
         ump = _to_phys(self.exp_half * uc)
         u = self.exp_half * _to_coeffs(np.exp(-0.375j * self.tau * np.abs(ump) ** 2) * ump)
         return u, u
@@ -278,16 +278,18 @@ def _pair(grid, uc, vc, t, c) -> TwistedPair:
     )
 
 
+def _step(scheme: SchemeId, ctx: StepContext, uc, vc, t_n):
+    return ctx.stepper(scheme).step(uc, vc, _phases(phase_factor(2, ctx.m.c, t_n)))
+
+
 def _step_pair(scheme: SchemeId, p: TwistedPair, ctx: StepContext) -> TwistedPair:
     _check_pair_c(p, ctx)
-    uc, vc = ctx.stepper(scheme).step(
-        p.u_star.coeffs, p.v_star.coeffs, np.longdouble(p.t)
-    )
+    uc, vc = _step(scheme, ctx, p.u_star.coeffs, p.v_star.coeffs, p.t)
     return _pair(p.u_star.grid, uc, vc, p.t + ctx.tau, p.c)
 
 
 def _step_real(scheme: SchemeId, u: SpectralField, t_n: float, ctx: StepContext) -> SpectralField:
-    uc, _ = ctx.stepper(scheme).step(u.coeffs, u.coeffs, np.longdouble(t_n))
+    uc, _ = _step(scheme, ctx, u.coeffs, u.coeffs, t_n)
     return SpectralField(u.grid, uc)
 
 
@@ -308,7 +310,7 @@ def step_uei2_real(u: SpectralField, t_n: float, ctx: StepContext) -> SpectralFi
 
 def step_lie_limit(u: SpectralField, v: SpectralField, ctx: StepContext):
     """One Lie splitting step of the cubic Schroedinger limit system."""
-    uc, vc = ctx.stepper(SchemeId.LIE_LIMIT).step(u.coeffs, v.coeffs, 0.0)
+    uc, vc = _step(SchemeId.LIE_LIMIT, ctx, u.coeffs, v.coeffs, 0.0)
     return SpectralField(u.grid, uc), SpectralField(u.grid, vc)
 
 
@@ -333,9 +335,10 @@ _FINITE_CHECK_EVERY = 64
 def evolve(scheme: SchemeId, state: TwistedPair, T: float, ctx: StepContext, callback=None) -> TwistedPair:
     """Advance a twisted pair by T using n = T/tau steps of the given scheme.
 
-    T must be an integer multiple of ctx.tau.  Step times are formed as
-    t_0 + k*tau in extended precision so the oscillatory phases e^(i l c^2 t_n)
-    stay accurate up to c = 1e4.  The optional callback receives
+    T must be an integer multiple of ctx.tau.  One phase_factor call forms
+    the step times t_0 + k*tau in extended precision (phases stay accurate up
+    to c = 1e4), and step k runs step(uc, vc, phases) with the triple of its
+    table entry.  The optional callback receives
     (step_index, TwistedPair) after every step.  A state that is no longer
     finite raises NonFiniteStateError, checked every _FINITE_CHECK_EVERY
     steps and after the last.
@@ -358,10 +361,9 @@ def evolve(scheme: SchemeId, state: TwistedPair, T: float, ctx: StepContext, cal
         vc = uc
 
     st = ctx.stepper(scheme)
-    t0 = np.longdouble(state.t)
-    tau_ld = np.longdouble(ctx.tau)
+    table = phase_factor(2, ctx.m.c, state.t, np.arange(n), ctx.tau)
     for k in range(n):
-        uc, vc = st.step(uc, vc, t0 + np.longdouble(k) * tau_ld)
+        uc, vc = st.step(uc, vc, _phases(table[k]))
         if callback is not None:
             callback(
                 k + 1,
@@ -440,7 +442,7 @@ def duhamel_oracle_step(
 
     efwd = np.exp(1j * np.outer(s, m.a_c))  # (M, N)
     ebwd = np.conj(efwd)
-    ph = phase_factor(1, c, np.longdouble(t_n) + s)  # e^(i c^2 (t_n + s))
+    ph = phase_factor(1, c, t_n, s)  # e^(i c^2 (t_n + s))
 
     u0 = u.coeffs
 

@@ -37,11 +37,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as _fft
 
 from .spectral import (
     MultiplierSet,
     SpectralField,
+    _conjrefl,
+    _to_coeffs,
+    _to_phys,
     apply_symbol,
     conj_field,
     field_from_values,
@@ -101,26 +103,26 @@ class KernelBundle:
     theta: SpectralField
 
 
-def phase_factor(l: int, c: float, t):
-    """e^(i l c^2 t), with the argument reduced mod 2pi in extended precision.
-
-    At c = 1e4 and t ~ 0.1 the raw argument reaches 1e7; reducing it in
-    80-bit arithmetic keeps the phase accurate to ~1e-12 rad.  A scalar t
-    gives a complex, an array of times an array of phases.
+def phase_factor(l: int, c: float, t, k=0, tau=1.0):
+    """e^(i l c^2 (t + k tau)), the time formed and the argument reduced mod
+    2pi in extended precision: at c = 1e4 and t ~ 0.1 the raw argument
+    reaches 1e7, and 80-bit arithmetic keeps the phase accurate to ~1e-12 rad.
+    t and k broadcast; k = arange(n) gives the phases of a run's n steps.
     """
-    arg = np.longdouble(l) * np.longdouble(c) * np.longdouble(c) * np.longdouble(t)
-    arg = np.mod(arg, _TWO_PI_LD)
-    if arg.ndim:
-        a = arg.astype(np.float64)
-        return np.cos(a) + 1j * np.sin(a)
-    a = float(arg)
-    return complex(np.cos(a), np.sin(a))
+    arg = np.longdouble(t) + np.longdouble(tau) * np.asarray(k)
+    arg *= np.longdouble(l) * np.longdouble(c) * np.longdouble(c)
+    # rebinding and the in-place sum keep few run-sized temporaries alive
+    arg = np.mod(arg, _TWO_PI_LD).astype(np.float64)
+    ph = 1j * np.sin(arg)
+    ph += np.cos(arg)
+    return ph
 
 
-def _phase_factors(c, t):
-    """The three phases (e^(2ic^2 t_n), e^(-2ic^2 t_n), e^(-4ic^2 t_n)); the
-    last is the square of the second, within two units in the last place."""
-    p2 = phase_factor(2, c, t)
+def _phases(p2):
+    """The branch phases e^(i l c^2 t), l = 2, -2, -4, from p2 = e^(2ic^2 t):
+    its conjugate and that squared, in Python complex arithmetic (a numpy
+    array square differs in the last bit for a quarter of the entries)."""
+    p2 = complex(p2)
     m2 = p2.conjugate()
     return p2, m2, m2 * m2
 
@@ -131,21 +133,6 @@ def _rotate(out, angle, vals):
     np.cos(angle, out=out.real)
     np.sin(angle, out=out.imag)
     out *= vals
-
-
-def _conjrefl(coeffs: np.ndarray, grid) -> np.ndarray:
-    """Fourier-side image of physical conjugation."""
-    return np.conj(coeffs[grid.conj_index])
-
-
-def _to_phys(coeffs):
-    """Physical samples of coefficient vectors (rows of a stack alike)."""
-    return _fft.ifft(coeffs, norm="forward")
-
-
-def _to_coeffs(vals):
-    """Coefficients of physical samples (rows of a stack alike)."""
-    return _fft.fft(vals, norm="forward")
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +210,7 @@ def _cubes(vv):
 def _branches(terms, phases, weights):
     """Sum p2 w1 a + m2 w2 b + m4 w3 cc over the branches l = 2, -2, -4:
     terms (a, b, cc) such as _cubes or their Fourier coefficients, phases
-    (p2, m2, m4) from _phase_factors, weights scalars or symbols."""
+    (p2, m2, m4) from _phases, weights scalars or symbols."""
     a, b, cc = terms
     p2, m2, m4 = phases
     w1, w2, w3 = weights
@@ -231,7 +218,7 @@ def _branches(terms, phases, weights):
 
 
 def _branch_field(v: SpectralField, c, t_n, weights) -> SpectralField:
-    sums = _branches(_cubes(v.values()), _phase_factors(c, t_n), weights)
+    sums = _branches(_cubes(v.values()), _phases(phase_factor(2, c, t_n)), weights)
     return field_from_values(v.grid, sums)
 
 
@@ -346,7 +333,6 @@ class _Uei2Coeffs:
         self.tau = tau = float(tau)
         self.grid = grid
         c = m.c
-        self.c = c
         k2 = grid.wavenumbers**2
         tau2 = tau * tau
 
@@ -413,7 +399,7 @@ def _block_core(co: _Uei2Coeffs, phases, up, acu, hats):
     other integrands carrying c<grad>_c^-1 to s before the one transform.
 
     up and acu are the samples of u* and A_c u*, hats = _cube_hats(...) and
-    phases = _phase_factors(c, t_n).
+    phases = _phases(phase_factor(2, c, t_n)).
     """
     p2, m2, m4 = phases
     psim_p2, psim_m2, psim_m4 = co.psim
@@ -465,7 +451,7 @@ def oscillatory_block(tau: float, t_n: float, u: SpectralField, m: MultiplierSet
     up, acu = _to_phys(np.stack([u.coeffs, m.a_c * u.coeffs]))
     u3_hat, uau_hat = _to_coeffs(np.stack([up**3, 3.0 * np.abs(up) ** 2 * up]))
     hats = _cube_hats(u3_hat, uau_hat, u.grid)
-    hat, s = _block_core(co, _phase_factors(m.c, t_n), up, acu, hats)
+    hat, s = _block_core(co, _phases(phase_factor(2, m.c, t_n)), up, acu, hats)
     # undo the step's -(i/8) c<grad>_c^-1
     return SpectralField(u.grid, 8j * (hat / co.cinv + _to_coeffs(s)))
 

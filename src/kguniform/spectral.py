@@ -4,8 +4,9 @@ Everything lives on the torus [0, 2pi) sampled at 2K equispaced points,
 with integer wavenumbers k in {-K, ..., K-1} in standard FFT layout.
 Fourier coefficients are the canonical state representation and are
 normalized so that the constant function 1 has coefficient 1 at k = 0,
-i.e. coeffs = fft(values) / n_points.  With that normalization the
-Sobolev norm is
+i.e. coeffs = fft(values) / n_points.  This module owns that convention:
+every solver transforms through _to_phys and _to_coeffs.  With that
+normalization the Sobolev norm is
 
     ||u||_r^2 = sum_k (1 + |k|^2)^r |u_k|^2,
 
@@ -48,7 +49,6 @@ __all__ = [
     "constant_field",
     "conj_field",
     "apply_symbol",
-    "exp_A_c",
     "phi",
     "phi_moment",
     "sobolev_norm",
@@ -92,6 +92,21 @@ def make_grid(d: int, K: int) -> SpectralGrid:
     return SpectralGrid(d=d, modes=K, wavenumbers=k, x=x, conj_index=conj_index)
 
 
+def _to_phys(coeffs):
+    """Physical samples of coefficient vectors (rows of a stack alike)."""
+    return _fft.ifft(coeffs, norm="forward")
+
+
+def _to_coeffs(vals):
+    """Coefficients of physical samples (rows of a stack alike)."""
+    return _fft.fft(vals, norm="forward")
+
+
+def _conjrefl(coeffs: np.ndarray, grid: SpectralGrid) -> np.ndarray:
+    """Fourier-side image of physical conjugation."""
+    return np.conj(coeffs[grid.conj_index])
+
+
 @dataclass(eq=False)
 class SpectralField:
     """Complex field on a SpectralGrid, stored as Fourier coefficients."""
@@ -109,10 +124,7 @@ class SpectralField:
 
     def values(self) -> np.ndarray:
         """Physical-space samples at the grid points."""
-        return _fft.ifft(self.coeffs) * self.grid.n_points
-
-    def copy(self) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs.copy())
+        return _to_phys(self.coeffs)
 
     def __add__(self, other):
         return SpectralField(self.grid, self.coeffs + other.coeffs)
@@ -133,7 +145,7 @@ def field_from_values(grid: SpectralGrid, values: np.ndarray) -> SpectralField:
         raise ValueError(
             f"value vector has shape {values.shape}, expected ({grid.n_points},)"
         )
-    return SpectralField(grid, _fft.fft(values) / grid.n_points)
+    return SpectralField(grid, _to_coeffs(values))
 
 
 def zero_field(grid: SpectralGrid) -> SpectralField:
@@ -148,7 +160,7 @@ def constant_field(grid: SpectralGrid, value: complex) -> SpectralField:
 
 def conj_field(f: SpectralField) -> SpectralField:
     """Complex conjugate in physical space: coefficient reversal plus conjugation."""
-    return SpectralField(f.grid, np.conj(f.coeffs[f.grid.conj_index]))
+    return SpectralField(f.grid, _conjrefl(f.coeffs, f.grid))
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,11 +273,6 @@ def apply_symbol(symbol: np.ndarray, f: SpectralField) -> SpectralField:
             f"symbol has shape {symbol.shape}, field has {f.coeffs.shape}"
         )
     return SpectralField(f.grid, symbol * f.coeffs)
-
-
-def exp_A_c(t: float, m: MultiplierSet, f: SpectralField) -> SpectralField:
-    """Apply the isometry e^(i t A_c)."""
-    return SpectralField(f.grid, np.exp(1j * t * m.a_c) * f.coeffs)
 
 
 def sobolev_norm(f: SpectralField, r: float) -> float:

@@ -340,6 +340,14 @@ def test_sweep_rejects_bad_grid_before_starting_workers(monkeypatch):
     cfg.c_list = [1.0, 0.0]  # past SweepConfig's own check
     with pytest.raises(ValueError, match="invalid parameter c=0.0"):
         run_sweep(cfg)
+    # each of these would otherwise fail only inside a worker, after work began
+    for bad, match in (
+        (dict(r=-1.0), "need r >= 0, got r=-1.0"),
+        (dict(tau_exponents=[-1, 2, 3]), "need tau exponents >= 0 and ref_exponent >= 1"),
+        (dict(ref_exponent=0), "need tau exponents >= 0 and ref_exponent >= 1"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            run_sweep(SweepConfig(K=8, c_list=[1.0], **bad))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from kguniform import (
     field_from_values,
     from_first_order,
     make_multipliers,
+    phase_factor,
     phi,
     reference_solution,
     sobolev_norm,
@@ -152,21 +153,21 @@ def _assembled_uei2_step(u, t_n, m, tau):
     # public kernel operations
     from kguniform import (
         apply_symbol,
-        exp_A_c,
         kernel_theta,
         kernel_vartheta,
         oscillatory_block,
     )
 
     grid = u.grid
-    U = exp_A_c(0.5 * tau, m, u)
+    exp_half = np.exp(0.5j * tau * m.a_c)  # e^(i tau/2 A_c)
+    U = apply_symbol(exp_half, u)
     Up = U.values()
-    term1 = exp_A_c(
-        0.5 * tau, m, field_from_values(grid, np.exp(-0.375j * tau * np.abs(Up) ** 2) * Up)
+    term1 = apply_symbol(
+        exp_half, field_from_values(grid, np.exp(-0.375j * tau * np.abs(Up) ** 2) * Up)
     )
     term2 = -0.375j * tau * apply_symbol(
         m.c_inv - 1.0,
-        exp_A_c(0.5 * tau, m, field_from_values(grid, np.abs(Up) ** 2 * Up)),
+        apply_symbol(exp_half, field_from_values(grid, np.abs(Up) ** 2 * Up)),
     )
     term3 = tau * tau * kernel_theta(t_n, tau, U, m)
     up = u.values()
@@ -235,9 +236,10 @@ class _CountingFft:
     ],
 )
 def test_fft_calls_per_step(grid64, monkeypatch, scheme, budget):
-    # every transform of a step goes through model._fft; independent ones
-    # are stacked into one call
-    from kguniform import model
+    # every transform of a step goes through spectral._fft, the solvers' one
+    # transform binding; independent ones are stacked into one call
+    from kguniform import spectral
+    from kguniform.model import _phases
 
     m, _, p0 = _standard_pair(grid64, 100.0)
     ctx = StepContext(grid64, m, 0.01)
@@ -246,11 +248,30 @@ def test_fft_calls_per_step(grid64, monkeypatch, scheme, budget):
     pair_schemes = (SchemeId.UEI1, SchemeId.LIE_LIMIT, SchemeId.LARGE_C_UEI1)
     vc = p0.v_star.coeffs.copy() if scheme in pair_schemes else uc
     counter = _CountingFft()
-    monkeypatch.setattr(model, "_fft", counter)
+    monkeypatch.setattr(spectral, "_fft", counter)
     steps = 3
     for k in range(steps):
-        uc, vc = stepper.step(uc, vc, np.longdouble(k * 0.01))
+        uc, vc = stepper.step(uc, vc, _phases(phase_factor(2, m.c, k * 0.01)))
     assert counter.calls <= budget * steps
+
+
+@pytest.mark.parametrize("scheme", [SchemeId.UEI1, SchemeId.UEI2_REAL])
+def test_evolve_takes_its_phases_from_one_table(grid64, monkeypatch, scheme):
+    # one phase_factor call covers every step time of a run, not one per step
+    from kguniform import integrators, model
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return phase_factor(*args, **kwargs)
+
+    m, _, p0 = _standard_pair(grid64, 100.0)
+    tau = 2.0**-7
+    monkeypatch.setattr(model, "phase_factor", counting)
+    monkeypatch.setattr(integrators, "phase_factor", counting)
+    evolve(scheme, p0, 64 * tau, StepContext(grid64, m, tau))
+    assert len(calls) == 1
 
 
 def test_uei2_local_defect_order(grid64):

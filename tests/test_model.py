@@ -47,13 +47,18 @@ def test_phase_factor_accuracy():
     assert abs(phase_factor(l, c, t) - ref) < 1e-11
     assert abs(phase_factor(2, c, 0.0) - 1.0) == 0.0
 
-    # an array of times gives the scalar calls' phases bitwise
+    # an array of times gives the scalar calls' phases bitwise, and so does a
+    # run's table of step times t + k tau, formed in extended precision
     times = np.longdouble(0.37) + np.linspace(0.0, 0.1, 257)
+    tau = 0.1 * 2.0**-8
+    steps = np.longdouble(0.37) + np.arange(257) * np.longdouble(tau)
     for cc in (1.0, 7.3, 100.0, 1e4):
         for ll in (-4, -1, 1, 2):
             ph = phase_factor(ll, cc, times)
             assert ph.shape == times.shape
             assert np.array_equal(ph, [phase_factor(ll, cc, t) for t in times])
+            table = phase_factor(ll, cc, 0.37, np.arange(257), tau)
+            assert np.array_equal(table, [phase_factor(ll, cc, t) for t in steps])
 
 
 # ---------------------------------------------------------------------------

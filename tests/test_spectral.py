@@ -8,7 +8,6 @@ from kguniform import (
     apply_symbol,
     conj_field,
     constant_field,
-    exp_A_c,
     field_from_values,
     make_grid,
     make_multipliers,
@@ -237,19 +236,6 @@ def test_laplace_on_plane_wave():
     f = field_from_values(g, np.exp(1j * g.x))
     out = apply_symbol(m.laplace, f)
     assert np.max(np.abs(out.values() + f.values())) < 1e-13
-
-
-def test_exp_A_c_properties(rng):
-    g = make_grid(1, 32)
-    f = random_field(g, rng)
-    for c in (1.0, 10.0, 1e4):
-        m = make_multipliers(g, c)
-        t = rng.uniform(-2.0, 2.0)
-        assert np.array_equal(exp_A_c(0.0, m, f).coeffs, f.coeffs)
-        moved = exp_A_c(t, m, f)
-        assert abs(sobolev_norm(moved, 1.5) - sobolev_norm(f, 1.5)) < 1e-12 * sobolev_norm(f, 1.5)
-        back = exp_A_c(-t, m, moved)
-        assert np.max(np.abs(back.coeffs - f.coeffs)) < 1e-12
 
 
 def test_phi2_resonant_contraction(rng):
