@@ -120,7 +120,12 @@ def _build_config(args):
 
 
 def _cmd_sweep(args) -> int:
-    cfg, out_path, out_format = _build_config(args)
+    try:
+        cfg, out_path, out_format = _build_config(args)
+    except ValueError as exc:
+        # a usage error, reported as argparse reports its own
+        print(f"kg-uniform sweep: error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
     table = run_sweep(cfg, progress=print if args.verbose else None)
     emit(table, out_format, out_path)
     print(f"wrote {len(table.rows)} rows to {out_path} [{out_format}]")
@@ -164,7 +169,7 @@ def main(argv=None) -> int:
 
     ps = sub.add_parser("sweep", help="run a (scheme, c, tau) convergence sweep")
     ps.add_argument("--config", help="flat key=value config file")
-    ps.add_argument("--schemes", help="comma list: uei1,uei1_real,uei2,lie,strang,largec")
+    ps.add_argument("--schemes", help="comma list: " + ",".join(_SCHEMES))
     ps.add_argument("--c", help="comma list of c values")
     ps.add_argument("--tau-exp", dest="tau_exp", help="exponent range m (tau = T*2^-m), e.g. 4..12 or 4,6,8")
     ps.add_argument("--T", type=float, help="time horizon")

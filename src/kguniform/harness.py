@@ -99,6 +99,7 @@ class SweepConfig:
             raise ValueError("all c must be positive")
         if self.r < 0:
             raise ValueError(f"need r >= 0, got r={self.r}")
+        make_grid(1, self.K)  # raises on a grid size the solver cannot use
 
 
 @dataclass

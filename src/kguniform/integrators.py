@@ -27,16 +27,8 @@ Writing E = e^(i tau A_c) and w_u = |u*|^2 + 2|v*|^2, the available steps are
                  - tau^2 (3/64) c<grad>_c^-1 [ 2|u*^n|^2 c<grad>_c^-1 vartheta
                    - (u*^n)^2 c<grad>_c^-1 conj(vartheta) ]
                  - (i/8) c<grad>_c^-1 * oscillatory_block(tau, t_n, u*^n).
-      Every scalar factor of a symbol-weighted term is folded into a symbol
-      built once per run (model._Uei2Coeffs), and a step makes 8 transform
-      calls: one stacked inverse transform of (U, u*^n, A_c u*^n); one
-      stacked forward transform of (e^(-3i tau|U|^2/8) U, |U|^2 U, |U|^4 U,
-      (u*^n)^3, 3|u*^n|^2 u*^n), whose last two give every branch cube by
-      reflection, so the transform of vartheta is a branch sum of them; two
-      for theta (model._theta_core); one inverse for the vartheta coupling;
-      two for the block (model._block_core); and one forward transform
-      shared by the vartheta and block integrands, which both carry
-      c<grad>_c^-1.
+      Its stepper is model._Uei2Coeffs, which folds the step's symbols once
+      per run and owns the step itself.
 
   LIE_LIMIT / STRANG_LIMIT: Lie and Strang splitting of the cubic
       Schroedinger system that the twisted variables solve as c -> infinity.
@@ -53,7 +45,7 @@ reference_solution produces a fine-step self-certified baseline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
@@ -64,14 +56,11 @@ from scipy.special import roots_legendre
 from .model import (
     KgState,
     TwistedPair,
-    _block_core,
     _branch_phis,
     _branches,
-    _cube_hats,
     _not_real,
     _phases,
     _rotate,
-    _theta_core,
     _Uei2Coeffs,
     phase_factor,
     reconstruct_z,
@@ -120,14 +109,13 @@ class SchemeId(Enum):
 _REAL_ONLY = {SchemeId.UEI1_REAL, SchemeId.UEI2_REAL, SchemeId.STRANG_LIMIT}
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class StepContext:
-    """Grid, multipliers and step size shared by a run; caches per-scheme symbols."""
+    """Grid, multipliers and step size shared by a run."""
 
     grid: SpectralGrid
     m: MultiplierSet
     tau: float
-    _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.tau <= 0:
@@ -135,20 +123,11 @@ class StepContext:
         if self.m.grid.n_points != self.grid.n_points:
             raise ValueError("multiplier set was built for a different grid")
 
-    def stepper(self, scheme: SchemeId):
-        """The scheme's stepper; step(uc, vc, phases) -> (uc, vc) advances the
-        coefficient pair from t_n, phases = model._phases(e^(2ic^2 t_n)) (the
-        splitting steps ignore them), and real-data schemes return (u, u)."""
-        if scheme not in self._cache:
-            self._cache[scheme] = _STEPPERS[scheme](self)
-        return self._cache[scheme]
-
 
 class _Uei1Stepper:
     """UEI1 on the pair; when v* is u* (real data) only u* is stepped."""
 
-    def __init__(self, ctx: StepContext):
-        m, tau = ctx.m, ctx.tau
+    def __init__(self, m: MultiplierSet, tau: float):
         self.tau = tau
         self.exp_full = np.exp(1j * tau * m.a_c)
         # symbol of the correction: -(i tau/8) c<grad>_c^-1 E
@@ -188,50 +167,14 @@ class _Uei1Stepper:
         return self.exp_full * ulin + self.corr * ucorr, self.exp_full * vlin + self.corr * vcorr
 
 
-class _Uei2RealStepper:
-    def __init__(self, ctx: StepContext):
-        self.co = _Uei2Coeffs(ctx.m, ctx.tau)
-
-    def step(self, uc, vc, phases):
-        co = self.co
-        # U = e^(i tau/2 A_c) u*^n, u*^n and A_c u*^n in physical space
-        Up, up, acu = _to_phys(co.lift * uc)
-        aU2 = np.abs(Up) ** 2
-        up2 = up * up
-        au2 = np.abs(up) ** 2
-        # e^(-3i tau|U|^2/8) U, |U|^2 U, |U|^4 U, u*^3 and 3|u*|^2 u*
-        rows = np.empty((5, uc.shape[-1]), dtype=np.complex128)
-        _rotate(rows[0], (-0.375 * co.tau) * aU2, Up)
-        np.multiply(aU2, Up, out=rows[1])
-        np.multiply(aU2, rows[1], out=rows[2])
-        np.multiply(up2, up, out=rows[3])
-        np.multiply(3.0 * au2, up, out=rows[4])
-        lin_hat, cub_hat, quint_hat, u3_hat, uau_hat = _to_coeffs(rows)
-
-        # Strang-like core on the half-propagated field, then the quintic
-        # theta block, evaluated at U
-        out = co.exp_half * lin_hat + co.cub_w * cub_hat
-        out += _theta_core(co, Up, aU2, cub_hat, quint_hat)
-
-        # vartheta coupling at u*^n (its transform is a branch sum of the
-        # cubes' transforms) and the oscillatory block; both carry
-        # c<grad>_c^-1 and share the last transform
-        hats = _cube_hats(u3_hat, uau_hat, co.grid)
-        xw = _to_phys(co.cinv_s * _branches(hats[:3], phases, co.phi2))
-        hat, s = _block_core(co, phases, up, acu, hats)
-        out += hat
-        out += co.cinv * _to_coeffs(s + up2 * np.conj(xw) - 2.0 * au2 * xw)
-        return out, out
-
-
 class _SplitStepper:
     """Lie splitting e^(i tau L) e^(-i tau w/8) of the pair, with the linear
     operator L given by its symbol: -Delta/2 for the Schroedinger limit, A_c
     for the large-c UEI1 (which drops every phi_1 branch)."""
 
-    def __init__(self, ctx: StepContext, symbol):
-        self.tau = ctx.tau
-        self.exp_lin = np.exp(1j * ctx.tau * symbol)
+    def __init__(self, tau: float, symbol):
+        self.tau = tau
+        self.exp_lin = np.exp(1j * tau * symbol)
 
     def step(self, uc, vc, phases):
         tau = self.tau
@@ -246,9 +189,9 @@ class _SplitStepper:
 
 
 class _StrangStepper:
-    def __init__(self, ctx: StepContext):
-        self.tau = ctx.tau
-        self.exp_half = np.exp(-0.25j * ctx.tau * ctx.m.laplace)
+    def __init__(self, m: MultiplierSet, tau: float):
+        self.tau = tau
+        self.exp_half = np.exp(-0.25j * tau * m.laplace)
 
     def step(self, uc, vc, phases):
         ump = _to_phys(self.exp_half * uc)
@@ -256,13 +199,17 @@ class _StrangStepper:
         return u, u
 
 
+# scheme -> stepper constructor (m, tau); a stepper's step(uc, vc, phases)
+# -> (uc, vc) advances the coefficient pair from t_n, with phases =
+# model._phases(e^(2ic^2 t_n)) (the splitting steps ignore them), and the
+# real-data schemes return (u, u)
 _STEPPERS = {
     SchemeId.UEI1: _Uei1Stepper,
     SchemeId.UEI1_REAL: _Uei1Stepper,
-    SchemeId.UEI2_REAL: _Uei2RealStepper,
-    SchemeId.LIE_LIMIT: lambda ctx: _SplitStepper(ctx, -0.5 * ctx.m.laplace),
+    SchemeId.UEI2_REAL: _Uei2Coeffs,
+    SchemeId.LIE_LIMIT: lambda m, tau: _SplitStepper(tau, -0.5 * m.laplace),
     SchemeId.STRANG_LIMIT: _StrangStepper,
-    SchemeId.LARGE_C_UEI1: lambda ctx: _SplitStepper(ctx, ctx.m.a_c),
+    SchemeId.LARGE_C_UEI1: lambda m, tau: _SplitStepper(tau, m.a_c),
 }
 
 
@@ -279,7 +226,8 @@ def _pair(grid, uc, vc, t, c) -> TwistedPair:
 
 
 def _step(scheme: SchemeId, ctx: StepContext, uc, vc, t_n):
-    return ctx.stepper(scheme).step(uc, vc, _phases(phase_factor(2, ctx.m.c, t_n)))
+    st = _STEPPERS[scheme](ctx.m, ctx.tau)
+    return st.step(uc, vc, _phases(phase_factor(2, ctx.m.c, t_n)))
 
 
 def _step_pair(scheme: SchemeId, p: TwistedPair, ctx: StepContext) -> TwistedPair:
@@ -360,7 +308,7 @@ def evolve(scheme: SchemeId, state: TwistedPair, T: float, ctx: StepContext, cal
             raise ValueError(f"{scheme.value} requires real data (u* == v*)")
         vc = uc
 
-    st = ctx.stepper(scheme)
+    st = _STEPPERS[scheme](ctx.m, ctx.tau)
     table = phase_factor(2, ctx.m.c, state.t, np.arange(n), ctx.tau)
     for k in range(n):
         uc, vc = st.step(uc, vc, _phases(table[k]))
@@ -489,16 +437,14 @@ class ReferenceSolution:
 
 
 def reference_solution(
-    s0: KgState, T: float, m: MultiplierSet, tau_ref: float | None = None, r: float = 1.0
+    s0: KgState, T: float, m: MultiplierSet, tau_ref: float, r: float = 1.0
 ) -> ReferenceSolution:
     """Fine-step second-order run standing in for the exact solution.
 
-    Runs UEI2_REAL at tau_ref (default T * 2^-16) and at 2*tau_ref; the H^r
-    difference of the reconstructed z at time T is the certificate.  If the
-    certificate exceeds CERTIFICATE_TOL the reference is rejected.
+    Runs UEI2_REAL at tau_ref and at 2*tau_ref; the H^r difference of the
+    reconstructed z at time T is the certificate.  If the certificate
+    exceeds CERTIFICATE_TOL the reference is rejected.
     """
-    if tau_ref is None:
-        tau_ref = T * 2.0**-16
     if _not_real(1e-9, s0.z.values(), s0.zt.values()):
         raise ValueError("reference_solution requires real-valued initial data")
 

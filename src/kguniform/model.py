@@ -27,6 +27,9 @@ closed-form kernels produced by integrating those branches exactly:
     oscillatory_block      the full second-order treatment of the l != 0
                            branches of the iterated Duhamel formula
 
+It also holds the second-order (UEI2) step, _Uei2Coeffs.step, which shares
+its symbols and transforms with theta and the oscillatory block.
+
 All nonlinear products are formed pointwise in physical space; conjugation
 of a field is physical-space conjugation, i.e. coefficient reversal plus
 conjugation on the Fourier side.
@@ -321,7 +324,8 @@ def _theta_core(co, vv, av2, cau_hat, quint_hat):
 
 
 class _Uei2Coeffs:
-    """Symbols and scalar phi values shared by the second-order machinery.
+    """Symbols and scalar phi values shared by the second-order machinery,
+    and the UEI2 stepper.
 
     Everything here depends only on (grid, c, tau), so a time-stepping loop
     computes it once and reuses it every step; every scalar factor of a
@@ -379,6 +383,49 @@ class _Uei2Coeffs:
         self.phi2 = _branch_phis(lambda z: phi(2, z), c, tau)
         self.psim = _branch_phis(phi_moment, c, tau)
         self.omega_q = {l: _omega_quotients(tau, c, l) for l in (2, -2, 4)}
+
+    def step(self, uc, vc, phases):
+        """One UEI2 step of real data from t_n: (uc, uc) at t_n + tau for the
+        coefficients uc of u*^n (vc, equal to uc, is not read), with phases =
+        _phases(e^(2ic^2 t_n)).
+
+        A step makes 8 transform calls: one stacked inverse transform of
+        (U, u*^n, A_c u*^n); one stacked forward transform of
+        (e^(-3i tau|U|^2/8) U, |U|^2 U, |U|^4 U, (u*^n)^3, 3|u*^n|^2 u*^n),
+        whose last two give every branch cube by reflection, so the transform
+        of vartheta is a branch sum of them; two for theta (_theta_core); one
+        inverse for the vartheta coupling; two for the block (_block_core);
+        and one forward transform shared by the vartheta and block
+        integrands, which both carry c<grad>_c^-1.
+        """
+        # U = e^(i tau/2 A_c) u*^n, u*^n and A_c u*^n in physical space
+        Up, up, acu = _to_phys(self.lift * uc)
+        aU2 = np.abs(Up) ** 2
+        up2 = up * up
+        au2 = np.abs(up) ** 2
+        # e^(-3i tau|U|^2/8) U, |U|^2 U, |U|^4 U, u*^3 and 3|u*|^2 u*
+        rows = np.empty((5, uc.shape[-1]), dtype=np.complex128)
+        _rotate(rows[0], (-0.375 * self.tau) * aU2, Up)
+        np.multiply(aU2, Up, out=rows[1])
+        np.multiply(aU2, rows[1], out=rows[2])
+        np.multiply(up2, up, out=rows[3])
+        np.multiply(3.0 * au2, up, out=rows[4])
+        lin_hat, cub_hat, quint_hat, u3_hat, uau_hat = _to_coeffs(rows)
+
+        # Strang-like core on the half-propagated field, then the quintic
+        # theta block, evaluated at U
+        out = self.exp_half * lin_hat + self.cub_w * cub_hat
+        out += _theta_core(self, Up, aU2, cub_hat, quint_hat)
+
+        # vartheta coupling at u*^n (its transform is a branch sum of the
+        # cubes' transforms) and the oscillatory block; both carry
+        # c<grad>_c^-1 and share the last transform
+        hats = _cube_hats(u3_hat, uau_hat, self.grid)
+        xw = _to_phys(self.cinv_s * _branches(hats[:3], phases, self.phi2))
+        hat, s = _block_core(self, phases, up, acu, hats)
+        out += hat
+        out += self.cinv * _to_coeffs(s + up2 * np.conj(xw) - 2.0 * au2 * xw)
+        return out, out
 
 
 def _cube_hats(u3_hat, uau_hat, grid):

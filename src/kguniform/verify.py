@@ -35,6 +35,12 @@ from .spectral import (
 
 __all__ = ["CheckResult", "random_field", "run_all"]
 
+# the checks' grid size (2K points), and the c values and Sobolev order of
+# the operator and stability bounds
+_K = 64
+_BOUND_CS = (1.0, 10.0, 100.0, 1e4)
+_R = 1.0
+
 
 @dataclass
 class CheckResult:
@@ -56,30 +62,30 @@ def random_field(grid, rng, decay: float = 1.0) -> SpectralField:
 # operator bounds
 
 
-def check_operator_bounds(K=64, cs=(1.0, 10.0, 100.0, 1e4), n_fields=100, r=1.0, seed=7):
+def check_operator_bounds(n_fields=100):
     """Per-mode operator bounds on random fields:
 
     ||A_c f||_r <= (1/2)||f||_{r+2},   ||c<grad>_c^-1 f||_r <= ||f||_r,
     ||e^(itA_c) f||_r = ||f||_r,       ||(e^(itA_c)-1) f||_r <= (|t|/2)||f||_{r+2}.
     """
-    grid = make_grid(1, K)
-    rng = np.random.default_rng(seed)
+    grid = make_grid(1, _K)
+    rng = np.random.default_rng(7)
     worst = 0.0
-    for c in cs:
+    for c in _BOUND_CS:
         m = make_multipliers(grid, c)
         for _ in range(n_fields):
             f = random_field(grid, rng, decay=rng.uniform(0.0, 2.0))
             t = rng.uniform(-1.0, 1.0)
-            fr2 = sobolev_norm(f, r + 2)
+            fr2 = sobolev_norm(f, _R + 2)
             viol = max(
-                sobolev_norm(apply_symbol(m.a_c, f), r) - 0.5 * fr2 - 1e-10,
-                sobolev_norm(apply_symbol(m.c_inv, f), r) - sobolev_norm(f, r) - 1e-12,
+                sobolev_norm(apply_symbol(m.a_c, f), _R) - 0.5 * fr2 - 1e-10,
+                sobolev_norm(apply_symbol(m.c_inv, f), _R) - sobolev_norm(f, _R) - 1e-12,
                 abs(
-                    sobolev_norm(apply_symbol(np.exp(1j * t * m.a_c), f), r)
-                    - sobolev_norm(f, r)
+                    sobolev_norm(apply_symbol(np.exp(1j * t * m.a_c), f), _R)
+                    - sobolev_norm(f, _R)
                 )
-                - 1e-12 * sobolev_norm(f, r),
-                sobolev_norm(apply_symbol(np.exp(1j * t * m.a_c) - 1.0, f), r)
+                - 1e-12 * sobolev_norm(f, _R),
+                sobolev_norm(apply_symbol(np.exp(1j * t * m.a_c) - 1.0, f), _R)
                 - 0.5 * abs(t) * fr2
                 - 1e-10,
             )
@@ -87,11 +93,11 @@ def check_operator_bounds(K=64, cs=(1.0, 10.0, 100.0, 1e4), n_fields=100, r=1.0,
     return CheckResult(
         "operator_bounds",
         worst <= 0.0,
-        f"worst bound violation {worst:.3e} over {n_fields} fields x {len(cs)} c values",
+        f"worst bound violation {worst:.3e} over {n_fields} fields x {len(_BOUND_CS)} c values",
     )
 
 
-def check_stability_bounds(K=64, cs=(1.0, 10.0, 100.0, 1e4), n_fields=20, r=1.0, seed=11):
+def check_stability_bounds(n_fields=20):
     """Stability of the second-order correction terms, uniformly in c:
 
     ||tau^2 phi_moment(i tau (delta c^2 - A_c)) (v A_c w)||_r <= C tau ||v||_r ||w||_r
@@ -100,11 +106,11 @@ def check_stability_bounds(K=64, cs=(1.0, 10.0, 100.0, 1e4), n_fields=20, r=1.0,
     the resonant i tau (2c^2 - Delta/2).  C must neither blow up nor grow
     with c (the whole point of the twisted formulation).
     """
-    grid = make_grid(1, K)
+    grid = make_grid(1, _K)
     n = grid.n_points
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(11)
     ratio_by_c = {}
-    for c in cs:
+    for c in _BOUND_CS:
         m = make_multipliers(grid, c)
         k2 = grid.wavenumbers**2
         worst = 0.0
@@ -120,13 +126,13 @@ def check_stability_bounds(K=64, cs=(1.0, 10.0, 100.0, 1e4), n_fields=20, r=1.0,
                 w = random_field(grid, rng, decay=1.0)
                 prod = v.values() * (_fft.ifft(m.a_c * w.coeffs) * n)
                 ph = SpectralField(grid, _fft.fft(prod) / n)
-                denom = tau * sobolev_norm(v, r) * sobolev_norm(w, r)
+                denom = tau * sobolev_norm(v, _R) * sobolev_norm(w, _R)
                 for ker in kernels:
-                    val = tau * tau * sobolev_norm(apply_symbol(ker, ph), r)
+                    val = tau * tau * sobolev_norm(apply_symbol(ker, ph), _R)
                     worst = max(worst, val / denom)
         ratio_by_c[c] = worst
-    small_c = max(ratio_by_c[cs[0]], ratio_by_c[cs[1]])
-    large_c = max(ratio_by_c[c] for c in cs[2:])
+    small_c = max(ratio_by_c[_BOUND_CS[0]], ratio_by_c[_BOUND_CS[1]])
+    large_c = max(ratio_by_c[c] for c in _BOUND_CS[2:])
     passed = max(ratio_by_c.values()) <= 25.0 and large_c <= 1.5 * small_c + 1e-9
     detail = ", ".join(f"C(c={c:g})={v:.3f}" for c, v in ratio_by_c.items())
     return CheckResult("stability_bounds", passed, detail)
@@ -150,12 +156,12 @@ def _psi_raw(t_n, s, vv, c):
     )
 
 
-def check_omega_quadrature(K=64, tol=1e-10, seed=3):
+def check_omega_quadrature():
     """Omega_l against 64-node Gauss-Legendre quadrature of its defining
     integral, plus the moment identity int_0^tau e^(ilc^2 s) s ds
-    = tau^2 phi_moment(ilc^2 tau)."""
-    grid = make_grid(1, K)
-    rng = np.random.default_rng(seed)
+    = tau^2 phi_moment(ilc^2 tau), both to 1e-10."""
+    grid = make_grid(1, _K)
+    rng = np.random.default_rng(3)
     v = random_field(grid, rng, decay=2.0)
     vv = v.values()
     tau, t_n = 0.01, 0.37
@@ -175,13 +181,13 @@ def check_omega_quadrature(K=64, tol=1e-10, seed=3):
                 worst, abs(mom_quad - tau**2 * phi_moment(1j * l * c * c * tau))
             )
     return CheckResult(
-        "omega_quadrature", worst <= tol, f"worst |closed form - quadrature| = {worst:.3e}"
+        "omega_quadrature", worst <= 1e-10, f"worst |closed form - quadrature| = {worst:.3e}"
     )
 
 
-def _block_quadrature(tau, t_n, u, m, q=16):
-    """Composite GL quadrature of the oscillatory Duhamel branches with
-    u*(t_n+s) replaced by its first-order inner expansion."""
+def _block_quadrature(tau, t_n, u, m):
+    """Composite 16-point GL quadrature of the oscillatory Duhamel branches
+    with u*(t_n+s) replaced by its first-order inner expansion."""
     grid = u.grid
     n = grid.n_points
     c = m.c
@@ -189,7 +195,7 @@ def _block_quadrature(tau, t_n, u, m, q=16):
     uau = np.abs(uv) ** 2 * uv
     rate = 4 * c * c + 2 * float(np.max(m.a_c))
     panels = max(2, math.ceil(tau * rate / 3.0))
-    nodes, weights = _gauss_legendre(0.0, tau, q, panels)
+    nodes, weights = _gauss_legendre(0.0, tau, 16, panels)
     acc = np.zeros(n, dtype=complex)
     for s, w in zip(nodes.ravel(), np.tile(weights, panels)):
         inner = 3.0 * s * uau + _psi_raw(t_n, s, uv, c)
@@ -205,10 +211,10 @@ def _block_quadrature(tau, t_n, u, m, q=16):
     return SpectralField(grid, acc)
 
 
-def check_block_quadrature(K=64, seed=5):
+def check_block_quadrature():
     """oscillatory_block against the quadrature oracle: O(tau^3) agreement,
     measured slope >= 2.7 over tau in {2^-6 ... 2^-12} at c = 10."""
-    grid = make_grid(1, K)
+    grid = make_grid(1, _K)
     c = 10.0
     m = make_multipliers(grid, c)
     s0 = paper_initial_data(grid, c)
@@ -228,10 +234,10 @@ def check_block_quadrature(K=64, seed=5):
     )
 
 
-def check_local_defects(K=64, cs=(1.0, 100.0)):
+def check_local_defects(cs=(1.0, 100.0)):
     """Single-step defects against the Duhamel oracle: slope >= 1.8 for the
     first-order scheme and >= 2.7 for the second-order scheme."""
-    grid = make_grid(1, K)
+    grid = make_grid(1, _K)
     details = []
     passed = True
     for c in cs:

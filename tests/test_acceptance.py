@@ -109,7 +109,7 @@ def test_criterion_2_uei2_uniform_second_order(sweep_table):
 
 
 def test_criterion_3_local_defect_orders():
-    res = check_local_defects(K=64, cs=(1.0, 100.0))
+    res = check_local_defects(cs=(1.0, 100.0))
     _report(3, res.passed, res.detail)
     assert res.passed, res.detail
 

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -415,6 +416,22 @@ def test_cli_out_of_band_order_fails(tmp_path, monkeypatch):
     assert rc == 1
 
 
+def _assert_usage_error(monkeypatch, capsys, argv, match):
+    # exit status 2 and one stderr line naming the error, before any sweep work
+    import kguniform.cli as cli_mod
+
+    def no_sweep(cfg, progress=None):
+        raise AssertionError("the sweep ran before its configuration was checked")
+
+    monkeypatch.setattr(cli_mod, "run_sweep", no_sweep)
+    with pytest.raises(SystemExit) as info:
+        cli_main(argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("kg-uniform sweep: error: ")
+    assert re.search(match, err[0])
+
+
 @pytest.mark.parametrize(
     "text, match",
     [
@@ -422,17 +439,27 @@ def test_cli_out_of_band_order_fails(tmp_path, monkeypatch):
         ("c = 1\nformat = xml\n", r"sweep.cfg: unknown format 'xml'"),
     ],
 )
-def test_cli_rejects_bad_config_file_before_running(tmp_path, monkeypatch, text, match):
-    import kguniform.cli as cli_mod
-
-    def no_sweep(cfg, progress=None):
-        raise AssertionError("the sweep ran before the config file was checked")
-
-    monkeypatch.setattr(cli_mod, "run_sweep", no_sweep)
+def test_cli_rejects_bad_config_file_before_running(tmp_path, monkeypatch, capsys, text, match):
     cfgfile = tmp_path / "sweep.cfg"
     cfgfile.write_text(text)
-    with pytest.raises(ValueError, match=match):
-        cli_main(["sweep", "--config", str(cfgfile), "--out", str(tmp_path / "x.csv")])
+    _assert_usage_error(
+        monkeypatch, capsys, ["sweep", "--config", str(cfgfile), "--out", str(tmp_path / "x.csv")],
+        match,
+    )
+
+
+@pytest.mark.parametrize(
+    "flag, match",
+    [
+        (["--r", "-1"], r"need r >= 0, got r=-1\.0$"),
+        (["--ref-exp", "0"], r"need tau exponents >= 0 and ref_exponent >= 1"),
+        (["--K", "0"], r"invalid grid size K=0; need K >= 2$"),
+    ],
+)
+def test_cli_reports_invalid_values_as_usage_errors(tmp_path, monkeypatch, capsys, flag, match):
+    _assert_usage_error(
+        monkeypatch, capsys, ["sweep", "--c", "1", *flag, "--out", str(tmp_path / "x.csv")], match
+    )
 
 
 def _config_file_args(cfgfile):
@@ -478,9 +505,11 @@ def test_cli_config_paper_booleans(tmp_path, value, paper):
     assert (cfg.K == 512) is paper
 
 
-def test_cli_rejects_unknown_scheme(tmp_path):
-    with pytest.raises(ValueError, match="unknown scheme"):
-        cli_main(["sweep", "--schemes", "rk4", "--out", str(tmp_path / "x.csv")])
+def test_cli_rejects_unknown_scheme(tmp_path, monkeypatch, capsys):
+    _assert_usage_error(
+        monkeypatch, capsys, ["sweep", "--schemes", "rk4", "--out", str(tmp_path / "x.csv")],
+        "unknown scheme",
+    )
 
 
 def test_cli_paper_preset_builds_full_scale_config():

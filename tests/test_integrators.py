@@ -45,10 +45,34 @@ def _standard_pair(grid, c):
     return m, s0, twist(u0, v0, 0.0, c)
 
 
-def test_every_scheme_has_one_stepper():
-    from kguniform.integrators import _STEPPERS
+def test_every_scheme_has_one_stepper(grid64):
+    # each stepper is built from (m, tau) alone, and its step is one evolve step
+    from kguniform.integrators import _REAL_ONLY, _STEPPERS
+    from kguniform.model import _phases
 
     assert set(_STEPPERS) == set(SchemeId)
+    c, tau, t0 = 7.3, 2.0**-7, 0.37
+    m, _, real = _standard_pair(grid64, c)
+    rng = np.random.default_rng(2)
+    pair = TwistedPair(random_field(grid64, rng), random_field(grid64, rng), t0, c)
+    real = TwistedPair(real.u_star, real.v_star, t0, c)
+    phases = _phases(phase_factor(2, c, t0))
+    for scheme in SchemeId:
+        p = real if scheme in _REAL_ONLY else pair
+        uc = p.u_star.coeffs
+        vc = uc if scheme in _REAL_ONLY else p.v_star.coeffs
+        got_u, got_v = _STEPPERS[scheme](m, tau).step(uc, vc, phases)
+        want = evolve(scheme, p, tau, StepContext(grid64, m, tau))
+        assert np.array_equal(got_u, want.u_star.coeffs), scheme
+        assert np.array_equal(got_v, want.v_star.coeffs), scheme
+
+
+def test_step_context_is_immutable(grid64):
+    import dataclasses
+
+    ctx = StepContext(grid64, make_multipliers(grid64, 2.0), 0.01)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ctx.tau = 0.02
 
 
 # ---------------------------------------------------------------------------
@@ -239,11 +263,11 @@ def test_fft_calls_per_step(grid64, monkeypatch, scheme, budget):
     # every transform of a step goes through spectral._fft, the solvers' one
     # transform binding; independent ones are stacked into one call
     from kguniform import spectral
+    from kguniform.integrators import _STEPPERS
     from kguniform.model import _phases
 
     m, _, p0 = _standard_pair(grid64, 100.0)
-    ctx = StepContext(grid64, m, 0.01)
-    stepper = ctx.stepper(scheme)  # built outside the count
+    stepper = _STEPPERS[scheme](m, 0.01)  # built outside the count
     uc = p0.u_star.coeffs
     pair_schemes = (SchemeId.UEI1, SchemeId.LIE_LIMIT, SchemeId.LARGE_C_UEI1)
     vc = p0.v_star.coeffs.copy() if scheme in pair_schemes else uc
@@ -557,4 +581,4 @@ def test_reference_rejects_complex_data(grid64, rng):
     m = make_multipliers(grid64, c)
     s0 = KgState(z=random_field(grid64, rng), zt=zero_field(grid64))
     with pytest.raises(ValueError, match="real"):
-        reference_solution(s0, T, m)
+        reference_solution(s0, T, m, tau_ref=T * 2.0**-12)
