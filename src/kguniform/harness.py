@@ -151,8 +151,19 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
-def _reference_task(m, s0, T, tau_ref, r):
+# c -> (multipliers, initial state) of the running sweep, in a pool worker
+_inputs = {}
+
+
+def _set_inputs(inputs):
+    """Pool initializer: hand this worker the sweep's inputs."""
+    global _inputs
+    _inputs = inputs
+
+
+def _reference_task(c, T, tau_ref, r):
     """Pool task: (reference z coefficients at T, certificate, failure)."""
+    m, s0 = _inputs[c]
     try:
         ref = reference_solution(s0, T, m, tau_ref=tau_ref, r=r)
     except ReferenceUnreliableError as exc:
@@ -160,8 +171,9 @@ def _reference_task(m, s0, T, tau_ref, r):
     return reconstruct_z(ref.pair).coeffs, ref.certificate, None
 
 
-def _cell_task(m, s0, scheme, T, tau):
+def _cell_task(c, scheme, T, tau):
     """Pool task: (cell z coefficients at T, its evolve time, failure)."""
+    m, s0 = _inputs[c]
     u0, v0 = to_first_order(s0, m)
     pair0 = twist(u0, v0, s0.t, m.c)
     start = time.perf_counter()
@@ -204,15 +216,22 @@ def run_sweep(cfg: SweepConfig, progress=None) -> ErrorTable:
     # fork: a worker starts without importing numpy/scipy again (~0.4 s each)
     # and sees the parent's module state.  The package starts no threads,
     # and a fork-context pool forks every worker at its first submit, before
-    # it starts its own management thread
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    # it starts its own management thread.  A forked worker inherits the
+    # initializer's arguments, so tasks name their c instead of carrying its
+    # inputs
+    pool = ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_set_inputs,
+        initargs=(inputs,),
+    )
     try:
         # references first: they are the longest tasks
         ref_futures = {
-            c: pool.submit(_reference_task, *inputs[c], cfg.T, tau_ref, cfg.r) for c in inputs
+            c: pool.submit(_reference_task, c, cfg.T, tau_ref, cfg.r) for c in inputs
         }
         cell_futures = [
-            pool.submit(_cell_task, *inputs[c], scheme, cfg.T, tau) for scheme, c, tau in cells
+            pool.submit(_cell_task, c, scheme, cfg.T, tau) for scheme, c, tau in cells
         ]
         # c -> (reference z coefficients, certificate, failure)
         refs = {}

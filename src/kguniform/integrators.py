@@ -355,6 +355,12 @@ def _panel_rule(q: int):
 
 _ORACLE_MAX_PANELS = 20000
 
+# panels per block of the oracle's sweep: 16 panels of q = 16 nodes are 256
+# rows, so one block array at N = 128 points is 512 KB.  The 35 oracle calls
+# of one benchmark `oracle` body take 1.00 s at 256 rows, 1.01 s at 128 and
+# 1.26 and 1.41 s at 1024 and 2048 (medians of 4, one core of a 2-vCPU VM)
+_ORACLE_BLOCK_PANELS = 16
+
 
 def duhamel_oracle_step(
     u: SpectralField, t_n: float, ctx: StepContext, nodes: int = 64
@@ -366,13 +372,24 @@ def duhamel_oracle_step(
     `nodes` is a floor on the total number of quadrature points; panels are
     added until the fastest oscillation (rate 4c^2 + max A_c) is resolved,
     so the quadrature error is negligible against the O(tau^4) Picard error.
+
+    The iteration is causal: Picard level k+1 at a node needs level k only
+    at that node, plus level k's integral over the earlier panels.  So the
+    panels are swept left to right in blocks of _ORACLE_BLOCK_PANELS, and
+    each of the four levels (three iterations, then the final integral)
+    carries its running integral from one block to the next as one
+    coefficient vector.  A block's panel prefixes are the cumsum of
+    [carry; its panel sums], the left-to-right order of one cumsum over all
+    panels.  One real product with the stacked rule [(h/2) PM; w], h the
+    panel width, gives a level's in-panel partial integrals and its panel
+    sums; the last level needs only the sums.  Memory is O(block * N)
+    rather than O(nodes * N).
     """
     if nodes < 16:
         raise ValueError(f"need nodes >= 16, got {nodes}")
     m = ctx.m
     tau = ctx.tau
-    grid = u.grid
-    n = grid.n_points
+    n = u.grid.n_points
     c = m.c
     q = 16
     rate = 4.0 * c * c + float(np.max(m.a_c))
@@ -383,36 +400,55 @@ def duhamel_oracle_step(
             "reduce tau, c, or the grid size"
         )
     _, _, pm = _panel_rule(q)
-    nodes, wfull = _gauss_legendre(0.0, tau, q, panels)
-    h = tau / panels
-    s = nodes.ravel()  # (M,)
-    mtot = panels * q
-
-    efwd = np.exp(1j * np.outer(s, m.a_c))  # (M, N)
-    ebwd = np.conj(efwd)
+    s, wfull = _gauss_legendre(0.0, tau, q, panels)  # s: (panels, q)
+    rule = np.vstack([(0.5 * tau / panels) * pm, wfull])  # (q + 1, q)
     ph = phase_factor(1, c, t_n, s)  # e^(i c^2 (t_n + s))
 
     u0 = u.coeffs
-
-    def integrate(dcur):
-        vals = _to_phys(efwd * dcur)
-        a = 2.0 * (ph[:, None] * vals).real
-        ghat = _to_coeffs(np.conj(ph)[:, None] * a**3)
-        hnode = (ebwd * ghat).reshape(panels, q, n)
-        panel_sum = np.einsum("j,pjn->pn", wfull, hnode)
-        prefix = np.zeros_like(panel_sum)
-        prefix[1:] = np.cumsum(panel_sum[:-1], axis=0)
-        partial = (0.5 * h) * np.einsum("ij,pjn->pin", pm, hnode)
-        cnodes = (prefix[:, None, :] + partial).reshape(mtot, n)
-        return cnodes, prefix[-1] + panel_sum[-1]
-
-    d = np.broadcast_to(u0, (mtot, n))
-    for _ in range(3):
-        cnodes, _total = integrate(d)
-        d = u0[None, :] - 0.125j * m.c_inv[None, :] * cnodes
-    _cnodes, total = integrate(d)
-    out = np.exp(1j * tau * m.a_c) * (u0 - 0.125j * m.c_inv * total)
-    return SpectralField(grid, out)
+    corr = -0.125j * m.c_inv
+    levels = 4
+    carry = np.zeros((levels, 1, n), dtype=np.complex128)
+    for p0 in range(0, panels, _ORACLE_BLOCK_PANELS):
+        # the block's rows in (node, panel) order: a level's integrals are
+        # then one product of the rule with all of its rows
+        sb = s[p0 : p0 + _ORACLE_BLOCK_PANELS].T
+        nb = sb.shape[1]
+        phb = ph[p0 : p0 + nb].T[..., None]
+        phr, nphi = phb.real, -phb.imag
+        arg = sb[..., None] * m.a_c
+        efwd = np.empty((q, nb, n), dtype=np.complex128)  # e^(i s A_c)
+        np.cos(arg, out=efwd.real)
+        np.sin(arg, out=efwd.imag)
+        ebwd = np.conj(efwd)
+        d = u0
+        for level in range(levels):
+            vals = _to_phys(efwd * d)
+            # a = 2 Re(ph vals) and g = conj(ph) a^3, in real arithmetic
+            a = phr * vals.real
+            a += nphi * vals.imag
+            a *= 2.0
+            a3 = a * a
+            a3 *= a
+            g = np.empty_like(vals)
+            np.multiply(phr, a3, out=g.real)
+            np.multiply(nphi, a3, out=g.imag)
+            # an explicit out: numpy would otherwise reuse a large temporary
+            # with the operands swapped, and its FMA complex product is not
+            # bitwise commutative, so results would depend on the block size
+            hnode = _to_coeffs(g)
+            np.multiply(ebwd, hnode, out=hnode)
+            hnode = hnode.view(np.float64).reshape(q, -1)
+            last = level == levels - 1
+            ints = np.matmul(rule[q:] if last else rule, hnode)
+            sums = ints[-1].view(np.complex128).reshape(nb, n)
+            prefix = np.cumsum(np.concatenate([carry[level], sums]), axis=0)
+            carry[level] = prefix[-1]
+            if not last:
+                partial = ints[:q].view(np.complex128).reshape(q, nb, n)
+                partial += prefix[:-1]
+                d = u0 + corr * partial
+    out = np.exp(1j * tau * m.a_c) * (u0 + corr * carry[-1, 0])
+    return SpectralField(u.grid, out)
 
 
 # ---------------------------------------------------------------------------

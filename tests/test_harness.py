@@ -313,6 +313,28 @@ def test_sweep_rows_do_not_depend_on_worker_count(monkeypatch):
     assert "uei2 state is not finite at step 16 of 16 (c=1.0" in pooled
 
 
+def test_sweep_tasks_do_not_carry_the_inputs(monkeypatch):
+    # the pool's workers inherit the multipliers and initial states once,
+    # through the initializer; every task names its c and pickles small
+    import concurrent.futures
+    import pickle
+
+    sizes = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def submit(self, fn, *args):
+            sizes.append(len(pickle.dumps((fn, args))))
+            return super().submit(fn, *args)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    cfg = SweepConfig(schemes=[SchemeId.UEI1], c_list=[1.0, 10.0], tau_exponents=[4, 5, 6],
+                      K=16, ref_exponent=11)
+    table = run_sweep(cfg)
+    assert len(sizes) == 2 + 6
+    assert max(sizes) < 200
+    assert all(r.failed is None for r in table.rows)
+
+
 def test_sweep_propagates_other_errors(monkeypatch):
     # an error that is neither an unreliable reference nor a blow-up comes
     # back from its worker with its type and message

@@ -415,6 +415,41 @@ def test_oracle_self_consistency(grid64):
     assert fit_order(pts) >= 3.0
 
 
+def _oracle_c200(grid):
+    # 844 panels of 16 nodes: 53 blocks of the oracle's sweep, the last partial
+    c = 200.0
+    m = make_multipliers(grid, c)
+    u, _ = to_first_order(paper_initial_data(grid, c), m)
+    return u, StepContext(grid, m, 2.0**-6)
+
+
+def test_oracle_block_size_does_not_change_result(grid64, monkeypatch):
+    # the block sweep carries its prefixes in one left-to-right order, and
+    # every per-row operation is independent of the rows beside it, so one
+    # panel per block and one block for all panels give the default bitwise
+    import kguniform.integrators as integrators_mod
+
+    u, ctx = _oracle_c200(grid64)
+    default = duhamel_oracle_step(u, 0.0, ctx).coeffs
+    for panels in (1, 10**6):
+        monkeypatch.setattr(integrators_mod, "_ORACLE_BLOCK_PANELS", panels)
+        assert np.array_equal(duhamel_oracle_step(u, 0.0, ctx).coeffs, default), panels
+
+
+def test_oracle_memory_is_bounded_by_the_block(grid64):
+    # 13,504 nodes x 128 points: one whole-interval (M, N) array would be 27 MB
+    import tracemalloc
+
+    u, ctx = _oracle_c200(grid64)
+    tracemalloc.start()
+    try:
+        duhamel_oracle_step(u, 0.0, ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
+
+
 # ---------------------------------------------------------------------------
 # evolve
 
