@@ -51,7 +51,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import legendre as _leg
-from scipy.special import roots_legendre
 
 from .model import (
     KgState,
@@ -147,15 +146,18 @@ class _Uei1Stepper:
         np.add(wu, _branches(cubes, phases, self.phi1), out=out[1])
 
     def step(self, uc, vc, phases):
+        # transforms write into the step's own scratch arrays; the returned
+        # coefficients are fresh arrays
         if vc is uc:
-            up = _to_phys(uc)
+            rows = np.empty((3, uc.shape[-1]), dtype=np.complex128)
+            up = _to_phys(uc, out=rows[2])
             w = 3.0 * np.abs(up) ** 2
-            rows = np.empty((2, uc.shape[-1]), dtype=np.complex128)
-            self._integrands(rows, up, up, w, w, phases)
-            lin, corr = _to_coeffs(rows)
+            self._integrands(rows[:2], up, up, w, w, phases)
+            lin, corr = _to_coeffs(rows[:2], out=rows[:2])
             u = self.exp_full * lin + self.corr * corr
             return u, u
-        up, vp = _to_phys(np.stack([uc, vc]))
+        pv = np.stack([uc, vc])
+        up, vp = _to_phys(pv, out=pv)
         au2 = np.abs(up) ** 2
         av2 = np.abs(vp) ** 2
         wu = au2 + 2.0 * av2
@@ -163,7 +165,7 @@ class _Uei1Stepper:
         rows = np.empty((4, uc.shape[-1]), dtype=np.complex128)
         self._integrands(rows[:2], up, vp, wu, wv, phases)
         self._integrands(rows[2:], vp, up, wv, wu, phases)
-        ulin, ucorr, vlin, vcorr = _to_coeffs(rows)
+        ulin, ucorr, vlin, vcorr = _to_coeffs(rows, out=rows)
         return self.exp_full * ulin + self.corr * ucorr, self.exp_full * vlin + self.corr * vcorr
 
 
@@ -178,13 +180,15 @@ class _SplitStepper:
 
     def step(self, uc, vc, phases):
         tau = self.tau
-        up, vp = _to_phys(np.stack([uc, vc]))
+        # the stack is the step's scratch: both transforms and the rotation
+        # of each row work in place
+        rows = np.stack([uc, vc])
+        up, vp = _to_phys(rows, out=rows)
         au2 = np.abs(up) ** 2
         av2 = np.abs(vp) ** 2
-        rows = np.empty((2, uc.shape[-1]), dtype=np.complex128)
-        np.multiply(np.exp(-0.125j * tau * (au2 + 2 * av2)), up, out=rows[0])
-        np.multiply(np.exp(-0.125j * tau * (av2 + 2 * au2)), vp, out=rows[1])
-        unew, vnew = self.exp_lin * _to_coeffs(rows)
+        np.multiply(np.exp(-0.125j * tau * (au2 + 2 * av2)), up, out=up)
+        np.multiply(np.exp(-0.125j * tau * (av2 + 2 * au2)), vp, out=vp)
+        unew, vnew = self.exp_lin * _to_coeffs(rows, out=rows)
         return unew, vnew
 
 
@@ -194,8 +198,10 @@ class _StrangStepper:
         self.exp_half = np.exp(-0.25j * tau * m.laplace)
 
     def step(self, uc, vc, phases):
-        ump = _to_phys(self.exp_half * uc)
-        u = self.exp_half * _to_coeffs(np.exp(-0.375j * self.tau * np.abs(ump) ** 2) * ump)
+        row = self.exp_half * uc
+        ump = _to_phys(row, out=row)
+        np.multiply(np.exp(-0.375j * self.tau * np.abs(ump) ** 2), ump, out=row)
+        u = self.exp_half * _to_coeffs(row, out=row)
         return u, u
 
 
@@ -330,11 +336,31 @@ def evolve(scheme: SchemeId, state: TwistedPair, T: float, ctx: StepContext, cal
 # brute-force Duhamel oracle
 
 
+@lru_cache(maxsize=8)
+def _legendre_rule(q: int):
+    """The q-point Gauss-Legendre nodes and weights on [-1, 1], read-only.
+
+    The nodes are numpy's leggauss nodes (companion eigenvalues and one
+    Newton step).  Its weights lose accuracy as q grows (1.3e-12 relative
+    at q = 64 against mpmath), so they are recomputed from the nodes as
+    2 (1 - x^2) / (q (x P_q(x) - P_(q-1)(x)))^2, with P_q and P_(q-1) from
+    the three-term recurrence (5.7e-14 at q = 64, 2e-15 at q = 16).
+    """
+    x, _ = _leg.leggauss(q)
+    p_prev, p = np.ones_like(x), x
+    for k in range(1, q):
+        p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+    w = 2.0 * (1.0 - x) * (1.0 + x) / (q * (x * p - p_prev)) ** 2
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def _gauss_legendre(a: float, b: float, q: int, panels: int = 1):
     """Composite q-point Gauss-Legendre rule on `panels` equal panels of [a, b]:
     nodes (panels, q) and the weights of one panel (q,).  Panels are mapped
     about their centres, so [-1, 1] in one panel gives the reference rule exactly."""
-    xg, wg = roots_legendre(q)
+    xg, wg = _legendre_rule(q)
     h = (b - a) / panels
     centres = a + h * (np.arange(panels)[:, None] + 0.5)
     return centres + 0.5 * h * xg, 0.5 * h * wg
@@ -357,9 +383,18 @@ _ORACLE_MAX_PANELS = 20000
 
 # panels per block of the oracle's sweep: 16 panels of q = 16 nodes are 256
 # rows, so one block array at N = 128 points is 512 KB.  The 35 oracle calls
-# of one benchmark `oracle` body take 1.00 s at 256 rows, 1.01 s at 128 and
-# 1.26 and 1.41 s at 1024 and 2048 (medians of 4, one core of a 2-vCPU VM)
+# of one benchmark `oracle` body take 0.81 s at 256 rows, 0.84 s at 128 and
+# 0.95, 1.06 and 1.25 s at 512, 1024 and 2048 (medians of 4, one core of a
+# 2-vCPU VM)
 _ORACLE_BLOCK_PANELS = 16
+
+
+def _expi(arg):
+    """e^(i arg) for real arg, from cos and sin."""
+    out = np.empty(arg.shape, dtype=np.complex128)
+    np.cos(arg, out=out.real)
+    np.sin(arg, out=out.imag)
+    return out
 
 
 def duhamel_oracle_step(
@@ -399,10 +434,16 @@ def duhamel_oracle_step(
             f"oracle would need {panels} panels to resolve the oscillation; "
             "reduce tau, c, or the grid size"
         )
-    _, _, pm = _panel_rule(q)
+    xg, _, pm = _panel_rule(q)
     s, wfull = _gauss_legendre(0.0, tau, q, panels)  # s: (panels, q)
     rule = np.vstack([(0.5 * tau / panels) * pm, wfull])  # (q + 1, q)
     ph = phase_factor(1, c, t_n, s)  # e^(i c^2 (t_n + s))
+    # e^(i s A_c) at s = centre + (h/2) x_j is a per-panel factor times a
+    # per-node factor, so cos and sin run on (panels, N) and (q, N) values
+    # rather than on (panels * q, N)
+    h = tau / panels
+    centres = h * (np.arange(panels) + 0.5)
+    enode = _expi((0.5 * h * xg)[:, None, None] * m.a_c)  # (q, 1, N)
 
     u0 = u.coeffs
     corr = -0.125j * m.c_inv
@@ -411,18 +452,17 @@ def duhamel_oracle_step(
     for p0 in range(0, panels, _ORACLE_BLOCK_PANELS):
         # the block's rows in (node, panel) order: a level's integrals are
         # then one product of the rule with all of its rows
-        sb = s[p0 : p0 + _ORACLE_BLOCK_PANELS].T
-        nb = sb.shape[1]
+        cb = centres[p0 : p0 + _ORACLE_BLOCK_PANELS]
+        nb = cb.shape[0]
         phb = ph[p0 : p0 + nb].T[..., None]
         phr, nphi = phb.real, -phb.imag
-        arg = sb[..., None] * m.a_c
         efwd = np.empty((q, nb, n), dtype=np.complex128)  # e^(i s A_c)
-        np.cos(arg, out=efwd.real)
-        np.sin(arg, out=efwd.imag)
+        np.multiply(enode, _expi(cb[:, None] * m.a_c), out=efwd)
         ebwd = np.conj(efwd)
         d = u0
         for level in range(levels):
-            vals = _to_phys(efwd * d)
+            vals = efwd * d
+            _to_phys(vals, out=vals)
             # a = 2 Re(ph vals) and g = conj(ph) a^3, in real arithmetic
             a = phr * vals.real
             a += nphi * vals.imag
@@ -435,7 +475,7 @@ def duhamel_oracle_step(
             # an explicit out: numpy would otherwise reuse a large temporary
             # with the operands swapped, and its FMA complex product is not
             # bitwise commutative, so results would depend on the block size
-            hnode = _to_coeffs(g)
+            hnode = _to_coeffs(g, out=g)
             np.multiply(ebwd, hnode, out=hnode)
             hnode = hnode.view(np.float64).reshape(q, -1)
             last = level == levels - 1

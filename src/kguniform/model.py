@@ -317,10 +317,10 @@ def _theta_core(co, vv, av2, cau_hat, quint_hat):
     vv are the samples of v, av2 = |vv|^2, cau_hat and quint_hat the
     coefficients of |v|^2 v and |v|^4 v.  The second and third terms of
     theta carry the same symbol and share one transform."""
-    w = _to_phys(co.cinvm1 * cau_hat)
-    return co.theta_quint * quint_hat + co.theta_w * _to_coeffs(
-        vv * vv * np.conj(w) - 2.0 * av2 * w
-    )
+    w = co.cinvm1 * cau_hat
+    _to_phys(w, out=w)
+    g = vv * vv * np.conj(w) - 2.0 * av2 * w
+    return co.theta_quint * quint_hat + co.theta_w * _to_coeffs(g, out=g)
 
 
 class _Uei2Coeffs:
@@ -398,8 +398,10 @@ class _Uei2Coeffs:
         and one forward transform shared by the vartheta and block
         integrands, which both carry c<grad>_c^-1.
         """
-        # U = e^(i tau/2 A_c) u*^n, u*^n and A_c u*^n in physical space
-        Up, up, acu = _to_phys(self.lift * uc)
+        # U = e^(i tau/2 A_c) u*^n, u*^n and A_c u*^n in physical space;
+        # every transform below writes over its own scratch input
+        lifted = self.lift * uc
+        Up, up, acu = _to_phys(lifted, out=lifted)
         aU2 = np.abs(Up) ** 2
         up2 = up * up
         au2 = np.abs(up) ** 2
@@ -410,7 +412,7 @@ class _Uei2Coeffs:
         np.multiply(aU2, rows[1], out=rows[2])
         np.multiply(up2, up, out=rows[3])
         np.multiply(3.0 * au2, up, out=rows[4])
-        lin_hat, cub_hat, quint_hat, u3_hat, uau_hat = _to_coeffs(rows)
+        lin_hat, cub_hat, quint_hat, u3_hat, uau_hat = _to_coeffs(rows, out=rows)
 
         # Strang-like core on the half-propagated field, then the quintic
         # theta block, evaluated at U
@@ -421,10 +423,13 @@ class _Uei2Coeffs:
         # cubes' transforms) and the oscillatory block; both carry
         # c<grad>_c^-1 and share the last transform
         hats = _cube_hats(u3_hat, uau_hat, self.grid)
-        xw = _to_phys(self.cinv_s * _branches(hats[:3], phases, self.phi2))
+        xw = self.cinv_s * _branches(hats[:3], phases, self.phi2)
+        _to_phys(xw, out=xw)
         hat, s = _block_core(self, phases, up, acu, hats)
         out += hat
-        out += self.cinv * _to_coeffs(s + up2 * np.conj(xw) - 2.0 * au2 * xw)
+        s += up2 * np.conj(xw)
+        s -= 2.0 * au2 * xw
+        out += self.cinv * _to_coeffs(s, out=s)
         return out, out
 
 
@@ -457,7 +462,7 @@ def _block_core(co: _Uei2Coeffs, phases, up, acu, hats):
     np.multiply(up2, acu, out=moments[0])
     np.multiply(np.conj(up2), acu, out=moments[1])
     moments[1] -= 2.0 * au2 * np.conj(acu)
-    wq_hat, nr2b_hat = _to_coeffs(moments)
+    wq_hat, nr2b_hat = _to_coeffs(moments, out=moments)
     hat = _branches(hats[:3], phases, co.block_cubes)
     hat += _branches(
         (wq_hat, nr2b_hat, _conjrefl(wq_hat, co.grid)), phases, co.block_moments
@@ -485,7 +490,7 @@ def _block_core(co: _Uei2Coeffs, phases, up, acu, hats):
         + (m4 * r4[1] - m2 * psim_m2) * uau_hat
     )
     b *= co.cinv_s
-    v1, v24 = _to_phys(b)
+    v1, v24 = _to_phys(b, out=b)
     return hat, 2.0 * m2 * au2 * np.conj(v1) - p2 * up2 * v1 + np.conj(up2) * v24
 
 

@@ -5,7 +5,8 @@ with integer wavenumbers k in {-K, ..., K-1} in standard FFT layout.
 Fourier coefficients are the canonical state representation and are
 normalized so that the constant function 1 has coefficient 1 at k = 0,
 i.e. coeffs = fft(values) / n_points.  This module owns that convention:
-every solver transforms through _to_phys and _to_coeffs.  With that
+every solver transforms through _to_phys and _to_coeffs, the one transform
+pair (numpy.fft with norm="forward").  With that
 normalization the Sobolev norm is
 
     ||u||_r^2 = sum_k (1 + |k|^2)^r |u_k|^2,
@@ -36,7 +37,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft as _fft
+import numpy.fft as _fft
 
 __all__ = [
     "SpectralGrid",
@@ -92,14 +93,16 @@ def make_grid(d: int, K: int) -> SpectralGrid:
     return SpectralGrid(d=d, modes=K, wavenumbers=k, x=x, conj_index=conj_index)
 
 
-def _to_phys(coeffs):
-    """Physical samples of coefficient vectors (rows of a stack alike)."""
-    return _fft.ifft(coeffs, norm="forward")
+def _to_phys(coeffs, out=None):
+    """Physical samples of coefficient vectors (rows of a stack alike),
+    written into `out` when given; `out` may be `coeffs` itself."""
+    return _fft.ifft(coeffs, norm="forward", out=out)
 
 
-def _to_coeffs(vals):
-    """Coefficients of physical samples (rows of a stack alike)."""
-    return _fft.fft(vals, norm="forward")
+def _to_coeffs(vals, out=None):
+    """Coefficients of physical samples (rows of a stack alike), written
+    into `out` when given; `out` may be `vals` itself."""
+    return _fft.fft(vals, norm="forward", out=out)
 
 
 def _conjrefl(coeffs: np.ndarray, grid: SpectralGrid) -> np.ndarray:

@@ -12,7 +12,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as _fft
+# its own FFT binding and explicit 1/n scaling, independent of spectral's pair
+import numpy.fft as _fft
 
 from .harness import fit_order, paper_initial_data
 from .integrators import (

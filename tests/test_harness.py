@@ -313,6 +313,27 @@ def test_sweep_rows_do_not_depend_on_worker_count(monkeypatch):
     assert "uei2 state is not finite at step 16 of 16 (c=1.0" in pooled
 
 
+def test_failed_reference_cancels_its_cells(monkeypatch):
+    # on a pool of one, a reference that fails at once cancels the cells of
+    # its c that have not started: they report its failure and never run
+    import kguniform.harness as harness_mod
+    from kguniform.integrators import ReferenceUnreliableError
+
+    def failing_reference(s0, T, m, tau_ref=None, r=1.0):
+        raise ReferenceUnreliableError(f"certificate too large (c={m.c})")
+
+    monkeypatch.setattr(harness_mod, "reference_solution", failing_reference)
+    monkeypatch.setattr(harness_mod, "_worker_count", lambda: 1)
+    cfg = SweepConfig(schemes=[SchemeId.UEI1, SchemeId.UEI2_REAL], c_list=[1.0],
+                      tau_exponents=[4, 5, 6, 7, 8, 9], K=16, ref_exponent=11)
+    table = run_sweep(cfg)
+    assert len(table.rows) == 12
+    for r in table.rows:
+        assert r.failed == "certificate too large (c=1.0)" and np.isnan(r.err)
+    never_ran = [r for r in table.rows if r.wall_time == 0.0]
+    assert len(never_ran) > len(table.rows) // 2
+
+
 def test_sweep_tasks_do_not_carry_the_inputs(monkeypatch):
     # the pool's workers inherit the multipliers and initial states once,
     # through the initializer; every task names its c and pickles small

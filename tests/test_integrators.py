@@ -31,7 +31,7 @@ from kguniform import (
     zero_field,
 )
 from kguniform.harness import fit_order, paper_initial_data
-from kguniform.integrators import _panel_rule
+from kguniform.integrators import _gauss_legendre, _panel_rule
 from kguniform.model import TwistedPair
 from kguniform.verify import random_field
 
@@ -231,12 +231,10 @@ def test_uei2_step_matches_docstring_composition(grid64, c, t_n):
 
 
 class _CountingFft:
-    """Stands in for scipy.fft, counting transform calls (a stacked call is one)."""
+    """Stands in for numpy.fft, counting transform calls (a stacked call is one)."""
 
     def __init__(self):
-        import scipy.fft
-
-        self._fft = scipy.fft
+        self._fft = np.fft
         self.calls = 0
 
     def fft(self, *args, **kwargs):
@@ -387,6 +385,38 @@ def test_panel_rule_partial_weights():
         for p in range(q):
             ref = (xg ** (p + 1) - (-1.0) ** (p + 1)) / (p + 1)
             np.testing.assert_allclose(pm @ xg**p, ref, rtol=0, atol=1e-13, err_msg=f"q={q} p={p}")
+
+
+def _mp_legendre_rule(q):
+    """Gauss-Legendre nodes and weights on [-1, 1] by Newton's method at 40
+    digits, from the classical starting guesses cos(pi (i - 1/4) / (q + 1/2))."""
+    import mpmath
+
+    rule = []
+    with mpmath.workdps(40):
+        for i in range(1, q + 1):
+            x = mpmath.cos(mpmath.pi * (i - mpmath.mpf(0.25)) / (q + mpmath.mpf(0.5)))
+            for _ in range(50):
+                p_prev, p = mpmath.mpf(1), x
+                for k in range(1, q):
+                    p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+                dp = q * (x * p - p_prev) / (x * x - 1)
+                step = p / dp
+                x -= step
+                if abs(step) < mpmath.mpf(10) ** -36:
+                    break
+            rule.append((x, 2 / ((1 - x * x) * dp * dp)))
+    rule.sort()
+    return [float(x) for x, _ in rule], [w for _, w in rule]
+
+
+@pytest.mark.parametrize("q", [16, 64])
+def test_gauss_legendre_reference_rule_against_mpmath(q):
+    nodes, wg = _gauss_legendre(-1.0, 1.0, q)
+    x_ref, w_ref = _mp_legendre_rule(q)
+    np.testing.assert_allclose(nodes[0], x_ref, rtol=0, atol=1e-15)
+    rel = max(float(abs((w - wr) / wr)) for w, wr in zip(wg, w_ref))
+    assert rel <= 1e-13
 
 
 def test_oracle_rejects_few_nodes(grid64):

@@ -286,3 +286,28 @@ def test_zero_field_is_zero():
 def test_operator_bound_suite():
     res = check_operator_bounds(n_fields=100)
     assert res.passed, res.detail
+
+
+def test_package_imports_no_scipy():
+    # numpy is the one runtime dependency: importing the package, its
+    # verify suite and its CLI loads no scipy module
+    import os
+    import subprocess
+    import sys
+
+    import kguniform
+
+    src = os.path.dirname(os.path.dirname(kguniform.__file__))
+    code = (
+        "import sys, kguniform, kguniform.verify, kguniform.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "[]"
