@@ -117,7 +117,7 @@ class StepContext:
     tau: float
 
     def __post_init__(self):
-        if self.tau <= 0:
+        if not (math.isfinite(self.tau) and self.tau > 0):
             raise ValueError(f"invalid step size tau={self.tau}")
         if self.m.grid.n_points != self.grid.n_points:
             raise ValueError("multiplier set was built for a different grid")
@@ -372,8 +372,7 @@ def _panel_rule(q: int):
     matrix PM with PM[i, j] = int_{-1}^{x_i} ell_j(x) dx (Lagrange basis),
     built from the exact ell_j = w_j sum_k (k + 1/2) P_k(x_j) P_k: unlike a
     monomial fit it stays well conditioned at large q."""
-    nodes, wg = _gauss_legendre(-1.0, 1.0, q)
-    xg = nodes[0]
+    xg, wg = _legendre_rule(q)
     coef = (np.arange(q) + 0.5)[:, None] * _leg.legvander(xg, q - 1).T * wg
     pm = _leg.legval(xg, _leg.legint(coef, lbnd=-1.0)).T
     return xg, wg, pm

@@ -246,31 +246,16 @@ def kernel_vartheta(t_n: float, tau: float, v: SpectralField, c: float) -> Spect
     return _branch_field(v, c, t_n, _branch_phis(lambda z: phi(2, z), c, tau))
 
 
-_DD_SERIES_CUTOFF = 0.25
-_DD_SERIES_TERMS = 20
-
-
 def _dd_phi1(a: complex, b: complex) -> complex:
-    """Divided difference (phi_1(b) - phi_1(a)) / (b - a), small-argument safe.
+    """Divided difference (phi_1(b) - phi_1(a)) / (b - a) for a != b.
 
-    For small arguments the two phi_1 values agree to leading order and the
-    naive quotient cancels, so a series in the complete homogeneous symmetric
-    polynomials h_m(a, b) is used instead:
-
-        dd = sum_{m>=0} h_m(a, b) / (m + 2)!.
+    Near 0 both phi_1 values are ~1 and that constant cancels in the plain
+    quotient; x phi_2(x) = phi_1(x) - 1 removes it analytically.  At large |x|
+    the -1 of x phi_2(x) ~ -1 would cancel instead, so the plain quotient is
+    used there.
     """
-    if max(abs(a), abs(b)) < _DD_SERIES_CUTOFF:
-        total = 0.0 + 0.0j
-        h = 1.0 + 0.0j
-        apow = 1.0 + 0.0j
-        fact = 2.0
-        for mdeg in range(_DD_SERIES_TERMS):
-            if mdeg > 0:
-                apow *= a
-                h = b * h + apow
-                fact *= mdeg + 2
-            total += h / fact
-        return total
+    if max(abs(a), abs(b)) < 1.0:
+        return (b * phi(2, b) - a * phi(2, a)) / (b - a)
     return (phi(1, b) - phi(1, a)) / (b - a)
 
 
@@ -283,7 +268,8 @@ def _omega_quotients(tau: float, c: float, l: int):
 def kernel_omega(t_n: float, tau: float, v: SpectralField, c: float, l: int) -> SpectralField:
     """Omega_l(t_n, tau, v) = (1/tau^2) int_0^tau e^(i l c^2 s) Psi(t_n, s, v) ds.
 
-    Closed form: phi_1 difference quotients over the three branches.  The
+    Closed form: phi_1 difference quotients over the three branches, formed
+    from x phi_2(x) = phi_1(x) - 1 below radius 1 (see _dd_phi1).  The
     second-order scheme consumes l in {-4, -2, 2} (and, through conjugation,
     the mirrored kernels built from conj(Psi)).
     """

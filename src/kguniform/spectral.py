@@ -179,8 +179,8 @@ class MultiplierSet:
 
 
 def make_multipliers(grid: SpectralGrid, c: float) -> MultiplierSet:
-    if c <= 0:
-        raise ValueError(f"invalid parameter c={c}; need c > 0")
+    if not (math.isfinite(c) and c > 0):
+        raise ValueError(f"invalid parameter c={c}; need finite c > 0")
     k2 = grid.wavenumbers**2
     bracket = np.sqrt(c * c + k2)
     a_c = c * k2 / (bracket + c)

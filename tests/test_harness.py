@@ -389,9 +389,17 @@ def test_sweep_rejects_bad_grid_before_starting_workers(monkeypatch):
         (dict(r=-1.0), "need r >= 0, got r=-1.0"),
         (dict(tau_exponents=[-1, 2, 3]), "need tau exponents >= 0 and ref_exponent >= 1"),
         (dict(ref_exponent=0), "need tau exponents >= 0 and ref_exponent >= 1"),
+        (dict(T=float("nan")), "T must be finite, got T=nan"),
+        (dict(c_list=[1.0, float("inf")]), r"c must be finite, got c=\[1\.0, inf\]"),
+        (dict(c_list=[float("nan")]), r"c must be finite, got c=\[nan\]"),
+        (dict(r=float("inf")), "r must be finite, got r=inf"),
+        (dict(schemes=["uei1"]), "unknown scheme 'uei1'; need a SchemeId"),
     ):
         with pytest.raises(ValueError, match=match):
-            run_sweep(SweepConfig(K=8, c_list=[1.0], **bad))
+            run_sweep(SweepConfig(**{"K": 8, "c_list": [1.0], **bad}))
+    cfg.c_list = [1.0, float("nan")]
+    with pytest.raises(ValueError, match="invalid parameter c=nan; need finite c > 0"):
+        run_sweep(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -497,6 +505,8 @@ def test_cli_rejects_bad_config_file_before_running(tmp_path, monkeypatch, capsy
         (["--r", "-1"], r"need r >= 0, got r=-1\.0$"),
         (["--ref-exp", "0"], r"need tau exponents >= 0 and ref_exponent >= 1"),
         (["--K", "0"], r"invalid grid size K=0; need K >= 2$"),
+        (["--T", "nan"], r"T must be finite, got T=nan$"),
+        (["--c", "inf"], r"c must be finite, got c=\[inf\]$"),
     ],
 )
 def test_cli_reports_invalid_values_as_usage_errors(tmp_path, monkeypatch, capsys, flag, match):

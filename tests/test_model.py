@@ -200,13 +200,32 @@ def test_kernel_vartheta_limit_and_bound(grid64, rng):
 
 
 def test_dd_phi1_branches_agree():
-    # divided-difference series vs direct quotient near the cutoff
-    for x in (0.24, 0.26):
-        for (a, b) in ((2j * x, 4j * x), (-2j * x, 0.0), (-2j * x, -6j * x)):
-            series_val = _dd_phi1(a * 0.999, b * 0.999)
-            direct_val = (phi(1, b * 0.999) - phi(1, a * 0.999)) / (b * 0.999 - a * 0.999) if a != b else None
-            if direct_val is not None:
-                assert abs(series_val - direct_val) < 1e-12
+    import mpmath
+
+    # the x phi_2(x) form below max(|a|, |b|) = 1 and the plain quotient
+    # above it agree with the direct quotient on either side of the switch
+    for (a, b) in ((2j, 4j), (-2j, 0.0), (-2j, -6j)):
+        top = max(abs(a), abs(b))
+        for s in (0.999, 1.001):
+            aa, bb = a * s / top, b * s / top
+            direct = (phi(1, bb) - phi(1, aa)) / (bb - aa)
+            assert abs(_dd_phi1(aa, bb) - direct) < 1e-12
+
+    # against 40-digit arithmetic over c^2 tau in [1e-9, 1e7], for every pair
+    # (l, l + d) that kernel_omega (l = -4, -2, 2) and the UEI2 step (l = 4) use
+    def phi1(x):
+        return mpmath.expm1(x) / x if x != 0 else mpmath.mpf(1)
+
+    worst = 0.0
+    with mpmath.workdps(40):
+        for x in np.geomspace(1e-9, 1e7, 65):
+            for l in (-4, -2, 2, 4):
+                for d in (2, -2, -4):
+                    a, b = l * 1j * x, (l + d) * 1j * x
+                    ma, mb = mpmath.mpc(a), mpmath.mpc(b)
+                    ref = complex((phi1(mb) - phi1(ma)) / (mb - ma))
+                    worst = max(worst, abs(_dd_phi1(a, b) - ref) / abs(ref))
+    assert worst < 5e-14, worst
 
 
 def test_kernel_omega_contract(grid64, rng):

@@ -124,8 +124,8 @@ def test_multiplier_bounds():
 
 def test_multiplier_rejects_nonpositive_c():
     g = make_grid(1, 8)
-    for c in (0.0, -2.0):
-        with pytest.raises(ValueError, match="c"):
+    for c in (0.0, -2.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="invalid parameter c="):
             make_multipliers(g, c)
 
 
