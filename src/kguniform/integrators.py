@@ -57,9 +57,9 @@ from .model import (
     TwistedPair,
     _branch_phis,
     _branches,
+    _expi,
     _not_real,
     _phases,
-    _rotate,
     _Uei2Coeffs,
     phase_factor,
     reconstruct_z,
@@ -140,8 +140,9 @@ class _Uei1Stepper:
         tau = self.tau
         opb = np.conj(op)
         wu = w * up
-        _rotate(out[0], (-0.125 * tau) * w, up)
-        out[0] += (0.125j * tau) * wu
+        lin = _expi((-0.125 * tau) * w, out=out[0])
+        lin *= up
+        lin += (0.125j * tau) * wu
         cubes = (up * up * op, w_op * opb, opb**2 * np.conj(up))
         np.add(wu, _branches(cubes, phases, self.phi1), out=out[1])
 
@@ -300,7 +301,7 @@ def evolve(scheme: SchemeId, state: TwistedPair, T: float, ctx: StepContext, cal
     if T == 0:
         return state
     nf = T / ctx.tau
-    n = int(round(nf))
+    n = int(round(nf)) if math.isfinite(nf) else 0
     if n < 1 or abs(nf - n) > 1e-8 * max(1.0, abs(nf)):
         raise ValueError(f"T={T} is not an integer multiple of tau={ctx.tau}")
     _check_pair_c(state, ctx)
@@ -368,14 +369,13 @@ def _gauss_legendre(a: float, b: float, q: int, panels: int = 1):
 
 @lru_cache(maxsize=8)
 def _panel_rule(q: int):
-    """Gauss-Legendre nodes/weights on [-1, 1] plus the partial-integration
-    matrix PM with PM[i, j] = int_{-1}^{x_i} ell_j(x) dx (Lagrange basis),
-    built from the exact ell_j = w_j sum_k (k + 1/2) P_k(x_j) P_k: unlike a
-    monomial fit it stays well conditioned at large q."""
+    """The partial-integration matrix PM[i, j] = int_{-1}^{x_i} ell_j(x) dx of
+    the q-point rule _legendre_rule(q) (Lagrange basis), built from the exact
+    ell_j = w_j sum_k (k + 1/2) P_k(x_j) P_k: unlike a monomial fit it stays
+    well conditioned at large q."""
     xg, wg = _legendre_rule(q)
     coef = (np.arange(q) + 0.5)[:, None] * _leg.legvander(xg, q - 1).T * wg
-    pm = _leg.legval(xg, _leg.legint(coef, lbnd=-1.0)).T
-    return xg, wg, pm
+    return _leg.legval(xg, _leg.legint(coef, lbnd=-1.0)).T
 
 
 _ORACLE_MAX_PANELS = 20000
@@ -386,14 +386,6 @@ _ORACLE_MAX_PANELS = 20000
 # 0.95, 1.06 and 1.25 s at 512, 1024 and 2048 (medians of 4, one core of a
 # 2-vCPU VM)
 _ORACLE_BLOCK_PANELS = 16
-
-
-def _expi(arg):
-    """e^(i arg) for real arg, from cos and sin."""
-    out = np.empty(arg.shape, dtype=np.complex128)
-    np.cos(arg, out=out.real)
-    np.sin(arg, out=out.imag)
-    return out
 
 
 def duhamel_oracle_step(
@@ -433,15 +425,15 @@ def duhamel_oracle_step(
             f"oracle would need {panels} panels to resolve the oscillation; "
             "reduce tau, c, or the grid size"
         )
-    xg, _, pm = _panel_rule(q)
-    s, wfull = _gauss_legendre(0.0, tau, q, panels)  # s: (panels, q)
-    rule = np.vstack([(0.5 * tau / panels) * pm, wfull])  # (q + 1, q)
-    ph = phase_factor(1, c, t_n, s)  # e^(i c^2 (t_n + s))
-    # e^(i s A_c) at s = centre + (h/2) x_j is a per-panel factor times a
-    # per-node factor, so cos and sin run on (panels, N) and (q, N) values
-    # rather than on (panels * q, N)
+    # nodes s = centre + (h/2) x_j of the composite rule on [0, tau]
+    xg, wg = _legendre_rule(q)
     h = tau / panels
     centres = h * (np.arange(panels) + 0.5)
+    s = centres[:, None] + 0.5 * h * xg  # (panels, q)
+    rule = np.vstack([0.5 * h * _panel_rule(q), 0.5 * h * wg])  # (q + 1, q)
+    ph = phase_factor(1, c, t_n, s)  # e^(i c^2 (t_n + s))
+    # e^(i s A_c) is a per-panel factor times a per-node factor, so cos and
+    # sin run on (panels, N) and (q, N) values rather than on (panels * q, N)
     enode = _expi((0.5 * h * xg)[:, None, None] * m.a_c)  # (q, 1, N)
 
     u0 = u.coeffs

@@ -37,6 +37,7 @@ conjugation on the Fourier side.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,12 +131,14 @@ def _phases(p2):
     return p2, m2, m2 * m2
 
 
-def _rotate(out, angle, vals):
-    """out = e^(i angle) vals for real angles, from cos and sin (cheaper than
-    the complex exponential)."""
-    np.cos(angle, out=out.real)
-    np.sin(angle, out=out.imag)
-    out *= vals
+def _expi(arg, out=None):
+    """e^(i arg) for real arg, from cos and sin (cheaper than the complex
+    exponential), written into `out` when given."""
+    if out is None:
+        out = np.empty(arg.shape, dtype=np.complex128)
+    np.cos(arg, out=out.real)
+    np.sin(arg, out=out.imag)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -198,10 +201,16 @@ def cubic(z: SpectralField) -> SpectralField:
 # oscillatory kernels
 
 
+def _check_tau(name, tau):
+    if not (math.isfinite(tau) and tau > 0):
+        raise ValueError(f"{name} requires finite tau > 0, got tau={tau}")
+
+
 def _branch_phis(f, c, t):
-    """f at the three branch arguments i l c^2 t, l = 2, -2, -4."""
+    """f at the three branch arguments i l c^2 t, l = 2, -2, -4, from one call,
+    as Python complex: numpy scalar weights cost a step ~0.5 us per branch sum."""
     x = 2j * c * c * t
-    return f(x), f(-x), f(-2.0 * x)
+    return f(np.array([x, -x, -2.0 * x])).tolist()
 
 
 def _cubes(vv):
@@ -230,8 +239,8 @@ def kernel_psi(t_n: float, t: float, v: SpectralField, c: float) -> SpectralFiel
     + 3t e^(-2ic^2 t_n) phi_1(-2ic^2 t) |v|^2 conj(v)
     + t e^(-4ic^2 t_n) phi_1(-4ic^2 t) conj(v)^3.
     """
-    if t < 0:
-        raise ValueError("kernel_psi requires t >= 0")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"kernel_psi requires finite t >= 0, got t={t}")
     return t * _branch_field(v, c, t_n, _branch_phis(lambda z: phi(1, z), c, t))
 
 
@@ -241,28 +250,33 @@ def kernel_vartheta(t_n: float, tau: float, v: SpectralField, c: float) -> Spect
     Each branch ratio (phi_1(i l c^2 tau) - 1)/(i l c^2 tau) is exactly
     phi_2(i l c^2 tau), which is how it is evaluated (no 0/0 at small c^2 tau).
     """
-    if tau <= 0:
-        raise ValueError("kernel_vartheta requires tau > 0")
+    _check_tau("kernel_vartheta", tau)
     return _branch_field(v, c, t_n, _branch_phis(lambda z: phi(2, z), c, tau))
 
 
-def _dd_phi1(a: complex, b: complex) -> complex:
-    """Divided difference (phi_1(b) - phi_1(a)) / (b - a) for a != b.
+def _dd_phi1(a, b):
+    """Divided differences (phi_1(b) - phi_1(a)) / (b - a), a != b, of
+    broadcasting arrays a and b.
 
     Near 0 both phi_1 values are ~1 and that constant cancels in the plain
     quotient; x phi_2(x) = phi_1(x) - 1 removes it analytically.  At large |x|
     the -1 of x phi_2(x) ~ -1 would cancel instead, so the plain quotient is
-    used there.
+    used there.  Both forms are evaluated everywhere and one is picked per
+    pair; neither divides by zero.
     """
-    if max(abs(a), abs(b)) < 1.0:
-        return (b * phi(2, b) - a * phi(2, a)) / (b - a)
-    return (phi(1, b) - phi(1, a)) / (b - a)
+    x = np.stack(np.broadcast_arrays(a, b))
+    x_phi2 = x * phi(2, x)
+    phi1 = phi(1, x)
+    near = np.abs(x).max(axis=0) < 1.0
+    return np.where(near, x_phi2[1] - x_phi2[0], phi1[1] - phi1[0]) / (x[1] - x[0])
 
 
-def _omega_quotients(tau: float, c: float, l: int):
-    """The three phi_1 difference quotients entering Omega_l."""
+def _omega_quotients(tau: float, c: float, ls):
+    """The three phi_1 difference quotients entering Omega_l for each l in
+    ls, from one _dd_phi1 call, as Python complex (see _branch_phis)."""
     z = 1j * c * c * tau
-    return tuple(_dd_phi1(l * z, (l + d) * z) for d in (2, -2, -4))
+    l = np.array(ls)[:, None]
+    return _dd_phi1(l * z, (l + np.array([2, -2, -4])) * z).tolist()
 
 
 def kernel_omega(t_n: float, tau: float, v: SpectralField, c: float, l: int) -> SpectralField:
@@ -273,11 +287,10 @@ def kernel_omega(t_n: float, tau: float, v: SpectralField, c: float, l: int) -> 
     second-order scheme consumes l in {-4, -2, 2} (and, through conjugation,
     the mirrored kernels built from conj(Psi)).
     """
-    if tau <= 0:
-        raise ValueError("kernel_omega requires tau > 0")
+    _check_tau("kernel_omega", tau)
     if l not in (-4, -2, 2):
         raise ValueError(f"invalid oscillation index l={l}; need l in {{-4, -2, 2}}")
-    return _branch_field(v, c, t_n, _omega_quotients(tau, c, l))
+    return _branch_field(v, c, t_n, _omega_quotients(tau, c, (l,))[0])
 
 
 def kernel_theta(t_n: float, tau: float, v: SpectralField, m: MultiplierSet) -> SpectralField:
@@ -288,8 +301,7 @@ def kernel_theta(t_n: float, tau: float, v: SpectralField, m: MultiplierSet) -> 
         -(1/2)(9/32) c<grad>_c^-1 e^(i tau/2 A_c) [ |v|^2 (c<grad>_c^-1 - 1)(|v|^2 v) ]
         +(1/2)(9/64) c<grad>_c^-1 e^(i tau/2 A_c) [ v^2 (c<grad>_c^-1 - 1)(|v|^2 conj v) ]
     """
-    if tau <= 0:
-        raise ValueError("kernel_theta requires tau > 0")
+    _check_tau("kernel_theta", tau)
     co = _Uei2Coeffs(m, tau)
     vv = v.values()
     av2 = np.abs(vv) ** 2
@@ -368,7 +380,7 @@ class _Uei2Coeffs:
         # per-branch scalar weights, same branch order
         self.phi2 = _branch_phis(lambda z: phi(2, z), c, tau)
         self.psim = _branch_phis(phi_moment, c, tau)
-        self.omega_q = {l: _omega_quotients(tau, c, l) for l in (2, -2, 4)}
+        self.omega_q = dict(zip((2, -2, 4), _omega_quotients(tau, c, (2, -2, 4))))
 
     def step(self, uc, vc, phases):
         """One UEI2 step of real data from t_n: (uc, uc) at t_n + tau for the
@@ -393,7 +405,8 @@ class _Uei2Coeffs:
         au2 = np.abs(up) ** 2
         # e^(-3i tau|U|^2/8) U, |U|^2 U, |U|^4 U, u*^3 and 3|u*|^2 u*
         rows = np.empty((5, uc.shape[-1]), dtype=np.complex128)
-        _rotate(rows[0], (-0.375 * self.tau) * aU2, Up)
+        lin = _expi((-0.375 * self.tau) * aU2, out=rows[0])
+        lin *= Up
         np.multiply(aU2, Up, out=rows[1])
         np.multiply(aU2, rows[1], out=rows[2])
         np.multiply(up2, up, out=rows[3])
@@ -483,8 +496,7 @@ def _block_core(co: _Uei2Coeffs, phases, up, acu, hats):
 def oscillatory_block(tau: float, t_n: float, u: SpectralField, m: MultiplierSet) -> SpectralField:
     """Second-order closed form of the e^(i l c^2 s), l in {2,-2,-4} part of
     one iterated Duhamel step, starting from u* = u at time t_n."""
-    if tau <= 0:
-        raise ValueError("oscillatory_block requires tau > 0")
+    _check_tau("oscillatory_block", tau)
     co = _Uei2Coeffs(m, tau)
     up, acu = _to_phys(np.stack([u.coeffs, m.a_c * u.coeffs]))
     u3_hat, uau_hat = _to_coeffs(np.stack([up**3, 3.0 * np.abs(up) ** 2 * up]))

@@ -32,7 +32,6 @@ which is the exact kernel of int_0^tau s e^(s B) ds = tau^2 phi_moment(tau B).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -200,54 +199,27 @@ _INV_FACTORIALS = [1.0 / math.factorial(n) for n in range(_PHI_SERIES_TERMS + 2)
 
 
 def _phi_series(j: int, z):
-    """sum_n z^n / (n + j)! by Horner's rule, for arrays and Python complex alike."""
+    """sum_n z^n / (n + j)! by Horner's rule on an array."""
     out = 0.0 * z
     for n in range(_PHI_SERIES_TERMS - 1, -1, -1):
         out = out * z + _INV_FACTORIALS[n + j]
     return out
 
 
-def _cdiv(x: complex, y: complex) -> complex:
-    """x / y by Smith's algorithm with one reciprocal, as numpy divides."""
-    if abs(y.real) >= abs(y.imag):
-        rat = y.imag / y.real
-        scl = 1.0 / (y.real + y.imag * rat)
-        return complex((x.real + x.imag * rat) * scl, (x.imag - x.real * rat) * scl)
-    rat = y.real / y.imag
-    scl = 1.0 / (y.imag + y.real * rat)
-    return complex((x.real * rat + x.imag) * scl, (x.imag * rat - x.real) * scl)
-
-
-def _phi_scalar(j: int, z: complex) -> complex:
-    """phi_j at one point in Python arithmetic, step for step the array path
-    (numpy's complex expm1 and division included) without its array round
-    trips; the two agree to a few units in the last place."""
-    if j == 0:
-        return cmath.exp(z)
-    if z.real * z.real + z.imag * z.imag < _PHI_SERIES_CUTOFF**2:
-        return _phi_series(j, z)
-    a = math.sin(0.5 * z.imag)
-    em1 = complex(
-        math.expm1(z.real) * math.cos(z.imag) - 2.0 * a * a, math.exp(z.real) * math.sin(z.imag)
-    )
-    return _cdiv(em1, z) if j == 1 else _cdiv(_cdiv(em1 - z, z), z)
-
-
 def phi(j: int, z):
     """phi_0(z) = e^z, phi_1(z) = (e^z - 1)/z, phi_2(z) = (e^z - 1 - z)/z^2.
 
-    Entire functions; accepts scalars or arrays.  Small arguments are
+    Entire functions, evaluated elementwise on one array path: an array in
+    gives an array out, and a scalar in gives a numpy complex scalar out (a
+    `complex`), bitwise the matching entry of a stacked call, so callers
+    needing several values stack them into one call.  Small arguments are
     evaluated by Taylor series (see _PHI_SERIES_CUTOFF).
     """
     if j not in (0, 1, 2):
         raise ValueError(f"invalid phi index j={j}; need j in {{0, 1, 2}}")
-    if np.ndim(z) == 0:
-        return _phi_scalar(j, complex(z))
     zarr = np.asarray(z, dtype=np.complex128)
     if j == 0:
-        return np.exp(zarr)
-    # |z|^2 against the squared cutoff: plain IEEE products and sums, so the
-    # scalar path draws the series/closed-form line at the same points
+        return np.exp(zarr)[()]
     small = zarr.real**2 + zarr.imag**2 < _PHI_SERIES_CUTOFF**2
     out = np.empty_like(zarr)
     if small.any():
@@ -256,7 +228,7 @@ def phi(j: int, z):
         zb = zarr[~small]
         em1 = np.expm1(zb)
         out[~small] = em1 / zb if j == 1 else (em1 - zb) / zb / zb
-    return out
+    return out[()]
 
 
 def phi_moment(z):

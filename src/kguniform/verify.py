@@ -144,16 +144,19 @@ def check_stability_bounds(n_fields=20):
 
 
 def _psi_raw(t_n, s, vv, c):
-    """Independent transcription of Psi from its three-branch definition."""
+    """Independent transcription of Psi from its three-branch definition: one
+    row per node of the array s, from one phi call."""
+    s = s[:, None]
     x = 2j * c * c * s
+    phi_p2, phi_m2, phi_m4 = phi(1, np.stack([x, -x, -2 * x]))
     p2 = phase_factor(2, c, t_n)
     m4 = phase_factor(-4, c, t_n)
     v3 = vv**3
     vau = np.abs(vv) ** 2 * vv
     return (
-        s * p2 * phi(1, x) * v3
-        + 3.0 * s * p2.conjugate() * phi(1, -x) * np.conj(vau)
-        + s * m4 * phi(1, -2 * x) * np.conj(v3)
+        s * p2 * phi_p2 * v3
+        + 3.0 * s * p2.conjugate() * phi_m2 * np.conj(vau)
+        + s * m4 * phi_m4 * np.conj(v3)
     )
 
 
@@ -170,10 +173,11 @@ def check_omega_quadrature():
     for c in (1.0, 10.0):
         nodes, w_nodes = _gauss_legendre(0.0, tau, 64)
         s_nodes = nodes[0]
+        psi = _psi_raw(t_n, s_nodes, vv, c)
         for l in (-4, -2, 2):
             acc = np.zeros(grid.n_points, dtype=complex)
-            for s, w in zip(s_nodes, w_nodes):
-                acc += w * np.exp(1j * l * c * c * s) * _psi_raw(t_n, s, vv, c)
+            for s, w, psi_s in zip(s_nodes, w_nodes, psi):
+                acc += w * np.exp(1j * l * c * c * s) * psi_s
             quad = SpectralField(grid, _fft.fft(acc / tau**2) / grid.n_points)
             diff = sobolev_norm(quad - kernel_omega(t_n, tau, v, c, l), 1.0)
             worst = max(worst, diff)
@@ -184,6 +188,15 @@ def check_omega_quadrature():
     return CheckResult(
         "omega_quadrature", worst <= 1e-10, f"worst |closed form - quadrature| = {worst:.3e}"
     )
+
+
+def _defect_fault(c, pts, name):
+    """The failure detail, naming c and tau, of the first (tau, defect) in pts
+    whose defect is not finite and positive (an order fit would drop it)."""
+    for tau, e in pts:
+        if not (np.isfinite(e) and e > 0):
+            return f"c={c:g}: {name} defect {e} at tau={tau:g} is not finite and positive"
+    return None
 
 
 def _block_quadrature(tau, t_n, u, m):
@@ -197,9 +210,10 @@ def _block_quadrature(tau, t_n, u, m):
     rate = 4 * c * c + 2 * float(np.max(m.a_c))
     panels = max(2, math.ceil(tau * rate / 3.0))
     nodes, weights = _gauss_legendre(0.0, tau, 16, panels)
+    nodes = nodes.ravel()
     acc = np.zeros(n, dtype=complex)
-    for s, w in zip(nodes.ravel(), np.tile(weights, panels)):
-        inner = 3.0 * s * uau + _psi_raw(t_n, s, uv, c)
+    for s, w, psi_s in zip(nodes, np.tile(weights, panels), _psi_raw(t_n, nodes, uv, c)):
+        inner = 3.0 * s * uau + psi_s
         ut_hat = np.exp(1j * s * m.a_c) * u.coeffs - 0.125j * m.c_inv * (
             _fft.fft(inner) / n
         )
@@ -227,6 +241,9 @@ def check_block_quadrature():
         quad = _block_quadrature(tau, t_n, u, m)
         diff = sobolev_norm(quad - oscillatory_block(tau, t_n, u, m), 1.0)
         pts.append((tau, diff))
+    fault = _defect_fault(c, pts, "block")
+    if fault:
+        return CheckResult("block_quadrature", False, fault)
     slope = fit_order(pts)
     return CheckResult(
         "block_quadrature",
@@ -252,6 +269,11 @@ def check_local_defects(cs=(1.0, 100.0)):
             oracle = duhamel_oracle_step(u, 0.0, ctx, nodes=64)
             pts1.append((tau, sobolev_norm(step_uei1_real(u, 0.0, ctx) - oracle, 1.0)))
             pts2.append((tau, sobolev_norm(step_uei2_real(u, 0.0, ctx) - oracle, 1.0)))
+        fault = _defect_fault(c, pts1, "uei1") or _defect_fault(c, pts2, "uei2")
+        if fault:
+            passed = False
+            details.append(fault)
+            continue
         s1, s2 = fit_order(pts1), fit_order(pts2)
         passed = passed and s1 >= 1.8 and s2 >= 2.7
         details.append(f"c={c:g}: uei1 {s1:.2f} (>=1.8), uei2 {s2:.2f} (>=2.7)")

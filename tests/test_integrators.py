@@ -31,8 +31,9 @@ from kguniform import (
     zero_field,
 )
 from kguniform.harness import fit_order, paper_initial_data
-from kguniform.integrators import _gauss_legendre, _panel_rule
+from kguniform.integrators import _gauss_legendre, _legendre_rule, _panel_rule
 from kguniform.model import TwistedPair
+from kguniform import verify
 from kguniform.verify import random_field
 
 from conftest import random_real_state
@@ -388,10 +389,29 @@ def test_panel_rule_partial_weights():
     # exact partial integrals of every monomial the rule resolves:
     # int_{-1}^{x_i} x^p dx for p < q
     for q in (16, 32, 64):
-        xg, wg, pm = _panel_rule(q)
+        xg, _ = _legendre_rule(q)
+        pm = _panel_rule(q)
         for p in range(q):
             ref = (xg ** (p + 1) - (-1.0) ** (p + 1)) / (p + 1)
             np.testing.assert_allclose(pm @ xg**p, ref, rtol=0, atol=1e-13, err_msg=f"q={q} p={p}")
+
+
+def test_local_defects_fail_on_a_nan_defect(monkeypatch):
+    # a defect that is not finite fails the check, naming c and tau, instead
+    # of dropping out of the order fit
+    step = verify.step_uei2_real
+    bad_tau = 2.0**-9
+
+    def nan_at_one_tau(u, t_n, ctx):
+        out = step(u, t_n, ctx)
+        if ctx.tau == bad_tau:
+            out.coeffs[:] = np.nan
+        return out
+
+    monkeypatch.setattr(verify, "step_uei2_real", nan_at_one_tau)
+    res = verify.check_local_defects(cs=(1.0,))
+    assert not res.passed
+    assert "c=1:" in res.detail and f"tau={bad_tau:g}" in res.detail, res.detail
 
 
 def _mp_legendre_rule(q):
@@ -496,8 +516,9 @@ def test_evolve_contracts(grid64):
     m, s0, p0 = _standard_pair(grid64, c)
     ctx = StepContext(grid64, m, 0.01)
     assert evolve(SchemeId.UEI1, p0, 0.0, ctx) is p0
-    with pytest.raises(ValueError, match="integer multiple"):
-        evolve(SchemeId.UEI1, p0, 0.0155, ctx)
+    for T in (0.0155, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="integer multiple"):
+            evolve(SchemeId.UEI1, p0, T, ctx)
 
     full = evolve(SchemeId.UEI1, p0, 0.08, ctx)
     half = evolve(SchemeId.UEI1, p0, 0.04, ctx)

@@ -27,6 +27,7 @@ from kguniform import (
     untwist,
     zero_field,
 )
+from kguniform import verify
 from kguniform.model import _dd_phi1
 from kguniform.verify import (
     check_block_quadrature,
@@ -216,16 +217,36 @@ def test_dd_phi1_branches_agree():
     def phi1(x):
         return mpmath.expm1(x) / x if x != 0 else mpmath.mpf(1)
 
+    # (65 x 12 pairs, one array call)
+    x = np.geomspace(1e-9, 1e7, 65)[:, None, None]
+    ls = np.array([-4, -2, 2, 4])[:, None]
+    a, b = ls * 1j * x, (ls + np.array([2, -2, -4])) * 1j * x
+    a = np.broadcast_to(a, b.shape)
+    got = _dd_phi1(a, b)
     worst = 0.0
     with mpmath.workdps(40):
-        for x in np.geomspace(1e-9, 1e7, 65):
-            for l in (-4, -2, 2, 4):
-                for d in (2, -2, -4):
-                    a, b = l * 1j * x, (l + d) * 1j * x
-                    ma, mb = mpmath.mpc(a), mpmath.mpc(b)
-                    ref = complex((phi1(mb) - phi1(ma)) / (mb - ma))
-                    worst = max(worst, abs(_dd_phi1(a, b) - ref) / abs(ref))
+        for aa, bb, g in zip(a.ravel(), b.ravel(), got.ravel()):
+            ma, mb = mpmath.mpc(aa), mpmath.mpc(bb)
+            ref = complex((phi1(mb) - phi1(ma)) / (mb - ma))
+            worst = max(worst, abs(g - ref) / abs(ref))
     assert worst < 5e-14, worst
+
+
+@pytest.mark.parametrize("bad", [-0.01, float("nan"), float("inf")])
+def test_kernels_reject_bad_times(grid64, bad):
+    v = zero_field(grid64)
+    m = make_multipliers(grid64, 2.0)
+    with pytest.raises(ValueError, match="kernel_psi requires finite t >= 0"):
+        kernel_psi(0.1, bad, v, 2.0)
+    for tau in (0.0, bad):
+        for name, kernel in (
+            ("kernel_vartheta", lambda: kernel_vartheta(0.1, tau, v, 2.0)),
+            ("kernel_omega", lambda: kernel_omega(0.1, tau, v, 2.0, 2)),
+            ("kernel_theta", lambda: kernel_theta(0.1, tau, v, m)),
+            ("oscillatory_block", lambda: oscillatory_block(tau, 0.1, v, m)),
+        ):
+            with pytest.raises(ValueError, match=f"{name} requires finite tau > 0"):
+                kernel()
 
 
 def test_kernel_omega_contract(grid64, rng):
@@ -324,9 +345,25 @@ def test_block_scalar_mode(grid64):
     assert np.max(np.abs(out.coeffs[1:])) < 1e-14
 
 
-def test_block_vs_quadrature():
+def test_block_vs_quadrature(monkeypatch):
     res = check_block_quadrature()
     assert res.passed, res.detail
+
+    # a defect that is not finite fails the check, naming c and tau, instead
+    # of dropping out of the slope fit
+    block = verify.oscillatory_block
+    bad_tau = 2.0**-9
+
+    def nan_at_one_tau(tau, t_n, u, m):
+        out = block(tau, t_n, u, m)
+        if tau == bad_tau:
+            out.coeffs[:] = np.nan
+        return out
+
+    monkeypatch.setattr(verify, "oscillatory_block", nan_at_one_tau)
+    res = check_block_quadrature()
+    assert not res.passed
+    assert "c=10:" in res.detail and f"tau={bad_tau:g}" in res.detail, res.detail
 
 
 # ---------------------------------------------------------------------------
