@@ -206,8 +206,8 @@ def _cancel_if_failed(ref_future, cell_futures):
 def run_sweep(cfg: SweepConfig, progress=None) -> ErrorTable:
     """Run the full (scheme, c, tau) sweep against per-c references.
 
-    Every reference and every cell is one task on a fork process pool with
-    one worker per available CPU; cells do not wait for their reference, and
+    Every reference and every cell is one task on a process pool with one
+    worker per available CPU; cells do not wait for their reference, and
     the parent forms the errors and rows in configuration order, so the rows
     do not depend on the worker count.  A row's wall_time is its cell's own
     evolve time, measured in its worker.  A reference that fails its
@@ -233,15 +233,16 @@ def run_sweep(cfg: SweepConfig, progress=None) -> ErrorTable:
     from concurrent.futures import ProcessPoolExecutor
 
     workers = max(1, min(_worker_count(), len(inputs) + len(cells)))
-    # fork: a worker starts without importing numpy and the package again
-    # (~0.1 s, numpy 2.4 on a 2-vCPU VM) and sees the parent's module state.
-    # The package starts no threads, and a fork-context pool forks every
-    # worker at its first submit, before it starts its own management thread.
-    # A forked worker inherits the initializer's arguments, so tasks name
-    # their c instead of carrying its inputs
+    # fork where the platform has it: a worker starts without importing numpy
+    # and the package again (~0.1 s, numpy 2.4 on a 2-vCPU VM).  The package
+    # starts no threads, and a fork-context pool forks every worker at its
+    # first submit, before it starts its own management thread.  Else spawn.
+    # Either way a worker gets the initializer's arguments once, so tasks
+    # name their c instead of carrying its inputs
+    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
     pool = ProcessPoolExecutor(
         workers,
-        mp_context=multiprocessing.get_context("fork"),
+        mp_context=multiprocessing.get_context(method),
         initializer=_set_inputs,
         initargs=(inputs,),
     )

@@ -187,8 +187,8 @@ class _SplitStepper:
         up, vp = _to_phys(rows, out=rows)
         au2 = np.abs(up) ** 2
         av2 = np.abs(vp) ** 2
-        np.multiply(np.exp(-0.125j * tau * (au2 + 2 * av2)), up, out=up)
-        np.multiply(np.exp(-0.125j * tau * (av2 + 2 * au2)), vp, out=vp)
+        np.multiply(_expi((-0.125 * tau) * (au2 + 2 * av2)), up, out=up)
+        np.multiply(_expi((-0.125 * tau) * (av2 + 2 * au2)), vp, out=vp)
         unew, vnew = self.exp_lin * _to_coeffs(rows, out=rows)
         return unew, vnew
 
@@ -201,7 +201,7 @@ class _StrangStepper:
     def step(self, uc, vc, phases):
         row = self.exp_half * uc
         ump = _to_phys(row, out=row)
-        np.multiply(np.exp(-0.375j * self.tau * np.abs(ump) ** 2), ump, out=row)
+        np.multiply(_expi((-0.375 * self.tau) * np.abs(ump) ** 2), ump, out=row)
         u = self.exp_half * _to_coeffs(row, out=row)
         return u, u
 

@@ -307,18 +307,20 @@ def kernel_theta(t_n: float, tau: float, v: SpectralField, m: MultiplierSet) -> 
     av2 = np.abs(vv) ** 2
     cau = av2 * vv
     cau_hat, quint_hat = _to_coeffs(np.stack([cau, av2 * cau]))
-    return SpectralField(v.grid, _theta_core(co, vv, av2, cau_hat, quint_hat) / (tau * tau))
+    g = _theta_g(vv, av2, _to_phys(co.cinvm1 * cau_hat))
+    return SpectralField(v.grid, _theta_hat(co, quint_hat, _to_coeffs(g, out=g)) / (tau * tau))
 
 
-def _theta_core(co, vv, av2, cau_hat, quint_hat):
-    """tau^2 theta(t_n, tau, v), the step's term, in Fourier coefficients:
-    vv are the samples of v, av2 = |vv|^2, cau_hat and quint_hat the
-    coefficients of |v|^2 v and |v|^4 v.  The second and third terms of
-    theta carry the same symbol and share one transform."""
-    w = co.cinvm1 * cau_hat
-    _to_phys(w, out=w)
-    g = vv * vv * np.conj(w) - 2.0 * av2 * w
-    return co.theta_quint * quint_hat + co.theta_w * _to_coeffs(g, out=g)
+# tau^2 theta(t_n, tau, v), the step's term, split at its two transforms: the
+# samples w of (c<grad>_c^-1 - 1)(|v|^2 v) give _theta_g, whose transform and
+# that of |v|^4 v give _theta_hat (theta's last two terms share one transform)
+def _theta_g(vv, av2, w, out=None):
+    """v^2 conj(w) - 2|v|^2 w from the samples vv of v, av2 = |vv|^2 and w."""
+    return np.subtract(vv * vv * np.conj(w), 2.0 * av2 * w, out=out)
+
+
+def _theta_hat(co, quint_hat, g_hat):
+    return co.theta_quint * quint_hat + co.theta_w * g_hat
 
 
 class _Uei2Coeffs:
@@ -387,48 +389,48 @@ class _Uei2Coeffs:
         coefficients uc of u*^n (vc, equal to uc, is not read), with phases =
         _phases(e^(2ic^2 t_n)).
 
-        A step makes 8 transform calls: one stacked inverse transform of
-        (U, u*^n, A_c u*^n); one stacked forward transform of
-        (e^(-3i tau|U|^2/8) U, |U|^2 U, |U|^4 U, (u*^n)^3, 3|u*^n|^2 u*^n),
-        whose last two give every branch cube by reflection, so the transform
-        of vartheta is a branch sum of them; two for theta (_theta_core); one
-        inverse for the vartheta coupling; two for the block (_block_core);
-        and one forward transform shared by the vartheta and block
-        integrands, which both carry c<grad>_c^-1.
+        A step computes 16 transforms in 4 stacked calls, each formed from
+        the outputs of the one before: an inverse of (U, u*^n, A_c u*^n); a
+        forward of e^(-3i tau|U|^2/8) U, |U|^2 U and |U|^4 U (the Strang-like
+        core and theta at U), (u*^n)^3 and 3|u*^n|^2 u*^n (every branch cube
+        by reflection, so vartheta's transform is a branch sum of them) and
+        _block_moments; an inverse of theta's w, the vartheta coupling and
+        _block_b; and a forward of _theta_g and of _block_s plus the vartheta
+        integrand, which both carry c<grad>_c^-1.  Each writes over its input.
         """
-        # U = e^(i tau/2 A_c) u*^n, u*^n and A_c u*^n in physical space;
-        # every transform below writes over its own scratch input
         lifted = self.lift * uc
         Up, up, acu = _to_phys(lifted, out=lifted)
         aU2 = np.abs(Up) ** 2
-        up2 = up * up
-        au2 = np.abs(up) ** 2
-        # e^(-3i tau|U|^2/8) U, |U|^2 U, |U|^4 U, u*^3 and 3|u*|^2 u*
-        rows = np.empty((5, uc.shape[-1]), dtype=np.complex128)
+        up2, au2 = up * up, np.abs(up) ** 2
+        rows = np.empty((7, uc.shape[-1]), dtype=np.complex128)
         lin = _expi((-0.375 * self.tau) * aU2, out=rows[0])
         lin *= Up
         np.multiply(aU2, Up, out=rows[1])
         np.multiply(aU2, rows[1], out=rows[2])
         np.multiply(up2, up, out=rows[3])
         np.multiply(3.0 * au2, up, out=rows[4])
-        lin_hat, cub_hat, quint_hat, u3_hat, uau_hat = _to_coeffs(rows, out=rows)
+        _block_moments(up2, au2, acu, rows[5:])
+        lin_hat, cub_hat, quint_hat, u3_hat, uau_hat, wq_hat, nr2b_hat = _to_coeffs(rows, out=rows)
 
-        # Strang-like core on the half-propagated field, then the quintic
-        # theta block, evaluated at U
-        out = self.exp_half * lin_hat + self.cub_w * cub_hat
-        out += _theta_core(self, Up, aU2, cub_hat, quint_hat)
-
-        # vartheta coupling at u*^n (its transform is a branch sum of the
-        # cubes' transforms) and the oscillatory block; both carry
-        # c<grad>_c^-1 and share the last transform
         hats = _cube_hats(u3_hat, uau_hat, self.grid)
-        xw = self.cinv_s * _branches(hats[:3], phases, self.phi2)
-        _to_phys(xw, out=xw)
-        hat, s = _block_core(self, phases, up, acu, hats)
-        out += hat
+        inv = np.empty_like(rows[:4])
+        np.multiply(self.cinvm1, cub_hat, out=inv[0])
+        np.multiply(self.cinv_s, _branches(hats[:3], phases, self.phi2), out=inv[1])
+        hat = _block_b(self, phases, hats, wq_hat, nr2b_hat, inv[2:])
+        w, xw, v1, v24 = _to_phys(inv, out=inv)
+
+        fwd = np.empty_like(rows[:2])
+        _theta_g(Up, aU2, w, out=fwd[0])
+        s = _block_s(phases, up2, au2, v1, v24, out=fwd[1])
         s += up2 * np.conj(xw)
         s -= 2.0 * au2 * xw
-        out += self.cinv * _to_coeffs(s, out=s)
+        g_hat, s_hat = _to_coeffs(fwd, out=fwd)
+
+        # the Strang-like core and theta at U, the block and vartheta at u*^n
+        out = self.exp_half * lin_hat + self.cub_w * cub_hat
+        out += _theta_hat(self, quint_hat, g_hat)
+        out += hat
+        out += self.cinv * s_hat
         return out, out
 
 
@@ -444,24 +446,21 @@ def _cube_hats(u3_hat, uau_hat, grid):
     return h
 
 
-def _block_core(co: _Uei2Coeffs, phases, up, acu, hats):
-    """The oscillatory block's term of a step, -(i/8) c<grad>_c^-1 B, as a pair
-    (hat, s): the term is hat + c<grad>_c^-1 fft(s), so a caller can add
-    other integrands carrying c<grad>_c^-1 to s before the one transform.
+# The block's term of a step, -(i/8) c<grad>_c^-1 B = hat + c<grad>_c^-1 fft(s),
+# split at its transforms (a caller may add integrands carrying c<grad>_c^-1 to
+# s), from the samples up2, au2, acu of u*^2, |u*|^2, A_c u* and _cube_hats
+def _block_moments(up2, au2, acu, out):
+    """Write u^2 A_c u and conj(u)^2 A_c u - 2|u|^2 conj(A_c u) into out's rows."""
+    np.multiply(up2, acu, out=out[0])
+    np.multiply(np.conj(up2), acu, out=out[1])
+    out[1] -= 2.0 * au2 * np.conj(acu)
 
-    up and acu are the samples of u* and A_c u*, hats = _cube_hats(...) and
-    phases = _phases(phase_factor(2, c, t_n)).
-    """
+
+def _block_b(co: _Uei2Coeffs, phases, hats, wq_hat, nr2b_hat, b):
+    """Return hat, from hats and the transforms wq_hat, nr2b_hat of the
+    _block_moments rows, and write the two filtered moments into b's rows."""
     p2, m2, m4 = phases
     psim_p2, psim_m2, psim_m4 = co.psim
-    up2 = up * up
-    au2 = np.abs(up) ** 2
-
-    moments = np.empty((2, up.shape[-1]), dtype=np.complex128)
-    np.multiply(up2, acu, out=moments[0])
-    np.multiply(np.conj(up2), acu, out=moments[1])
-    moments[1] -= 2.0 * au2 * np.conj(acu)
-    wq_hat, nr2b_hat = _to_coeffs(moments, out=moments)
     hat = _branches(hats[:3], phases, co.block_cubes)
     hat += _branches(
         (wq_hat, nr2b_hat, _conjrefl(wq_hat, co.grid)), phases, co.block_moments
@@ -480,7 +479,6 @@ def _block_core(co: _Uei2Coeffs, phases, up, acu, hats):
     # reflection of the l = 4 combination, whose conjugated weights are r4
     wm2 = [p * w for p, w in zip(phases, co.omega_q[-2])]
     r4 = [(p * w).conjugate() for p, w in zip(phases, co.omega_q[4])]
-    b = np.empty((2, up.shape[-1]), dtype=np.complex128)
     b[0] = _branches(hats[:3], phases, co.omega_q[2]) + psim_p2 * uau_hat
     b[1] = (
         (m4 * r4[2] - m2 * wm2[0]) * u3_hat
@@ -489,8 +487,13 @@ def _block_core(co: _Uei2Coeffs, phases, up, acu, hats):
         + (m4 * r4[1] - m2 * psim_m2) * uau_hat
     )
     b *= co.cinv_s
-    v1, v24 = _to_phys(b, out=b)
-    return hat, 2.0 * m2 * au2 * np.conj(v1) - p2 * up2 * v1 + np.conj(up2) * v24
+    return hat
+
+
+def _block_s(phases, up2, au2, v1, v24, out=None):
+    """s from the samples v1 and v24 of _block_b's rows."""
+    p2, m2, _ = phases
+    return np.add(2.0 * m2 * au2 * np.conj(v1) - p2 * up2 * v1, np.conj(up2) * v24, out=out)
 
 
 def oscillatory_block(tau: float, t_n: float, u: SpectralField, m: MultiplierSet) -> SpectralField:
@@ -498,12 +501,19 @@ def oscillatory_block(tau: float, t_n: float, u: SpectralField, m: MultiplierSet
     one iterated Duhamel step, starting from u* = u at time t_n."""
     _check_tau("oscillatory_block", tau)
     co = _Uei2Coeffs(m, tau)
+    phases = _phases(phase_factor(2, m.c, t_n))
     up, acu = _to_phys(np.stack([u.coeffs, m.a_c * u.coeffs]))
-    u3_hat, uau_hat = _to_coeffs(np.stack([up**3, 3.0 * np.abs(up) ** 2 * up]))
-    hats = _cube_hats(u3_hat, uau_hat, u.grid)
-    hat, s = _block_core(co, _phases(phase_factor(2, m.c, t_n)), up, acu, hats)
+    up2, au2 = up * up, np.abs(up) ** 2
+    rows = np.empty((4, up.shape[-1]), dtype=np.complex128)
+    rows[0], rows[1] = up**3, 3.0 * au2 * up
+    _block_moments(up2, au2, acu, rows[2:])
+    u3_hat, uau_hat, wq_hat, nr2b_hat = _to_coeffs(rows, out=rows)
+    b = np.empty_like(rows[2:])
+    hat = _block_b(co, phases, _cube_hats(u3_hat, uau_hat, u.grid), wq_hat, nr2b_hat, b)
+    v1, v24 = _to_phys(b, out=b)
+    s = _block_s(phases, up2, au2, v1, v24)
     # undo the step's -(i/8) c<grad>_c^-1
-    return SpectralField(u.grid, 8j * (hat / co.cinv + _to_coeffs(s)))
+    return SpectralField(u.grid, 8j * (hat / co.cinv + _to_coeffs(s, out=s)))
 
 
 def kernel_bundle(t_n: float, tau: float, v: SpectralField, m: MultiplierSet) -> KernelBundle:

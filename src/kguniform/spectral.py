@@ -6,8 +6,9 @@ Fourier coefficients are the canonical state representation and are
 normalized so that the constant function 1 has coefficient 1 at k = 0,
 i.e. coeffs = fft(values) / n_points.  This module owns that convention:
 every solver transforms through _to_phys and _to_coeffs, the one transform
-pair (numpy.fft with norm="forward").  With that
-normalization the Sobolev norm is
+pair: numpy's pocketfft gufuncs with numpy.fft's norm="forward" factors,
+called directly to skip its Python wrapper.  With that normalization the
+Sobolev norm is
 
     ||u||_r^2 = sum_k (1 + |k|^2)^r |u_k|^2,
 
@@ -36,7 +37,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import numpy.fft as _fft
+
+try:  # the gufunc module and its out= first appear in numpy 2.0
+    from numpy.fft import _pocketfft_umath as _fft
+except ImportError as exc:
+    raise ImportError("kguniform needs numpy >= 2.0 (numpy.fft._pocketfft_umath)") from exc
 
 __all__ = [
     "SpectralGrid",
@@ -95,13 +100,17 @@ def make_grid(d: int, K: int) -> SpectralGrid:
 def _to_phys(coeffs, out=None):
     """Physical samples of coefficient vectors (rows of a stack alike),
     written into `out` when given; `out` may be `coeffs` itself."""
-    return _fft.ifft(coeffs, norm="forward", out=out)
+    if out is None:
+        out = np.empty(coeffs.shape, dtype=np.complex128)
+    return _fft.ifft(coeffs, 1.0, out=out)
 
 
 def _to_coeffs(vals, out=None):
-    """Coefficients of physical samples (rows of a stack alike), written
-    into `out` when given; `out` may be `vals` itself."""
-    return _fft.fft(vals, norm="forward", out=out)
+    """Coefficients of physical samples (rows of a stack alike, real or
+    complex), written into `out` when given; `out` may be `vals` itself."""
+    if out is None:
+        out = np.empty(vals.shape, dtype=np.complex128)
+    return _fft.fft(vals, 1.0 / vals.shape[-1], out=out)
 
 
 def _conjrefl(coeffs: np.ndarray, grid: SpectralGrid) -> np.ndarray:

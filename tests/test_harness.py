@@ -313,6 +313,35 @@ def test_sweep_rows_do_not_depend_on_worker_count(monkeypatch):
     assert "uei2 state is not finite at step 16 of 16 (c=1.0" in pooled
 
 
+def test_spawned_sweep_matches_forked_sweep(monkeypatch):
+    # where the platform has no fork the pool spawns its workers, which get
+    # their inputs pickled through the initializer; rows (apart from their
+    # wall times) and fitted orders equal the forked pool's bitwise
+    import multiprocessing
+
+    cfg = SweepConfig(schemes=[SchemeId.UEI1, SchemeId.UEI2_REAL], c_list=[1.0, 100.0],
+                      tau_exponents=[4, 5, 6], K=16, ref_exponent=11)
+    methods = []
+    get_context = multiprocessing.get_context
+
+    def recording_get_context(method=None):
+        methods.append(method)
+        return get_context(method)
+
+    def outcome():
+        table = run_sweep(cfg)
+        assert all(r.failed is None for r in table.rows)
+        assert None not in table.fitted_orders.values()
+        rows = [(r.scheme, r.c, r.tau, r.err, r.failed) for r in table.rows]
+        return repr((rows, sorted(table.fitted_orders.items())))
+
+    monkeypatch.setattr(multiprocessing, "get_context", recording_get_context)
+    forked = outcome()
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert outcome() == forked
+    assert methods == ["fork", "spawn"]
+
+
 def test_failed_reference_cancels_its_cells(monkeypatch):
     # on a pool of one, a reference that fails at once cancels the cells of
     # its c that have not started: they report its failure and never run

@@ -239,25 +239,42 @@ def test_uei2_step_matches_docstring_composition(grid64, c, t_n):
 
 
 class _CountingFft:
-    """Stands in for numpy.fft, counting transform calls (a stacked call is one)."""
+    """Stands in for a transform binding, counting calls (a stacked call is
+    one) and the transforms (rows) they compute."""
 
-    def __init__(self):
-        self._fft = np.fft
+    def __init__(self, fft):
+        self._fft = fft
         self.calls = 0
+        self.rows = 0
 
-    def fft(self, *args, **kwargs):
+    def _count(self, x):
         self.calls += 1
-        return self._fft.fft(*args, **kwargs)
+        self.rows += x.size // x.shape[-1]
 
-    def ifft(self, *args, **kwargs):
-        self.calls += 1
-        return self._fft.ifft(*args, **kwargs)
+    def fft(self, x, *args, **kwargs):
+        self._count(x)
+        return self._fft.fft(x, *args, **kwargs)
+
+    def ifft(self, x, *args, **kwargs):
+        self._count(x)
+        return self._fft.ifft(x, *args, **kwargs)
+
+
+# transforms (rows) one step computes, however they are stacked into calls
+_TRANSFORMS_PER_STEP = {
+    SchemeId.UEI2_REAL: 16,
+    SchemeId.UEI1: 6,
+    SchemeId.UEI1_REAL: 3,
+    SchemeId.LIE_LIMIT: 4,
+    SchemeId.LARGE_C_UEI1: 4,
+    SchemeId.STRANG_LIMIT: 2,
+}
 
 
 @pytest.mark.parametrize(
     "scheme, budget",
     [
-        (SchemeId.UEI2_REAL, 8),
+        (SchemeId.UEI2_REAL, 4),
         (SchemeId.UEI1, 2),
         (SchemeId.UEI1_REAL, 2),
         (SchemeId.LIE_LIMIT, 2),
@@ -267,7 +284,8 @@ class _CountingFft:
 )
 def test_fft_calls_per_step(grid64, monkeypatch, scheme, budget):
     # every transform of a step goes through spectral._fft, the solvers' one
-    # transform binding; independent ones are stacked into one call
+    # transform binding; independent ones are stacked into one call, and the
+    # row count shows that the stacking skips no transform
     from kguniform import spectral
     from kguniform.integrators import _STEPPERS
     from kguniform.model import _phases
@@ -277,12 +295,13 @@ def test_fft_calls_per_step(grid64, monkeypatch, scheme, budget):
     uc = p0.u_star.coeffs
     pair_schemes = (SchemeId.UEI1, SchemeId.LIE_LIMIT, SchemeId.LARGE_C_UEI1)
     vc = p0.v_star.coeffs.copy() if scheme in pair_schemes else uc
-    counter = _CountingFft()
+    counter = _CountingFft(spectral._fft)
     monkeypatch.setattr(spectral, "_fft", counter)
     steps = 3
     for k in range(steps):
         uc, vc = stepper.step(uc, vc, _phases(phase_factor(2, m.c, k * 0.01)))
     assert counter.calls <= budget * steps
+    assert counter.rows == _TRANSFORMS_PER_STEP[scheme] * steps
 
 
 @pytest.mark.parametrize("scheme", [SchemeId.UEI1, SchemeId.UEI2_REAL])

@@ -16,7 +16,7 @@ from kguniform import (
     sobolev_norm,
     zero_field,
 )
-from kguniform.spectral import _PHI_SERIES_CUTOFF, _phi_series
+from kguniform.spectral import _PHI_SERIES_CUTOFF, _phi_series, _to_coeffs, _to_phys
 from kguniform.verify import check_operator_bounds, random_field
 
 
@@ -74,6 +74,39 @@ def test_conj_field(rng):
     g = make_grid(1, 32)
     f = random_field(g, rng)
     assert np.max(np.abs(conj_field(f).values() - np.conj(f.values()))) < 1e-12
+
+
+@pytest.mark.parametrize("n", [4, 6, 10, 128, 512, 1024])
+def test_transform_pair_is_numpy_fft_bitwise(rng, n):
+    # _to_phys / _to_coeffs call numpy's pocketfft gufuncs directly; they
+    # must be bitwise numpy.fft with norm="forward" (the kernels and factors
+    # numpy.fft reaches), so a numpy that changes the private module fails here
+    for shape in [(n,), (3, n), (2, 5, n)]:
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for ours, public in [(_to_phys, np.fft.ifft), (_to_coeffs, np.fft.fft)]:
+            want = public(x, norm="forward")
+            assert np.array_equal(ours(x), want)
+            out = np.empty_like(x)
+            assert ours(x, out=out) is out and np.array_equal(out, want)
+            y = x.copy()
+            assert ours(y, out=y) is y and np.array_equal(y, want)
+        assert np.array_equal(_to_coeffs(x.real), np.fft.fft(x.real, norm="forward"))
+
+
+def test_spectral_import_names_the_numpy_floor(monkeypatch):
+    # without numpy >= 2.0's gufunc module the import fails naming the floor
+    import importlib.util
+    import sys
+
+    import numpy.fft
+
+    from kguniform import spectral
+
+    monkeypatch.delattr(numpy.fft, "_pocketfft_umath")
+    monkeypatch.setitem(sys.modules, "numpy.fft._pocketfft_umath", None)
+    spec = importlib.util.spec_from_file_location("_spectral_copy", spectral.__file__)
+    with pytest.raises(ImportError, match=r"numpy >= 2\.0"):
+        spec.loader.exec_module(importlib.util.module_from_spec(spec))
 
 
 # ---------------------------------------------------------------------------
