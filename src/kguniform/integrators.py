@@ -2,7 +2,11 @@
 
 All schemes advance the twisted variables (u*, v*): a stepper takes their
 Fourier coefficients one step by step(uc, vc, phases), with the branch phases
-e^(i l c^2 t_n), l = 2, -2, -4, of one phase_factor table per evolve run.
+e^(i l c^2 t_n), l = 2, -2, -4, of one phase_factor table per run.  One loop
+builds the stepper and the table and drives the steps: evolve runs it for
+T/tau steps, and each public step_* function is a one-step run of it, so a
+step taken alone does the arithmetic of a step inside a run, and either
+raises NonFiniteStateError on a state that is not finite.
 Writing E = e^(i tau A_c) and w_u = |u*|^2 + 2|v*|^2, the available steps are
 
   UEI1 (complex data, first order, uniform in c):
@@ -220,11 +224,6 @@ _STEPPERS = {
 }
 
 
-def _check_pair_c(p: TwistedPair, ctx: StepContext):
-    if abs(p.c - ctx.m.c) > 1e-12 * max(1.0, abs(p.c)):
-        raise ValueError(f"pair was twisted at c={p.c} but context has c={ctx.m.c}")
-
-
 def _pair(grid, uc, vc, t, c) -> TwistedPair:
     """A TwistedPair that owns its u* and v* coefficients separately."""
     return TwistedPair(
@@ -232,80 +231,28 @@ def _pair(grid, uc, vc, t, c) -> TwistedPair:
     )
 
 
-def _step(scheme: SchemeId, ctx: StepContext, uc, vc, t_n):
-    st = _STEPPERS[scheme](ctx.m, ctx.tau)
-    return st.step(uc, vc, _phases(phase_factor(2, ctx.m.c, t_n)))
-
-
-def _step_pair(scheme: SchemeId, p: TwistedPair, ctx: StepContext) -> TwistedPair:
-    _check_pair_c(p, ctx)
-    uc, vc = _step(scheme, ctx, p.u_star.coeffs, p.v_star.coeffs, p.t)
-    return _pair(p.u_star.grid, uc, vc, p.t + ctx.tau, p.c)
-
-
-def _step_real(scheme: SchemeId, u: SpectralField, t_n: float, ctx: StepContext) -> SpectralField:
-    uc, _ = _step(scheme, ctx, u.coeffs, u.coeffs, t_n)
-    return SpectralField(u.grid, uc)
-
-
-def step_uei1(p: TwistedPair, ctx: StepContext) -> TwistedPair:
-    """One first-order exponential step of the coupled (u*, v*) system."""
-    return _step_pair(SchemeId.UEI1, p, ctx)
-
-
-def step_uei1_real(u: SpectralField, t_n: float, ctx: StepContext) -> SpectralField:
-    """One first-order step of the real-data (u == v) specialization."""
-    return _step_real(SchemeId.UEI1_REAL, u, t_n, ctx)
-
-
-def step_uei2_real(u: SpectralField, t_n: float, ctx: StepContext) -> SpectralField:
-    """One second-order exponential step for real data."""
-    return _step_real(SchemeId.UEI2_REAL, u, t_n, ctx)
-
-
-def step_lie_limit(u: SpectralField, v: SpectralField, ctx: StepContext):
-    """One Lie splitting step of the cubic Schroedinger limit system."""
-    uc, vc = _step(SchemeId.LIE_LIMIT, ctx, u.coeffs, v.coeffs, 0.0)
-    return SpectralField(u.grid, uc), SpectralField(u.grid, vc)
-
-
-def step_strang_limit(u: SpectralField, ctx: StepContext) -> SpectralField:
-    """One Strang splitting step of the limit system (real-data case)."""
-    return _step_real(SchemeId.STRANG_LIMIT, u, 0.0, ctx)
-
-
-def step_largec_uei1(p: TwistedPair, ctx: StepContext) -> TwistedPair:
-    """Simplified first-order step for the tau*c > 1 regime (not enforced)."""
-    return _step_pair(SchemeId.LARGE_C_UEI1, p, ctx)
-
-
 class NonFiniteStateError(FloatingPointError):
     """A run's state stopped being finite (it blew up)."""
 
 
-# evolve checks the state is finite every this many steps and after the last
+# the loop checks the state is finite every this many steps and after the last
 _FINITE_CHECK_EVERY = 64
 
 
-def evolve(scheme: SchemeId, state: TwistedPair, T: float, ctx: StepContext, callback=None) -> TwistedPair:
-    """Advance a twisted pair by T using n = T/tau steps of the given scheme.
+def _run(scheme: SchemeId, state: TwistedPair, n: int, ctx: StepContext, callback=None) -> TwistedPair:
+    """Advance a twisted pair by n >= 1 steps of the given scheme: the one
+    stepping loop, behind evolve and every public step (which call it, not
+    evolve, so a profiler wrapping both counts a step once).
 
-    T must be an integer multiple of ctx.tau.  One phase_factor call forms
-    the step times t_0 + k*tau in extended precision (phases stay accurate up
-    to c = 1e4), and step k runs step(uc, vc, phases) with the triple of its
-    table entry.  The optional callback receives
-    (step_index, TwistedPair) after every step.  A state that is no longer
-    finite raises NonFiniteStateError, checked every _FINITE_CHECK_EVERY
-    steps and after the last.
+    One phase_factor call forms the step times t_0 + k*tau in extended
+    precision (phases stay accurate up to c = 1e4), and step k runs
+    step(uc, vc, phases) with the triple of its table entry.  The optional
+    callback receives (step_index, TwistedPair) after every step.  A state
+    that is no longer finite raises NonFiniteStateError, checked every
+    _FINITE_CHECK_EVERY steps and after the last.
     """
-    if T == 0:
-        return state
-    nf = T / ctx.tau
-    n = int(round(nf)) if math.isfinite(nf) else 0
-    if n < 1 or abs(nf - n) > 1e-8 * max(1.0, abs(nf)):
-        raise ValueError(f"T={T} is not an integer multiple of tau={ctx.tau}")
-    _check_pair_c(state, ctx)
-
+    if abs(state.c - ctx.m.c) > 1e-12 * max(1.0, abs(state.c)):
+        raise ValueError(f"pair was twisted at c={state.c} but context has c={ctx.m.c}")
     grid = state.u_star.grid
     uc = state.u_star.coeffs.copy()
     vc = state.v_star.coeffs.copy()
@@ -331,6 +278,60 @@ def evolve(scheme: SchemeId, state: TwistedPair, T: float, ctx: StepContext, cal
                     f"(c={ctx.m.c!r}, tau={ctx.tau!r})"
                 )
     return _pair(grid, uc, vc, state.t + n * ctx.tau, state.c)
+
+
+def step_uei1(p: TwistedPair, ctx: StepContext) -> TwistedPair:
+    """One first-order exponential step of the coupled (u*, v*) system: a
+    one-step run of evolve's loop, raising NonFiniteStateError if not finite."""
+    return _run(SchemeId.UEI1, p, 1, ctx)
+
+
+def step_uei1_real(u: SpectralField, t_n: float, ctx: StepContext) -> SpectralField:
+    """One first-order step of the real-data (u == v) specialization: a
+    one-step run of evolve's loop, raising NonFiniteStateError if not finite."""
+    return _run(SchemeId.UEI1_REAL, TwistedPair(u, u, t_n, ctx.m.c), 1, ctx).u_star
+
+
+def step_uei2_real(u: SpectralField, t_n: float, ctx: StepContext) -> SpectralField:
+    """One second-order exponential step for real data: a one-step run of
+    evolve's loop, raising NonFiniteStateError if not finite."""
+    return _run(SchemeId.UEI2_REAL, TwistedPair(u, u, t_n, ctx.m.c), 1, ctx).u_star
+
+
+def step_lie_limit(u: SpectralField, v: SpectralField, ctx: StepContext):
+    """One Lie splitting step of the cubic Schroedinger limit system: a
+    one-step run of evolve's loop, raising NonFiniteStateError if not finite."""
+    p = _run(SchemeId.LIE_LIMIT, TwistedPair(u, v, 0.0, ctx.m.c), 1, ctx)
+    return p.u_star, p.v_star
+
+
+def step_strang_limit(u: SpectralField, ctx: StepContext) -> SpectralField:
+    """One Strang splitting step of the limit system (real-data case): a
+    one-step run of evolve's loop, raising NonFiniteStateError if not finite."""
+    return _run(SchemeId.STRANG_LIMIT, TwistedPair(u, u, 0.0, ctx.m.c), 1, ctx).u_star
+
+
+def step_largec_uei1(p: TwistedPair, ctx: StepContext) -> TwistedPair:
+    """Simplified first-order step for the tau*c > 1 regime (not enforced):
+    a one-step run of evolve's loop, raising NonFiniteStateError if not finite."""
+    return _run(SchemeId.LARGE_C_UEI1, p, 1, ctx)
+
+
+def evolve(scheme: SchemeId, state: TwistedPair, T: float, ctx: StepContext, callback=None) -> TwistedPair:
+    """Advance a twisted pair by T using n = T/tau steps of the given scheme.
+
+    T must be an integer multiple of ctx.tau.  The steps run in the loop
+    that also takes the public steps (_run): one phase_factor table over
+    t_0 + k*tau, the optional callback(step_index, TwistedPair) after every
+    step, and NonFiniteStateError once the state is no longer finite.
+    """
+    if T == 0:
+        return state
+    nf = T / ctx.tau
+    n = int(round(nf)) if math.isfinite(nf) else 0
+    if n < 1 or abs(nf - n) > 1e-8 * max(1.0, abs(nf)):
+        raise ValueError(f"T={T} is not an integer multiple of tau={ctx.tau}")
+    return _run(scheme, state, n, ctx, callback)
 
 
 # ---------------------------------------------------------------------------

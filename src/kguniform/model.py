@@ -115,11 +115,10 @@ def phase_factor(l: int, c: float, t, k=0, tau=1.0):
     """
     arg = np.longdouble(t) + np.longdouble(tau) * np.asarray(k)
     arg *= np.longdouble(l) * np.longdouble(c) * np.longdouble(c)
-    # rebinding and the in-place sum keep few run-sized temporaries alive
+    # rebinding keeps few run-sized temporaries alive; [()] returns a 0-d
+    # result as a scalar
     arg = np.mod(arg, _TWO_PI_LD).astype(np.float64)
-    ph = 1j * np.sin(arg)
-    ph += np.cos(arg)
-    return ph
+    return _expi(arg)[()]
 
 
 def _phases(p2):
@@ -392,24 +391,21 @@ class _Uei2Coeffs:
         A step computes 16 transforms in 4 stacked calls, each formed from
         the outputs of the one before: an inverse of (U, u*^n, A_c u*^n); a
         forward of e^(-3i tau|U|^2/8) U, |U|^2 U and |U|^4 U (the Strang-like
-        core and theta at U), (u*^n)^3 and 3|u*^n|^2 u*^n (every branch cube
-        by reflection, so vartheta's transform is a branch sum of them) and
-        _block_moments; an inverse of theta's w, the vartheta coupling and
+        core and theta at U) and the four _block_rows of u*^n (the cubes give
+        every branch cube by reflection, so vartheta's transform is a branch
+        sum of them); an inverse of theta's w, the vartheta coupling and
         _block_b; and a forward of _theta_g and of _block_s plus the vartheta
         integrand, which both carry c<grad>_c^-1.  Each writes over its input.
         """
         lifted = self.lift * uc
         Up, up, acu = _to_phys(lifted, out=lifted)
         aU2 = np.abs(Up) ** 2
-        up2, au2 = up * up, np.abs(up) ** 2
         rows = np.empty((7, uc.shape[-1]), dtype=np.complex128)
         lin = _expi((-0.375 * self.tau) * aU2, out=rows[0])
         lin *= Up
         np.multiply(aU2, Up, out=rows[1])
         np.multiply(aU2, rows[1], out=rows[2])
-        np.multiply(up2, up, out=rows[3])
-        np.multiply(3.0 * au2, up, out=rows[4])
-        _block_moments(up2, au2, acu, rows[5:])
+        up2, au2 = _block_rows(up, acu, rows[3:])
         lin_hat, cub_hat, quint_hat, u3_hat, uau_hat, wq_hat, nr2b_hat = _to_coeffs(rows, out=rows)
 
         hats = _cube_hats(u3_hat, uau_hat, self.grid)
@@ -438,27 +434,29 @@ def _cube_hats(u3_hat, uau_hat, grid):
     """Rows (u^3, 3|u|^2 conj u, conj u^3, 3|u|^2 u) in Fourier coefficients:
     the transforms of _cubes(u) followed by that of 3|u|^2 u, from the
     coefficients of u^3 and 3|u|^2 u."""
-    h = np.empty((4, u3_hat.shape[-1]), dtype=np.complex128)
-    h[0] = u3_hat
-    np.conj(uau_hat[grid.conj_index], out=h[1])
-    np.conj(u3_hat[grid.conj_index], out=h[2])
-    h[3] = uau_hat
-    return h
+    return u3_hat, _conjrefl(uau_hat, grid), _conjrefl(u3_hat, grid), uau_hat
 
 
 # The block's term of a step, -(i/8) c<grad>_c^-1 B = hat + c<grad>_c^-1 fft(s),
 # split at its transforms (a caller may add integrands carrying c<grad>_c^-1 to
-# s), from the samples up2, au2, acu of u*^2, |u*|^2, A_c u* and _cube_hats
-def _block_moments(up2, au2, acu, out):
-    """Write u^2 A_c u and conj(u)^2 A_c u - 2|u|^2 conj(A_c u) into out's rows."""
-    np.multiply(up2, acu, out=out[0])
-    np.multiply(np.conj(up2), acu, out=out[1])
-    out[1] -= 2.0 * au2 * np.conj(acu)
+# s), from the samples up2, au2 of u*^2, |u*|^2 and the transforms of _block_rows
+def _block_rows(up, acu, out):
+    """Write u^3, 3|u|^2 u, u^2 A_c u and conj(u)^2 A_c u - 2|u|^2 conj(A_c u)
+    into out's rows from the samples up of u and acu of A_c u; return u^2
+    and |u|^2."""
+    up2, au2 = up * up, np.abs(up) ** 2
+    np.multiply(up2, up, out=out[0])
+    np.multiply(3.0 * au2, up, out=out[1])
+    np.multiply(up2, acu, out=out[2])
+    np.multiply(np.conj(up2), acu, out=out[3])
+    out[3] -= 2.0 * au2 * np.conj(acu)
+    return up2, au2
 
 
 def _block_b(co: _Uei2Coeffs, phases, hats, wq_hat, nr2b_hat, b):
-    """Return hat, from hats and the transforms wq_hat, nr2b_hat of the
-    _block_moments rows, and write the two filtered moments into b's rows."""
+    """Return hat, from _cube_hats and the transforms wq_hat, nr2b_hat of the
+    moment rows of _block_rows, and write the two filtered moments into b's
+    rows."""
     p2, m2, m4 = phases
     psim_p2, psim_m2, psim_m4 = co.psim
     hat = _branches(hats[:3], phases, co.block_cubes)
@@ -503,10 +501,8 @@ def oscillatory_block(tau: float, t_n: float, u: SpectralField, m: MultiplierSet
     co = _Uei2Coeffs(m, tau)
     phases = _phases(phase_factor(2, m.c, t_n))
     up, acu = _to_phys(np.stack([u.coeffs, m.a_c * u.coeffs]))
-    up2, au2 = up * up, np.abs(up) ** 2
     rows = np.empty((4, up.shape[-1]), dtype=np.complex128)
-    rows[0], rows[1] = up**3, 3.0 * au2 * up
-    _block_moments(up2, au2, acu, rows[2:])
+    up2, au2 = _block_rows(up, acu, rows)
     u3_hat, uau_hat, wq_hat, nr2b_hat = _to_coeffs(rows, out=rows)
     b = np.empty_like(rows[2:])
     hat = _block_b(co, phases, _cube_hats(u3_hat, uau_hat, u.grid), wq_hat, nr2b_hat, b)

@@ -613,21 +613,41 @@ def test_evolve_requires_real_for_real_schemes(grid64, rng):
         evolve(SchemeId.UEI2_REAL, p, 0.1, ctx)
 
 
-@pytest.mark.parametrize("steps, where", [(100, "step 64 of 100"), (20, "step 20 of 20")])
+# the public one-step runs of the loop, each taking a twisted pair
+_ONE_STEP = {
+    SchemeId.UEI1: step_uei1,
+    SchemeId.UEI1_REAL: lambda p, ctx: step_uei1_real(p.u_star, p.t, ctx),
+    SchemeId.UEI2_REAL: lambda p, ctx: step_uei2_real(p.u_star, p.t, ctx),
+    SchemeId.STRANG_LIMIT: lambda p, ctx: step_strang_limit(p.u_star, ctx),
+}
+
+
+@pytest.mark.parametrize(
+    "steps, where",
+    [(100, "step 64 of 100"), (20, "step 20 of 20")]
+    + [pytest.param(s, "step 1 of 1", id=s.value) for s in _ONE_STEP],
+)
 def test_evolve_raises_on_non_finite_state(grid64, steps, where):
     # data a thousand times the standard size blow the first-order step up
     # within a few steps; the check every 64 steps, or after the last,
-    # names the run
+    # names the run.  When steps is a scheme, its public step, given a NaN
+    # state, raises for its one step instead of returning NaN coefficients
     from kguniform import NonFiniteStateError
 
     c, tau = 1.0, 0.01
     m, _, p0 = _standard_pair(grid64, c)
-    big = TwistedPair(1e3 * p0.u_star, 1e3 * p0.v_star, 0.0, c)
+    ctx = StepContext(grid64, m, tau)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonFiniteStateError) as info:
-            evolve(SchemeId.UEI1, big, steps * tau, StepContext(grid64, m, tau))
+            if isinstance(steps, SchemeId):
+                scheme, nan = steps, np.nan * p0.u_star
+                _ONE_STEP[scheme](TwistedPair(nan, nan, 0.0, c), ctx)
+            else:
+                scheme = SchemeId.UEI1
+                big = TwistedPair(1e3 * p0.u_star, 1e3 * p0.v_star, 0.0, c)
+                evolve(scheme, big, steps * tau, ctx)
     msg = str(info.value)
-    assert f"uei1 state is not finite at {where}" in msg
+    assert f"{scheme.value} state is not finite at {where}" in msg
     assert f"c={c!r}" in msg and f"tau={tau!r}" in msg
 
 
