@@ -101,8 +101,9 @@ class SweepConfig:
             raise ValueError("T must be positive")
         if not self.tau_exponents:
             raise ValueError("tau exponent list must be nonempty")
-        if min(self.tau_exponents) < 0 or self.ref_exponent < 1:
-            raise ValueError("need tau exponents >= 0 and ref_exponent >= 1, so every step divides T")
+        exps = (*self.tau_exponents, self.ref_exponent)
+        if min(exps[:-1]) < 0 or exps[-1] < 1 or not all(float(e).is_integer() for e in exps):
+            raise ValueError("need tau exponents >= 0 and ref_exponent >= 1, all integers")
         if any(c <= 0 for c in self.c_list):
             raise ValueError("all c must be positive")
         if self.r < 0:

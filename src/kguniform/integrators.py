@@ -59,11 +59,12 @@ from numpy.polynomial import legendre as _leg
 from .model import (
     KgState,
     TwistedPair,
-    _branch_phis,
+    _BRANCH,
     _branches,
     _expi,
     _not_real,
     _phases,
+    _phi_table,
     _Uei2Coeffs,
     phase_factor,
     reconstruct_z,
@@ -76,7 +77,6 @@ from .spectral import (
     SpectralGrid,
     _to_coeffs,
     _to_phys,
-    phi,
     sobolev_norm,
 )
 
@@ -135,7 +135,7 @@ class _Uei1Stepper:
         self.exp_full = np.exp(1j * tau * m.a_c)
         # symbol of the correction: -(i tau/8) c<grad>_c^-1 E
         self.corr = -0.125j * tau * m.c_inv * self.exp_full
-        self.phi1 = _branch_phis(lambda z: phi(1, z), m.c, tau)
+        self.phi1 = _phi_table(m.c, tau)[1][_BRANCH].tolist()
 
     def _integrands(self, out, up, op, w, w_op, phases):
         # write the two physical integrands of one component's update into
@@ -251,7 +251,7 @@ def _run(scheme: SchemeId, state: TwistedPair, n: int, ctx: StepContext, callbac
     that is no longer finite raises NonFiniteStateError, checked every
     _FINITE_CHECK_EVERY steps and after the last.
     """
-    if abs(state.c - ctx.m.c) > 1e-12 * max(1.0, abs(state.c)):
+    if not abs(state.c - ctx.m.c) <= 1e-12 * max(1.0, abs(state.c)):  # NaN fails too
         raise ValueError(f"pair was twisted at c={state.c} but context has c={ctx.m.c}")
     grid = state.u_star.grid
     uc = state.u_star.coeffs.copy()

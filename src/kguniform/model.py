@@ -52,7 +52,6 @@ from .spectral import (
     conj_field,
     field_from_values,
     phi,
-    phi_moment,
 )
 
 __all__ = [
@@ -111,10 +110,12 @@ def phase_factor(l: int, c: float, t, k=0, tau=1.0):
     """e^(i l c^2 (t + k tau)), the time formed and the argument reduced mod
     2pi in extended precision: at c = 1e4 and t ~ 0.1 the raw argument
     reaches 1e7, and 80-bit arithmetic keeps the phase accurate to ~1e-12 rad.
-    t and k broadcast; k = arange(n) gives the phases of a run's n steps.
+    t and k broadcast, k = arange(n) for a run's n steps; NaN or inf raises ValueError.
     """
     arg = np.longdouble(t) + np.longdouble(tau) * np.asarray(k)
     arg *= np.longdouble(l) * np.longdouble(c) * np.longdouble(c)
+    if not np.isfinite(arg).all():
+        raise ValueError(f"phase_factor requires finite l c^2 t, got l={l}, c={c}, t={t}")
     # rebinding keeps few run-sized temporaries alive; [()] returns a 0-d
     # result as a scalar
     arg = np.mod(arg, _TWO_PI_LD).astype(np.float64)
@@ -205,11 +206,16 @@ def _check_tau(name, tau):
         raise ValueError(f"{name} requires finite tau > 0, got tau={tau}")
 
 
-def _branch_phis(f, c, t):
-    """f at the three branch arguments i l c^2 t, l = 2, -2, -4, from one call,
-    as Python complex: numpy scalar weights cost a step ~0.5 us per branch sum."""
-    x = 2j * c * c * t
-    return f(np.array([x, -x, -2.0 * x])).tolist()
+_BRANCH = [5, 3, 2]  # the _phi_table entries (j + 8) // 2 of the branches j = 2, -2, -4
+
+
+def _phi_table(c, t):
+    """(x, phi_1(x), phi_2(x)) at x_j = j i c^2 t, j = -8, -6, ..., 6, one phi
+    call each: every scalar weight of the kernels and steps is an entry or a
+    quotient of two (_omega_weights), passed on as Python complex (numpy
+    scalar weights cost a step ~0.5 us per branch sum)."""
+    x = np.arange(-8, 7, 2) * (1j * c * c * t)
+    return x, phi(1, x), phi(2, x)
 
 
 def _cubes(vv):
@@ -228,9 +234,8 @@ def _branches(terms, phases, weights):
     return p2 * w1 * a + m2 * w2 * b + m4 * w3 * cc
 
 
-def _branch_field(v: SpectralField, c, t_n, weights) -> SpectralField:
-    sums = _branches(_cubes(v.values()), _phases(phase_factor(2, c, t_n)), weights)
-    return field_from_values(v.grid, sums)
+def _branch_field(v: SpectralField, phases, weights) -> SpectralField:
+    return field_from_values(v.grid, _branches(_cubes(v.values()), phases, weights))
 
 
 def kernel_psi(t_n: float, t: float, v: SpectralField, c: float) -> SpectralField:
@@ -240,7 +245,8 @@ def kernel_psi(t_n: float, t: float, v: SpectralField, c: float) -> SpectralFiel
     """
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"kernel_psi requires finite t >= 0, got t={t}")
-    return t * _branch_field(v, c, t_n, _branch_phis(lambda z: phi(1, z), c, t))
+    phases = _phases(phase_factor(2, c, t_n))  # before the table: rejects a non-finite c or t_n
+    return t * _branch_field(v, phases, _phi_table(c, t)[1][_BRANCH].tolist())
 
 
 def kernel_vartheta(t_n: float, tau: float, v: SpectralField, c: float) -> SpectralField:
@@ -250,46 +256,37 @@ def kernel_vartheta(t_n: float, tau: float, v: SpectralField, c: float) -> Spect
     phi_2(i l c^2 tau), which is how it is evaluated (no 0/0 at small c^2 tau).
     """
     _check_tau("kernel_vartheta", tau)
-    return _branch_field(v, c, t_n, _branch_phis(lambda z: phi(2, z), c, tau))
+    phases = _phases(phase_factor(2, c, t_n))
+    return _branch_field(v, phases, _phi_table(c, tau)[2][_BRANCH].tolist())
 
 
-def _dd_phi1(a, b):
-    """Divided differences (phi_1(b) - phi_1(a)) / (b - a), a != b, of
-    broadcasting arrays a and b.
-
-    Near 0 both phi_1 values are ~1 and that constant cancels in the plain
-    quotient; x phi_2(x) = phi_1(x) - 1 removes it analytically.  At large |x|
-    the -1 of x phi_2(x) ~ -1 would cancel instead, so the plain quotient is
-    used there.  Both forms are evaluated everywhere and one is picked per
-    pair; neither divides by zero.
-    """
-    x = np.stack(np.broadcast_arrays(a, b))
-    x_phi2 = x * phi(2, x)
-    phi1 = phi(1, x)
-    near = np.abs(x).max(axis=0) < 1.0
-    return np.where(near, x_phi2[1] - x_phi2[0], phi1[1] - phi1[0]) / (x[1] - x[0])
-
-
-def _omega_quotients(tau: float, c: float, ls):
-    """The three phi_1 difference quotients entering Omega_l for each l in
-    ls, from one _dd_phi1 call, as Python complex (see _branch_phis)."""
-    z = 1j * c * c * tau
-    l = np.array(ls)[:, None]
-    return _dd_phi1(l * z, (l + np.array([2, -2, -4])) * z).tolist()
+def _omega_weights(table, ls):
+    """For each l in ls, the quotients (phi_1(x_b) - phi_1(x_a)) / (x_b - x_a),
+    a = l and b = l + d, d = 2, -2, -4, of Omega_l from a _phi_table at t > 0:
+    differences of x phi_2(x) = phi_1(x) - 1 while max(|x_a|, |x_b|) < 1, where
+    phi_1's constant 1 would cancel, and of phi_1 beyond, where the -1 of
+    x phi_2(x) would.  Both forms are computed; neither divides by zero."""
+    x, phi1, phi2 = table
+    a = (np.array(ls)[:, None] + 8) // 2
+    b = a + np.array([1, -1, -2])  # entries of x_(l + d)
+    x_phi2 = x * phi2
+    near = np.maximum(np.abs(x[a]), np.abs(x[b])) < 1.0
+    return (np.where(near, x_phi2[b] - x_phi2[a], phi1[b] - phi1[a]) / (x[b] - x[a])).tolist()
 
 
 def kernel_omega(t_n: float, tau: float, v: SpectralField, c: float, l: int) -> SpectralField:
     """Omega_l(t_n, tau, v) = (1/tau^2) int_0^tau e^(i l c^2 s) Psi(t_n, s, v) ds.
 
     Closed form: phi_1 difference quotients over the three branches, formed
-    from x phi_2(x) = phi_1(x) - 1 below radius 1 (see _dd_phi1).  The
+    from x phi_2(x) = phi_1(x) - 1 below radius 1 (see _omega_weights).  The
     second-order scheme consumes l in {-4, -2, 2} (and, through conjugation,
     the mirrored kernels built from conj(Psi)).
     """
     _check_tau("kernel_omega", tau)
     if l not in (-4, -2, 2):
         raise ValueError(f"invalid oscillation index l={l}; need l in {{-4, -2, 2}}")
-    return _branch_field(v, c, t_n, _omega_quotients(tau, c, (l,))[0])
+    phases = _phases(phase_factor(2, c, t_n))
+    return _branch_field(v, phases, _omega_weights(_phi_table(c, tau), (l,))[0])
 
 
 def kernel_theta(t_n: float, tau: float, v: SpectralField, m: MultiplierSet) -> SpectralField:
@@ -379,9 +376,10 @@ class _Uei2Coeffs:
         self.block_moments = tuple(3j * tau2 * blk * w for w in (psim[0], psim[1], -psim[2]))
 
         # per-branch scalar weights, same branch order
-        self.phi2 = _branch_phis(lambda z: phi(2, z), c, tau)
-        self.psim = _branch_phis(phi_moment, c, tau)
-        self.omega_q = dict(zip((2, -2, 4), _omega_quotients(tau, c, (2, -2, 4))))
+        table = _phi_table(c, tau)
+        self.phi2 = table[2][_BRANCH].tolist()
+        self.psim = (table[1] - table[2])[_BRANCH].tolist()  # phi_moment
+        self.omega_q = dict(zip((2, -2, 4), _omega_weights(table, (2, -2, 4))))
 
     def step(self, uc, vc, phases):
         """One UEI2 step of real data from t_n: (uc, uc) at t_n + tau for the

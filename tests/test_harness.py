@@ -418,6 +418,8 @@ def test_sweep_rejects_bad_grid_before_starting_workers(monkeypatch):
         (dict(r=-1.0), "need r >= 0, got r=-1.0"),
         (dict(tau_exponents=[-1, 2, 3]), "need tau exponents >= 0 and ref_exponent >= 1"),
         (dict(ref_exponent=0), "need tau exponents >= 0 and ref_exponent >= 1"),
+        (dict(tau_exponents=[4, 4.5]), "ref_exponent >= 1, all integers"),
+        (dict(ref_exponent=8.5), "ref_exponent >= 1, all integers"),
         (dict(T=float("nan")), "T must be finite, got T=nan"),
         (dict(c_list=[1.0, float("inf")]), r"c must be finite, got c=\[1\.0, inf\]"),
         (dict(c_list=[float("nan")]), r"c must be finite, got c=\[nan\]"),

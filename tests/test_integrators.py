@@ -304,6 +304,56 @@ def test_fft_calls_per_step(grid64, monkeypatch, scheme, budget):
     assert counter.rows == _TRANSFORMS_PER_STEP[scheme] * steps
 
 
+@pytest.mark.parametrize(
+    "scheme, calls",
+    [
+        (SchemeId.UEI2_REAL, 4),
+        (SchemeId.UEI1, 2),
+        (SchemeId.UEI1_REAL, 2),
+        (SchemeId.LIE_LIMIT, 0),
+        (SchemeId.LARGE_C_UEI1, 0),
+        (SchemeId.STRANG_LIMIT, 0),
+    ],
+)
+def test_phi_calls_per_stepper_build(grid64, monkeypatch, scheme, calls):
+    # a stepper takes its scalar weights from one phi table (one phi_1 and one
+    # phi_2 call); UEI2 adds one of each on its stacked branch symbols.  Every
+    # binding of spectral.phi is counted, phi_moment's own calls included
+    from kguniform import integrators, model, spectral
+    from kguniform.integrators import _STEPPERS
+
+    count = []
+    real_phi = spectral.phi
+
+    def counting(j, z):
+        count.append(j)
+        return real_phi(j, z)
+
+    for mod in (spectral, model, integrators):
+        if hasattr(mod, "phi"):
+            monkeypatch.setattr(mod, "phi", counting)
+    m = make_multipliers(grid64, 100.0)
+    _STEPPERS[scheme](m, 0.01)
+    assert len(count) == calls
+
+
+def test_twist_oracle_and_evolve_reject_non_finite_times_and_c(grid64):
+    nan = float("nan")
+    m, _, p0 = _standard_pair(grid64, 3.0)
+    ctx = StepContext(grid64, m, 0.01)
+    match = r"phase_factor requires finite l c\^2 t, got l=-1, c=3.0, t=nan"
+    with pytest.raises(ValueError, match=match):
+        twist(p0.u_star, p0.v_star, nan, 3.0)
+    with pytest.raises(ValueError, match="got l=-1, c=nan, t=0.0"):
+        twist(p0.u_star, p0.v_star, 0.0, nan)
+    with pytest.raises(ValueError, match="got l=1, c=3.0, t=nan"):
+        duhamel_oracle_step(p0.u_star, nan, ctx)
+    # a pair whose c is NaN matches no context
+    bad = TwistedPair(p0.u_star, p0.v_star, 0.0, nan)
+    with pytest.raises(ValueError, match="pair was twisted at c=nan but context has c=3.0"):
+        evolve(SchemeId.UEI1, bad, 0.02, ctx)
+
+
 @pytest.mark.parametrize("scheme", [SchemeId.UEI1, SchemeId.UEI2_REAL])
 def test_evolve_takes_its_phases_from_one_table(grid64, monkeypatch, scheme):
     # one phase_factor call covers every step time of a run, not one per step

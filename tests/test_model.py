@@ -28,7 +28,7 @@ from kguniform import (
     zero_field,
 )
 from kguniform import verify
-from kguniform.model import _dd_phi1
+from kguniform.model import _omega_weights, _phi_table
 from kguniform.verify import (
     check_block_quadrature,
     check_omega_quadrature,
@@ -203,32 +203,41 @@ def test_kernel_vartheta_limit_and_bound(grid64, rng):
 def test_dd_phi1_branches_agree():
     import mpmath
 
-    # the x phi_2(x) form below max(|a|, |b|) = 1 and the plain quotient
-    # above it agree with the direct quotient on either side of the switch
-    for (a, b) in ((2j, 4j), (-2j, 0.0), (-2j, -6j)):
-        top = max(abs(a), abs(b))
+    # the Omega quotients (phi_1(x_b) - phi_1(x_a)) / (x_b - x_a) of the phi
+    # table, a = l and b = l + d: the x phi_2(x) form below
+    # max(|x_a|, |x_b|) = 1 and the plain quotient above it agree with the
+    # direct quotient on either side of the switch
+    ds = [2, -2, -4]
+
+    def at(j):  # the table entry of x_j
+        return (j + 8) // 2
+
+    for (l, d) in ((2, 2), (-2, 2), (-2, -4)):
+        top = max(abs(l), abs(l + d))
         for s in (0.999, 1.001):
-            aa, bb = a * s / top, b * s / top
-            direct = (phi(1, bb) - phi(1, aa)) / (bb - aa)
-            assert abs(_dd_phi1(aa, bb) - direct) < 1e-12
+            table = _phi_table(1.0, s / top)
+            xa, xb = table[0][at(l)], table[0][at(l + d)]
+            assert max(abs(xa), abs(xb)) == pytest.approx(s)
+            direct = (phi(1, xb) - phi(1, xa)) / (xb - xa)
+            got = _omega_weights(table, (l,))[0][ds.index(d)]
+            assert abs(got - direct) < 1e-12
 
     # against 40-digit arithmetic over c^2 tau in [1e-9, 1e7], for every pair
     # (l, l + d) that kernel_omega (l = -4, -2, 2) and the UEI2 step (l = 4) use
     def phi1(x):
         return mpmath.expm1(x) / x if x != 0 else mpmath.mpf(1)
 
-    # (65 x 12 pairs, one array call)
-    x = np.geomspace(1e-9, 1e7, 65)[:, None, None]
-    ls = np.array([-4, -2, 2, 4])[:, None]
-    a, b = ls * 1j * x, (ls + np.array([2, -2, -4])) * 1j * x
-    a = np.broadcast_to(a, b.shape)
-    got = _dd_phi1(a, b)
+    ls = [-4, -2, 2, 4]
     worst = 0.0
     with mpmath.workdps(40):
-        for aa, bb, g in zip(a.ravel(), b.ravel(), got.ravel()):
-            ma, mb = mpmath.mpc(aa), mpmath.mpc(bb)
-            ref = complex((phi1(mb) - phi1(ma)) / (mb - ma))
-            worst = max(worst, abs(g - ref) / abs(ref))
+        for c2tau in np.geomspace(1e-9, 1e7, 65):
+            table = _phi_table(1.0, c2tau)
+            x = table[0]
+            for l, row in zip(ls, _omega_weights(table, ls)):
+                for d, g in zip(ds, row):
+                    ma, mb = mpmath.mpc(x[at(l)]), mpmath.mpc(x[at(l + d)])
+                    ref = complex((phi1(mb) - phi1(ma)) / (mb - ma))
+                    worst = max(worst, abs(g - ref) / abs(ref))
     assert worst < 5e-14, worst
 
 
@@ -247,6 +256,20 @@ def test_kernels_reject_bad_times(grid64, bad):
         ):
             with pytest.raises(ValueError, match=f"{name} requires finite tau > 0"):
                 kernel()
+    if np.isfinite(bad):
+        return
+    # a non-finite start time or c: the phase raises before any NaN is formed
+    for kernel in (
+        lambda: kernel_psi(bad, 0.01, v, 2.0),
+        lambda: kernel_psi(0.1, 0.01, v, bad),
+        lambda: kernel_vartheta(bad, 0.01, v, 2.0),
+        lambda: kernel_vartheta(0.1, 0.01, v, bad),
+        lambda: kernel_omega(bad, 0.01, v, 2.0, 2),
+        lambda: kernel_omega(0.1, 0.01, v, bad, -4),
+        lambda: oscillatory_block(0.01, bad, v, m),
+    ):
+        with pytest.raises(ValueError, match=r"phase_factor requires finite l c\^2 t, got l=2"):
+            kernel()
 
 
 def test_kernel_omega_contract(grid64, rng):
