@@ -1,12 +1,14 @@
 """Time-stepping schemes for the twisted Klein-Gordon system.
 
-All schemes advance the twisted variables (u*, v*): a stepper takes their
-Fourier coefficients one step by step(uc, vc, phases), with the branch phases
-e^(i l c^2 t_n), l = 2, -2, -4, of one phase_factor table per run.  One loop
-builds the stepper and the table and drives the steps: evolve runs it for
-T/tau steps, and each public step_* function is a one-step run of it, so a
-step taken alone does the arithmetic of a step inside a run, and either
-raises NonFiniteStateError on a state that is not finite.
+All schemes advance the twisted variables (u*, v*), held as one array x of
+Fourier coefficients: the stack (u*, v*) of shape (2, N), or for real data
+(u* == v*) the row u* alone.  A stepper maps step(x, phases) -> x, with the
+branch phases e^(i l c^2 t_n), l = 2, -2, -4, from the run's phase_factor
+table.  One loop builds the stepper and the table and drives the steps:
+evolve runs it for T/tau steps, and each public step_* function is a
+one-step run of it, so a step taken alone does the arithmetic of a step
+inside a run, and either raises NonFiniteStateError on a state that is not
+finite.
 Writing E = e^(i tau A_c) and w_u = |u*|^2 + 2|v*|^2, the available steps are
 
   UEI1 (complex data, first order, uniform in c):
@@ -15,14 +17,15 @@ Writing E = e^(i tau A_c) and w_u = |u*|^2 + 2|v*|^2, the available steps are
                  - (i tau / 8) c<grad>_c^-1 E { e^(2ic^2 t_n) phi_1(2ic^2 tau) (u*^n)^2 v*^n
                    + e^(-2ic^2 t_n) phi_1(-2ic^2 tau) (2|u*^n|^2 + |v*^n|^2) conj(v*^n)
                    + e^(-4ic^2 t_n) phi_1(-4ic^2 tau) conj(v*^n)^2 conj(u*^n) }
-      and the u <-> v swapped update for v*.  Each component's update is
-      E applied to the transform of e^(-i tau w_u/8) u* + (i tau/8) w_u u*,
+      and the u <-> v swapped update for v*.  Each row's update is E
+      applied to the transform of e^(-i tau w_u/8) u* + (i tau/8) w_u u*,
       plus -(i tau/8) c<grad>_c^-1 E applied to the transform of w_u u* + {...};
-      a step takes one stacked inverse transform of (u*, v*) and one stacked
+      the swap is the stack's rows reversed, so a step runs this arithmetic
+      once on the stack, with one inverse transform of (u*, v*) and one
       forward transform of the four integrands.
 
-  UEI1_REAL: the u == v specialization (w = 3|u*|^2): one inverse and one
-      stacked forward transform of its two integrands.
+  UEI1_REAL: the same step on the row u*, its own partner (w = 3|u*|^2):
+      one inverse and one stacked forward transform of its two integrands.
 
   UEI2_REAL (second order, uniform in c): with U = e^(i tau/2 A_c) u*^n,
       u*^(n+1) = e^(i tau/2 A_c) e^(-i tau 3|U|^2/8) U
@@ -38,8 +41,8 @@ Writing E = e^(i tau A_c) and w_u = |u*|^2 + 2|v*|^2, the available steps are
       Schroedinger system that the twisted variables solve as c -> infinity.
 
   LARGE_C_UEI1: the tau*c > 1 simplification dropping all phi_1 branches.
-      It and LIE_LIMIT share one Lie step: one stacked inverse transform of
-      (u*, v*) and one stacked forward transform of the two rotated fields.
+      It and LIE_LIMIT share one Lie step: one inverse transform of the
+      stack (u*, v*), one rotation of both rows and one forward transform.
 
 A brute-force Duhamel quadrature step (Picard iteration inside composite
 Gauss-Legendre panels) serves as the independent local oracle, and
@@ -128,7 +131,7 @@ class StepContext:
 
 
 class _Uei1Stepper:
-    """UEI1 on the pair; when v* is u* (real data) only u* is stepped."""
+    """UEI1 on the stack (u*, v*), or on u* alone for real data (u* == v*)."""
 
     def __init__(self, m: MultiplierSet, tau: float):
         self.tau = tau
@@ -137,64 +140,50 @@ class _Uei1Stepper:
         self.corr = -0.125j * tau * m.c_inv * self.exp_full
         self.phi1 = _phi_table(m.c, tau)[1][_BRANCH].tolist()
 
-    def _integrands(self, out, up, op, w, w_op, phases):
-        # write the two physical integrands of one component's update into
-        # the rows of out: up is stepped, op is its partner, w and w_op
-        # their weights |.|^2 + 2|partner|^2
+    def step(self, x, phases):
+        # each row p of the samples is stepped with its partner op and their
+        # weights w = |p|^2 + 2|op|^2 and w_op; a stack's partners are its rows
+        # swapped, copied (a reversed view makes every product with it slower)
         tau = self.tau
+        p = _to_phys(x)
+        a2 = np.abs(p) ** 2
+        if x.ndim == 1:
+            op, w = p, 3.0 * a2
+            w_op = w
+        else:
+            op = p[::-1].copy()
+            w = a2 + 2.0 * a2[::-1].copy()
+            w_op = w[::-1].copy()
         opb = np.conj(op)
-        wu = w * up
-        lin = _expi((-0.125 * tau) * w, out=out[0])
-        lin *= up
-        lin += (0.125j * tau) * wu
-        cubes = (up * up * op, w_op * opb, opb**2 * np.conj(up))
-        np.add(wu, _branches(cubes, phases, self.phi1), out=out[1])
-
-    def step(self, uc, vc, phases):
-        # transforms write into the step's own scratch arrays; the returned
-        # coefficients are fresh arrays
-        if vc is uc:
-            rows = np.empty((3, uc.shape[-1]), dtype=np.complex128)
-            up = _to_phys(uc, out=rows[2])
-            w = 3.0 * np.abs(up) ** 2
-            self._integrands(rows[:2], up, up, w, w, phases)
-            lin, corr = _to_coeffs(rows[:2], out=rows[:2])
-            u = self.exp_full * lin + self.corr * corr
-            return u, u
-        pv = np.stack([uc, vc])
-        up, vp = _to_phys(pv, out=pv)
-        au2 = np.abs(up) ** 2
-        av2 = np.abs(vp) ** 2
-        wu = au2 + 2.0 * av2
-        wv = av2 + 2.0 * au2
-        rows = np.empty((4, uc.shape[-1]), dtype=np.complex128)
-        self._integrands(rows[:2], up, vp, wu, wv, phases)
-        self._integrands(rows[2:], vp, up, wv, wu, phases)
-        ulin, ucorr, vlin, vcorr = _to_coeffs(rows, out=rows)
-        return self.exp_full * ulin + self.corr * ucorr, self.exp_full * vlin + self.corr * vcorr
+        wp = w * p
+        # the two integrands of each row, transformed in one call
+        rows = np.empty((2,) + x.shape, dtype=np.complex128)
+        lin = _expi((-0.125 * tau) * w, out=rows[0])
+        lin *= p
+        lin += (0.125j * tau) * wp
+        cubes = (p * p * op, w_op * opb, opb**2 * np.conj(p))
+        np.add(wp, _branches(cubes, phases, self.phi1), out=rows[1])
+        lin_hat, corr_hat = _to_coeffs(rows, out=rows)
+        return self.exp_full * lin_hat + self.corr * corr_hat
 
 
 class _SplitStepper:
-    """Lie splitting e^(i tau L) e^(-i tau w/8) of the pair, with the linear
-    operator L given by its symbol: -Delta/2 for the Schroedinger limit, A_c
-    for the large-c UEI1 (which drops every phi_1 branch)."""
+    """Lie splitting e^(i tau L) e^(-i tau w/8) of the stack (u*, v*), with
+    the linear operator L given by its symbol: -Delta/2 for the Schroedinger
+    limit, A_c for the large-c UEI1 (which drops every phi_1 branch)."""
 
     def __init__(self, tau: float, symbol):
         self.tau = tau
         self.exp_lin = np.exp(1j * tau * symbol)
 
-    def step(self, uc, vc, phases):
-        tau = self.tau
-        # the stack is the step's scratch: both transforms and the rotation
-        # of each row work in place
-        rows = np.stack([uc, vc])
-        up, vp = _to_phys(rows, out=rows)
-        au2 = np.abs(up) ** 2
-        av2 = np.abs(vp) ** 2
-        np.multiply(_expi((-0.125 * tau) * (au2 + 2 * av2)), up, out=up)
-        np.multiply(_expi((-0.125 * tau) * (av2 + 2 * au2)), vp, out=vp)
-        unew, vnew = self.exp_lin * _to_coeffs(rows, out=rows)
-        return unew, vnew
+    def step(self, x, phases):
+        # the samples are the step's scratch: the rotation and the forward
+        # transform work in place
+        rows = _to_phys(x)
+        a2 = np.abs(rows) ** 2
+        w = a2 + 2.0 * a2[::-1].copy()  # |p|^2 + 2|partner|^2, as in _Uei1Stepper
+        np.multiply(_expi((-0.125 * self.tau) * w), rows, out=rows)
+        return self.exp_lin * _to_coeffs(rows, out=rows)
 
 
 class _StrangStepper:
@@ -202,18 +191,17 @@ class _StrangStepper:
         self.tau = tau
         self.exp_half = np.exp(-0.25j * tau * m.laplace)
 
-    def step(self, uc, vc, phases):
-        row = self.exp_half * uc
+    def step(self, x, phases):
+        row = self.exp_half * x
         ump = _to_phys(row, out=row)
         np.multiply(_expi((-0.375 * self.tau) * np.abs(ump) ** 2), ump, out=row)
-        u = self.exp_half * _to_coeffs(row, out=row)
-        return u, u
+        return self.exp_half * _to_coeffs(row, out=row)
 
 
-# scheme -> stepper constructor (m, tau); a stepper's step(uc, vc, phases)
-# -> (uc, vc) advances the coefficient pair from t_n, with phases =
-# model._phases(e^(2ic^2 t_n)) (the splitting steps ignore them), and the
-# real-data schemes return (u, u)
+# scheme -> stepper constructor (m, tau).  step(x, phases) returns a fresh
+# state x one step on from t_n, the stack (u*, v*) or, for the schemes of
+# _REAL_ONLY, the row u*, and leaves its input as it was; phases =
+# model._phases(e^(2ic^2 t_n)) (the splitting steps ignore them)
 _STEPPERS = {
     SchemeId.UEI1: _Uei1Stepper,
     SchemeId.UEI1_REAL: _Uei1Stepper,
@@ -224,11 +212,10 @@ _STEPPERS = {
 }
 
 
-def _pair(grid, uc, vc, t, c) -> TwistedPair:
-    """A TwistedPair that owns its u* and v* coefficients separately."""
-    return TwistedPair(
-        SpectralField(grid, uc), SpectralField(grid, uc.copy() if vc is uc else vc), t, c
-    )
+def _pair(grid, x, t, c) -> TwistedPair:
+    """A TwistedPair of state x that owns copies of its u* and v* rows."""
+    u, v = (x, x) if x.ndim == 1 else x
+    return TwistedPair(SpectralField(grid, u.copy()), SpectralField(grid, v.copy()), t, c)
 
 
 class NonFiniteStateError(FloatingPointError):
@@ -238,15 +225,20 @@ class NonFiniteStateError(FloatingPointError):
 # the loop checks the state is finite every this many steps and after the last
 _FINITE_CHECK_EVERY = 64
 
+# steps per phase_factor call: the loop holds one chunk of the phase table at
+# a time, so a run's memory does not grow with its step count
+_PHASE_CHUNK = 4096
+
 
 def _run(scheme: SchemeId, state: TwistedPair, n: int, ctx: StepContext, callback=None) -> TwistedPair:
     """Advance a twisted pair by n >= 1 steps of the given scheme: the one
     stepping loop, behind evolve and every public step (which call it, not
     evolve, so a profiler wrapping both counts a step once).
 
-    One phase_factor call forms the step times t_0 + k*tau in extended
-    precision (phases stay accurate up to c = 1e4), and step k runs
-    step(uc, vc, phases) with the triple of its table entry.  The optional
+    The state is one coefficient array x (see _STEPPERS).  phase_factor forms
+    the step times t_0 + k*tau in extended precision (phases stay accurate up
+    to c = 1e4), one call per _PHASE_CHUNK steps, and step k runs
+    step(x, phases) with the triple of its table entry.  The optional
     callback receives (step_index, TwistedPair) after every step.  A state
     that is no longer finite raises NonFiniteStateError, checked every
     _FINITE_CHECK_EVERY steps and after the last.
@@ -254,30 +246,27 @@ def _run(scheme: SchemeId, state: TwistedPair, n: int, ctx: StepContext, callbac
     if not abs(state.c - ctx.m.c) <= 1e-12 * max(1.0, abs(state.c)):  # NaN fails too
         raise ValueError(f"pair was twisted at c={state.c} but context has c={ctx.m.c}")
     grid = state.u_star.grid
-    uc = state.u_star.coeffs.copy()
-    vc = state.v_star.coeffs.copy()
-    if scheme in _REAL_ONLY:
-        du = np.linalg.norm(uc - vc)
-        if du > 1e-8 * max(np.linalg.norm(uc), 1e-300):
-            raise ValueError(f"{scheme.value} requires real data (u* == v*)")
-        vc = uc
+    # steps never write over their input, so x needs no copy of the state
+    x = uc = state.u_star.coeffs
+    vc = state.v_star.coeffs
+    if scheme not in _REAL_ONLY:
+        x = np.stack([uc, vc])
+    elif np.linalg.norm(uc - vc) > 1e-8 * max(np.linalg.norm(uc), 1e-300):
+        raise ValueError(f"{scheme.value} requires real data (u* == v*)")
 
     st = _STEPPERS[scheme](ctx.m, ctx.tau)
-    table = phase_factor(2, ctx.m.c, state.t, np.arange(n), ctx.tau)
-    for k in range(n):
-        uc, vc = st.step(uc, vc, _phases(table[k]))
-        if callback is not None:
-            callback(
-                k + 1,
-                _pair(grid, uc.copy(), vc.copy(), state.t + (k + 1) * ctx.tau, state.c),
-            )
-        if (k + 1) % _FINITE_CHECK_EVERY == 0 or k + 1 == n:
-            if not (np.isfinite(uc).all() and np.isfinite(vc).all()):
+    for k0 in range(0, n, _PHASE_CHUNK):
+        ks = np.arange(k0, min(n, k0 + _PHASE_CHUNK))
+        for k, p2 in enumerate(phase_factor(2, ctx.m.c, state.t, ks, ctx.tau).tolist(), k0 + 1):
+            x = st.step(x, _phases(p2))
+            if callback is not None:
+                callback(k, _pair(grid, x, state.t + k * ctx.tau, state.c))
+            if (k % _FINITE_CHECK_EVERY == 0 or k == n) and not np.isfinite(x).all():
                 raise NonFiniteStateError(
-                    f"{scheme.value} state is not finite at step {k + 1} of {n} "
+                    f"{scheme.value} state is not finite at step {k} of {n} "
                     f"(c={ctx.m.c!r}, tau={ctx.tau!r})"
                 )
-    return _pair(grid, uc, vc, state.t + n * ctx.tau, state.c)
+    return _pair(grid, x, state.t + n * ctx.tau, state.c)
 
 
 def step_uei1(p: TwistedPair, ctx: StepContext) -> TwistedPair:

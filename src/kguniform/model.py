@@ -381,10 +381,10 @@ class _Uei2Coeffs:
         self.psim = (table[1] - table[2])[_BRANCH].tolist()  # phi_moment
         self.omega_q = dict(zip((2, -2, 4), _omega_weights(table, (2, -2, 4))))
 
-    def step(self, uc, vc, phases):
-        """One UEI2 step of real data from t_n: (uc, uc) at t_n + tau for the
-        coefficients uc of u*^n (vc, equal to uc, is not read), with phases =
-        _phases(e^(2ic^2 t_n)).
+    def step(self, uc, phases):
+        """One UEI2 step of real data from t_n: the coefficients of u* at
+        t_n + tau, a fresh array, from those uc of u*^n (real data is its own
+        partner v*), with phases = _phases(e^(2ic^2 t_n)).
 
         A step computes 16 transforms in 4 stacked calls, each formed from
         the outputs of the one before: an inverse of (U, u*^n, A_c u*^n); a
@@ -425,7 +425,7 @@ class _Uei2Coeffs:
         out += _theta_hat(self, quint_hat, g_hat)
         out += hat
         out += self.cinv * s_hat
-        return out, out
+        return out
 
 
 def _cube_hats(u3_hat, uau_hat, grid):

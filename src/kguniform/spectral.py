@@ -82,11 +82,14 @@ class SpectralGrid:
 def make_grid(d: int, K: int) -> SpectralGrid:
     """Build the 1-d spectral grid with 2K points.
 
-    Only d = 1 is implemented; K >= 2 is required (powers of two give the
-    fastest transforms but any size is accepted).
+    Only d = 1 is implemented; K must be a Python or numpy integer >= 2, not
+    a bool (powers of two give the fastest transforms but any size is accepted).
     """
     if d != 1:
         raise ValueError(f"unsupported dimension d={d}; only d=1 is implemented")
+    if isinstance(K, bool) or not isinstance(K, (int, np.integer)):
+        raise ValueError(f"invalid grid size K={K!r}; need an integer K")
+    K = int(K)
     if K < 2:
         raise ValueError(f"invalid grid size K={K}; need K >= 2")
     n = 2 * K
@@ -221,22 +224,26 @@ def phi(j: int, z):
     Entire functions, evaluated elementwise on one array path: an array in
     gives an array out, and a scalar in gives a numpy complex scalar out (a
     `complex`), bitwise the matching entry of a stacked call, so callers
-    needing several values stack them into one call.  Small arguments are
-    evaluated by Taylor series (see _PHI_SERIES_CUTOFF).
+    needing several values stack them into one call.  Small nonzero
+    arguments are evaluated by Taylor series (see _PHI_SERIES_CUTOFF), and
+    an exact zero gives 1/j!, the series' value there.
     """
     if j not in (0, 1, 2):
         raise ValueError(f"invalid phi index j={j}; need j in {{0, 1, 2}}")
     zarr = np.asarray(z, dtype=np.complex128)
     if j == 0:
         return np.exp(zarr)[()]
-    small = zarr.real**2 + zarr.imag**2 < _PHI_SERIES_CUTOFF**2
+    zero = zarr == 0
+    big = ~(zarr.real**2 + zarr.imag**2 < _PHI_SERIES_CUTOFF**2)
+    small = ~(big | zero)
     out = np.empty_like(zarr)
+    out[zero] = _INV_FACTORIALS[j]  # the series' value at 0, without its Horner steps
     if small.any():
         out[small] = _phi_series(j, zarr[small])
-    if not small.all():
-        zb = zarr[~small]
+    if big.any():
+        zb = zarr[big]
         em1 = np.expm1(zb)
-        out[~small] = em1 / zb if j == 1 else (em1 - zb) / zb / zb
+        out[big] = em1 / zb if j == 1 else (em1 - zb) / zb / zb
     return out[()]
 
 

@@ -46,6 +46,15 @@ def _standard_pair(grid, c):
     return m, s0, twist(u0, v0, 0.0, c)
 
 
+def _state(scheme, p):
+    # a run's state x: the row u* for real-data schemes, else the stack (u*, v*)
+    from kguniform.integrators import _REAL_ONLY
+
+    if scheme in _REAL_ONLY:
+        return p.u_star.coeffs
+    return np.stack([p.u_star.coeffs, p.v_star.coeffs])
+
+
 def test_every_scheme_has_one_stepper(grid64):
     # each stepper is built from (m, tau) alone, and its step is one evolve step
     from kguniform.integrators import _REAL_ONLY, _STEPPERS
@@ -60,12 +69,60 @@ def test_every_scheme_has_one_stepper(grid64):
     phases = _phases(phase_factor(2, c, t0))
     for scheme in SchemeId:
         p = real if scheme in _REAL_ONLY else pair
-        uc = p.u_star.coeffs
-        vc = uc if scheme in _REAL_ONLY else p.v_star.coeffs
-        got_u, got_v = _STEPPERS[scheme](m, tau).step(uc, vc, phases)
+        x = _STEPPERS[scheme](m, tau).step(_state(scheme, p), phases)
+        got_u, got_v = (x, x) if scheme in _REAL_ONLY else x
         want = evolve(scheme, p, tau, StepContext(grid64, m, tau))
         assert np.array_equal(got_u, want.u_star.coeffs), scheme
         assert np.array_equal(got_v, want.v_star.coeffs), scheme
+
+
+def test_runs_return_owned_arrays_and_leave_their_input(grid64):
+    # every scheme's result owns separate u* and v* arrays, apart from each
+    # other and from the input pair, which the run leaves as it was
+    from kguniform.integrators import _REAL_ONLY
+
+    c, tau = 3.0, 2.0**-8
+    m, _, real = _standard_pair(grid64, c)
+    rng = np.random.default_rng(5)
+    pair = TwistedPair(random_field(grid64, rng), random_field(grid64, rng), 0.0, c)
+    ctx = StepContext(grid64, m, tau)
+    for scheme in SchemeId:
+        p = real if scheme in _REAL_ONLY else pair
+        before = p.u_star.coeffs.copy(), p.v_star.coeffs.copy()
+        seen = []
+        out = evolve(scheme, p, 3 * tau, ctx, callback=lambda k, q: seen.append(q))
+        for q in (*seen, out):
+            assert not np.shares_memory(q.u_star.coeffs, q.v_star.coeffs), scheme
+            for a in (q.u_star.coeffs, q.v_star.coeffs):
+                for b in (p.u_star.coeffs, p.v_star.coeffs):
+                    assert not np.shares_memory(a, b), scheme
+        assert not np.shares_memory(seen[-1].u_star.coeffs, out.u_star.coeffs), scheme
+        assert np.array_equal(seen[-1].u_star.coeffs, out.u_star.coeffs), scheme
+        assert np.array_equal(p.u_star.coeffs, before[0]), scheme
+        assert np.array_equal(p.v_star.coeffs, before[1]), scheme
+
+
+def test_phase_table_chunks_leave_runs_bitwise(grid64, monkeypatch):
+    # the loop builds its phase table _PHASE_CHUNK steps at a time; the
+    # chunking does not change a single phase
+    from kguniform import integrators
+    from kguniform.integrators import _REAL_ONLY
+
+    c, tau = 100.0, 2.0**-9
+    m, _, real = _standard_pair(grid64, c)
+    rng = np.random.default_rng(6)
+    pair = TwistedPair(random_field(grid64, rng), random_field(grid64, rng), 0.41, c)
+    real = TwistedPair(real.u_star, real.v_star, 0.41, c)
+    ctx = StepContext(grid64, m, tau)
+    runs = {}
+    for chunk in (integrators._PHASE_CHUNK, 3):
+        monkeypatch.setattr(integrators, "_PHASE_CHUNK", chunk)
+        runs[chunk] = [
+            evolve(s, real if s in _REAL_ONLY else pair, 10 * tau, ctx) for s in SchemeId
+        ]
+    for scheme, a, b in zip(SchemeId, *runs.values()):
+        assert np.array_equal(a.u_star.coeffs, b.u_star.coeffs), scheme
+        assert np.array_equal(a.v_star.coeffs, b.v_star.coeffs), scheme
 
 
 def test_step_context_is_immutable(grid64):
@@ -292,14 +349,12 @@ def test_fft_calls_per_step(grid64, monkeypatch, scheme, budget):
 
     m, _, p0 = _standard_pair(grid64, 100.0)
     stepper = _STEPPERS[scheme](m, 0.01)  # built outside the count
-    uc = p0.u_star.coeffs
-    pair_schemes = (SchemeId.UEI1, SchemeId.LIE_LIMIT, SchemeId.LARGE_C_UEI1)
-    vc = p0.v_star.coeffs.copy() if scheme in pair_schemes else uc
+    x = _state(scheme, p0)
     counter = _CountingFft(spectral._fft)
     monkeypatch.setattr(spectral, "_fft", counter)
     steps = 3
     for k in range(steps):
-        uc, vc = stepper.step(uc, vc, _phases(phase_factor(2, m.c, k * 0.01)))
+        x = stepper.step(x, _phases(phase_factor(2, m.c, k * 0.01)))
     assert counter.calls <= budget * steps
     assert counter.rows == _TRANSFORMS_PER_STEP[scheme] * steps
 

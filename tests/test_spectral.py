@@ -52,6 +52,23 @@ def test_grid_rejects_small_size():
         make_grid(1, 1)
 
 
+@pytest.mark.parametrize("K", [2.5, 4.0, True, "8"])
+def test_grid_rejects_non_integer_size(K):
+    # a float K built a grid of n_points 2K with fractional wavenumbers
+    from kguniform.harness import SweepConfig
+
+    with pytest.raises(ValueError, match="need an integer K"):
+        make_grid(1, K)
+    with pytest.raises(ValueError, match="need an integer K"):
+        SweepConfig(K=K)
+
+
+def test_grid_accepts_numpy_integer_size():
+    g = make_grid(1, np.int32(4))
+    assert type(g.modes) is int and g.n_points == 8
+    assert np.array_equal(g.wavenumbers, make_grid(1, 4).wavenumbers)
+
+
 @pytest.mark.parametrize("K", [64, 5])  # powers of two recommended, not required
 def test_transform_roundtrip(rng, K):
     g = make_grid(1, K)
@@ -176,6 +193,30 @@ def test_phi_at_zero():
     assert phi(1, 0.0) == pytest.approx(1.0, abs=1e-15)
     assert phi(2, 0.0) == pytest.approx(0.5, abs=1e-15)
     assert phi(0, 0.0) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_phi_at_exact_zero_skips_the_series(monkeypatch):
+    # an exact zero takes 1/j!, the series' own value there, without running
+    # it: a _phi_table whose only small entry is its j = 0 entry x = 0 makes
+    # no series call
+    from kguniform import model, spectral
+
+    for j, want in ((1, 1.0), (2, 0.5)):
+        assert phi(j, 0) == want and phi(j, 0.0) == want
+        assert np.array_equal(phi(j, np.zeros(3)), np.full(3, want, dtype=complex))
+        assert phi(j, 0.0) == _phi_series(j, np.zeros(1, dtype=complex))[0]
+    calls = []
+
+    def counting(j, z):
+        calls.append(j)
+        return _phi_series(j, z)
+
+    monkeypatch.setattr(spectral, "_phi_series", counting)
+    x, phi1, phi2 = model._phi_table(100.0, 0.01)
+    assert calls == []
+    assert x[4] == 0 and phi1[4] == 1.0 and phi2[4] == 0.5
+    phi(1, np.array([0.0, 1e-3]))  # a small nonzero entry still takes the series
+    assert calls == [1]
 
 
 def test_phi_rejects_bad_index():
