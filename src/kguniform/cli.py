@@ -79,7 +79,6 @@ _SWEEP_OPTIONS = (
     ("tau_exp", "tau_exponents", _parse_exponents),
     ("T", "T", float),
     ("K", "K", int),
-    ("r", "r", float),
     ("ref_exp", "ref_exponent", int),
 )
 _CONFIG_KEYS = [key for key, _, _ in _SWEEP_OPTIONS] + ["paper", "out", "format"]
@@ -167,14 +166,14 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    ps = sub.add_parser("sweep", help="run a (scheme, c, tau) convergence sweep")
+    # flags in full: a prefix such as `--r` would otherwise be taken for `--ref-exp`
+    ps = sub.add_parser("sweep", help="run a (scheme, c, tau) convergence sweep", allow_abbrev=False)
     ps.add_argument("--config", help="flat key=value config file")
     ps.add_argument("--schemes", help="comma list: " + ",".join(_SCHEMES))
     ps.add_argument("--c", help="comma list of c values")
     ps.add_argument("--tau-exp", dest="tau_exp", help="exponent range m (tau = T*2^-m), e.g. 4..12 or 4,6,8")
     ps.add_argument("--T", type=float, help="time horizon")
     ps.add_argument("--K", type=int, help="number of Fourier modes (grid has 2K points)")
-    ps.add_argument("--r", type=float, help="Sobolev order of the error norm")
     ps.add_argument("--ref-exp", dest="ref_exp", type=int, help="reference tau = T*2^-ref_exp")
     ps.add_argument("--paper", action="store_true", help="full-scale preset: 1024-point grid, nine c values")
     ps.add_argument("--out", help="output path")

@@ -7,7 +7,7 @@ A sweep integrates the standard initial profile
     z_t(0, x) = c^2 (1/2) sin(x) cos(2x) / (2 - cos x)
 
 up to T with every requested scheme and step size tau = T * 2^-m, and
-measures the discrete H^r error of the reconstructed z against a fine-step
+measures the discrete H^1 error of the reconstructed z against a fine-step
 self-certified reference at time T.  Fitted orders are least-squares slopes
 in log2-log2, after dropping cells within a factor 10 of the reference
 certificate (saturated) and any leading cells where the error does not yet
@@ -28,6 +28,7 @@ from .integrators import (
     ReferenceUnreliableError,
     SchemeId,
     StepContext,
+    _NORM_R,
     evolve,
     reference_solution,
 )
@@ -67,8 +68,6 @@ ORDER_BANDS = {
 def paper_initial_data(grid: SpectralGrid, c: float) -> KgState:
     """Smooth real initial data; z_t carries the c^2 scaling of the
     non-relativistic normalization."""
-    if grid.d != 1:
-        raise ValueError("initial data is defined for d = 1")
     x = grid.x
     denom = 2.0 - np.cos(x)
     z = 0.5 * np.cos(3.0 * x) ** 2 * np.sin(2.0 * x) / denom
@@ -85,7 +84,6 @@ class SweepConfig:
     tau_exponents: list = field(default_factory=lambda: list(range(4, 11)))
     T: float = 0.1
     K: int = 256
-    r: float = 1.0
     ref_exponent: int = 16
 
     def __post_init__(self):
@@ -94,7 +92,7 @@ class SweepConfig:
         for s in self.schemes:
             if not isinstance(s, SchemeId):
                 raise ValueError(f"unknown scheme {s!r}; need a SchemeId")
-        for name, value in (("T", self.T), ("c", self.c_list), ("r", self.r)):
+        for name, value in (("T", self.T), ("c", self.c_list)):
             if not np.all(np.isfinite(value)):
                 raise ValueError(f"{name} must be finite, got {name}={value!r}")
         if self.T <= 0:
@@ -106,8 +104,6 @@ class SweepConfig:
             raise ValueError("need tau exponents >= 0 and ref_exponent >= 1, all integers")
         if any(c <= 0 for c in self.c_list):
             raise ValueError("all c must be positive")
-        if self.r < 0:
-            raise ValueError(f"need r >= 0, got r={self.r}")
         make_grid(1, self.K)  # raises on a grid size the solver cannot use
 
 
@@ -170,11 +166,11 @@ def _set_inputs(inputs):
     _inputs = inputs
 
 
-def _reference_task(c, T, tau_ref, r):
+def _reference_task(c, T, tau_ref):
     """Pool task: (reference z coefficients at T, certificate, failure)."""
     m, s0 = _inputs[c]
     try:
-        ref = reference_solution(s0, T, m, tau_ref=tau_ref, r=r)
+        ref = reference_solution(s0, T, m, tau_ref=tau_ref)
     except ReferenceUnreliableError as exc:
         return None, None, str(exc)
     return reconstruct_z(ref.pair).coeffs, ref.certificate, None
@@ -249,9 +245,7 @@ def run_sweep(cfg: SweepConfig, progress=None) -> ErrorTable:
     )
     try:
         # references first: they are the longest tasks
-        ref_futures = {
-            c: pool.submit(_reference_task, c, cfg.T, tau_ref, cfg.r) for c in inputs
-        }
+        ref_futures = {c: pool.submit(_reference_task, c, cfg.T, tau_ref) for c in inputs}
         cell_futures = [
             pool.submit(_cell_task, c, scheme, cfg.T, tau) for scheme, c, tau in cells
         ]
@@ -274,7 +268,7 @@ def run_sweep(cfg: SweepConfig, progress=None) -> ErrorTable:
             failure = ref_failure or failure
             err = float("nan")
             if failure is None:
-                err = float(sobolev_norm(SpectralField(grid, z - z_ref), cfg.r))
+                err = float(sobolev_norm(SpectralField(grid, z - z_ref), _NORM_R))
             rows.append(SweepRow(scheme.value, c, tau, err, wall, failed=failure))
     finally:
         pool.shutdown(cancel_futures=True)

@@ -64,6 +64,7 @@ from .model import (
     TwistedPair,
     _BRANCH,
     _branches,
+    _check_same_grid,
     _expi,
     _not_real,
     _phases,
@@ -126,8 +127,7 @@ class StepContext:
     def __post_init__(self):
         if not (math.isfinite(self.tau) and self.tau > 0):
             raise ValueError(f"invalid step size tau={self.tau}")
-        if self.m.grid.n_points != self.grid.n_points:
-            raise ValueError("multiplier set was built for a different grid")
+        _check_same_grid(self, self.m)
 
 
 class _Uei1Stepper:
@@ -245,6 +245,7 @@ def _run(scheme: SchemeId, state: TwistedPair, n: int, ctx: StepContext, callbac
     """
     if not abs(state.c - ctx.m.c) <= 1e-12 * max(1.0, abs(state.c)):  # NaN fails too
         raise ValueError(f"pair was twisted at c={state.c} but context has c={ctx.m.c}")
+    _check_same_grid(ctx.m, state.u_star, state.v_star)
     grid = state.u_star.grid
     # steps never write over their input, so x needs no copy of the state
     x = uc = state.u_star.coeffs
@@ -403,6 +404,7 @@ def duhamel_oracle_step(
     """
     if nodes < 16:
         raise ValueError(f"need nodes >= 16, got {nodes}")
+    _check_same_grid(ctx.m, u)
     m = ctx.m
     tau = ctx.tau
     n = u.grid.n_points
@@ -476,8 +478,9 @@ def duhamel_oracle_step(
 # reference solutions
 
 
-# largest H^r self-convergence certificate a reference may have
+# largest reference certificate; it and every sweep error are H^_NORM_R = H^1 norms
 CERTIFICATE_TOL = 1e-9
+_NORM_R = 1.0
 
 
 class ReferenceUnreliableError(RuntimeError):
@@ -494,11 +497,11 @@ class ReferenceSolution:
 
 
 def reference_solution(
-    s0: KgState, T: float, m: MultiplierSet, tau_ref: float, r: float = 1.0
+    s0: KgState, T: float, m: MultiplierSet, tau_ref: float
 ) -> ReferenceSolution:
     """Fine-step second-order run standing in for the exact solution.
 
-    Runs UEI2_REAL at tau_ref and at 2*tau_ref; the H^r difference of the
+    Runs UEI2_REAL at tau_ref and at 2*tau_ref; the H^1 difference of the
     reconstructed z at time T is the certificate.  If the certificate
     exceeds CERTIFICATE_TOL the reference is rejected.
     """
@@ -513,7 +516,7 @@ def reference_solution(
         coarse = evolve(SchemeId.UEI2_REAL, pair0, T, StepContext(m.grid, m, 2 * tau_ref))
     except NonFiniteStateError as exc:
         raise ReferenceUnreliableError(f"reference run blew up: {exc}") from exc
-    cert = sobolev_norm(reconstruct_z(fine) - reconstruct_z(coarse), r)
+    cert = sobolev_norm(reconstruct_z(fine) - reconstruct_z(coarse), _NORM_R)
     if not np.isfinite(cert) or cert > CERTIFICATE_TOL:
         raise ReferenceUnreliableError(
             f"reference self-convergence certificate {cert:.3e} exceeds "

@@ -146,10 +146,11 @@ def _expi(arg, out=None):
 
 
 def _check_same_grid(*fields):
+    """Reject fields (or multiplier sets, contexts) whose grids differ in size."""
     g = fields[0].grid
     for f in fields[1:]:
         if f.grid is not g and f.grid.n_points != g.n_points:
-            raise ValueError("fields live on different grids")
+            raise ValueError(f"grids of {g.n_points} and {f.grid.n_points} points do not match")
 
 
 def to_first_order(s: KgState, m: MultiplierSet):

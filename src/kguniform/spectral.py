@@ -64,7 +64,6 @@ __all__ = [
 class SpectralGrid:
     """Periodic grid with 2K points and wavenumbers {-K, ..., K-1}."""
 
-    d: int
     modes: int
     wavenumbers: np.ndarray = field(repr=False)
     x: np.ndarray = field(repr=False)
@@ -97,7 +96,7 @@ def make_grid(d: int, K: int) -> SpectralGrid:
     x = 2.0 * np.pi * np.arange(n) / n
     # index map realizing k -> -k (mode -K is self-paired, as K = -K mod 2K)
     conj_index = (-np.arange(n)) % n
-    return SpectralGrid(d=d, modes=K, wavenumbers=k, x=x, conj_index=conj_index)
+    return SpectralGrid(modes=K, wavenumbers=k, x=x, conj_index=conj_index)
 
 
 def _to_phys(coeffs, out=None):

@@ -55,7 +55,6 @@ def sweep_table():
         tau_exponents=list(range(4, 11)),
         T=T,
         K=256,
-        r=1.0,
         ref_exponent=14,
     )
     start = time.perf_counter()
@@ -194,7 +193,6 @@ def test_full_nine_c_reproduction_property():
         tau_exponents=list(range(4, 11)),
         T=T,
         K=128,
-        r=1.0,
         ref_exponent=13,
     )
     table = run_sweep(cfg)

@@ -50,13 +50,6 @@ def test_initial_data_spectral_decay():
     assert np.max(np.abs(s.zt.coeffs[tail])) <= 1e-12
 
 
-def test_initial_data_rejects_higher_dim():
-    g = make_grid(1, 8)
-    object.__setattr__(g, "d", 2)  # forged grid
-    with pytest.raises(ValueError, match="d = 1"):
-        paper_initial_data(g, 1.0)
-
-
 # ---------------------------------------------------------------------------
 # order fitting
 
@@ -285,9 +278,9 @@ def test_sweep_rows_do_not_depend_on_worker_count(monkeypatch):
             state = TwistedPair(1e3 * state.u_star, 1e3 * state.v_star, state.t, state.c)
         return real_evolve(scheme, state, T, ctx)
 
-    def reference_too_coarse_at_bad_c(s0, T, m, tau_ref=None, r=1.0):
+    def reference_too_coarse_at_bad_c(s0, T, m, tau_ref=None):
         # a reference at tau_ref = T/4 cannot certify itself
-        return real_reference(s0, T, m, tau_ref=T / 4 if m.c == bad_c else tau_ref, r=r)
+        return real_reference(s0, T, m, tau_ref=T / 4 if m.c == bad_c else tau_ref)
 
     monkeypatch.setattr(harness_mod, "evolve", evolve_with_one_unstable_cell)
     monkeypatch.setattr(harness_mod, "reference_solution", reference_too_coarse_at_bad_c)
@@ -348,7 +341,7 @@ def test_failed_reference_cancels_its_cells(monkeypatch):
     import kguniform.harness as harness_mod
     from kguniform.integrators import ReferenceUnreliableError
 
-    def failing_reference(s0, T, m, tau_ref=None, r=1.0):
+    def failing_reference(s0, T, m, tau_ref=None):
         raise ReferenceUnreliableError(f"certificate too large (c={m.c})")
 
     monkeypatch.setattr(harness_mod, "reference_solution", failing_reference)
@@ -415,7 +408,6 @@ def test_sweep_rejects_bad_grid_before_starting_workers(monkeypatch):
         run_sweep(cfg)
     # each of these would otherwise fail only inside a worker, after work began
     for bad, match in (
-        (dict(r=-1.0), "need r >= 0, got r=-1.0"),
         (dict(tau_exponents=[-1, 2, 3]), "need tau exponents >= 0 and ref_exponent >= 1"),
         (dict(ref_exponent=0), "need tau exponents >= 0 and ref_exponent >= 1"),
         (dict(tau_exponents=[4, 4.5]), "ref_exponent >= 1, all integers"),
@@ -423,7 +415,6 @@ def test_sweep_rejects_bad_grid_before_starting_workers(monkeypatch):
         (dict(T=float("nan")), "T must be finite, got T=nan"),
         (dict(c_list=[1.0, float("inf")]), r"c must be finite, got c=\[1\.0, inf\]"),
         (dict(c_list=[float("nan")]), r"c must be finite, got c=\[nan\]"),
-        (dict(r=float("inf")), "r must be finite, got r=inf"),
         (dict(schemes=["uei1"]), "unknown scheme 'uei1'; need a SchemeId"),
     ):
         with pytest.raises(ValueError, match=match):
@@ -519,6 +510,8 @@ def _assert_usage_error(monkeypatch, capsys, argv, match):
     [
         ("c = 1\ntau_exps = 4..5\n", r"sweep.cfg:2: unknown config key 'tau_exps'"),
         ("c = 1\nformat = xml\n", r"sweep.cfg: unknown format 'xml'"),
+        # the error norm is H^1 alone: there is no order key
+        ("c = 1\nr = 2\n", r"sweep.cfg:2: unknown config key 'r'"),
     ],
 )
 def test_cli_rejects_bad_config_file_before_running(tmp_path, monkeypatch, capsys, text, match):
@@ -533,7 +526,7 @@ def test_cli_rejects_bad_config_file_before_running(tmp_path, monkeypatch, capsy
 @pytest.mark.parametrize(
     "flag, match",
     [
-        (["--r", "-1"], r"need r >= 0, got r=-1\.0$"),
+        (["--T", "0"], r"T must be positive$"),
         (["--ref-exp", "0"], r"need tau exponents >= 0 and ref_exponent >= 1"),
         (["--K", "0"], r"invalid grid size K=0; need K >= 2$"),
         (["--T", "nan"], r"T must be finite, got T=nan$"),
@@ -552,7 +545,7 @@ def _config_file_args(cfgfile):
 
     return argparse.Namespace(
         config=str(cfgfile), schemes=None, c=None, tau_exp=None, T=None, K=None,
-        r=None, ref_exp=None, paper=False, out=None, format=None,
+        ref_exp=None, paper=False, out=None, format=None,
     )
 
 
@@ -596,6 +589,21 @@ def test_cli_rejects_unknown_scheme(tmp_path, monkeypatch, capsys):
     )
 
 
+def test_cli_has_no_error_norm_order_flag(tmp_path, monkeypatch, capsys):
+    # the error norm is H^1 alone: argparse rejects `--r` rather than taking
+    # it as a prefix of `--ref-exp`, before any sweep work
+    import kguniform.cli as cli_mod
+
+    def no_sweep(cfg, progress=None):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli_mod, "run_sweep", no_sweep)
+    with pytest.raises(SystemExit) as info:
+        cli_main(["sweep", "--c", "1", "--r", "1", "--out", str(tmp_path / "x.csv")])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith("unrecognized arguments: --r 1")
+
+
 def test_cli_paper_preset_builds_full_scale_config():
     import argparse
 
@@ -605,7 +613,7 @@ def test_cli_paper_preset_builds_full_scale_config():
     def args(paper):
         return argparse.Namespace(
             config=None, schemes=None, c=None, tau_exp=None, T=None, K=None,
-            r=None, ref_exp=None, paper=paper, out=None, format=None,
+            ref_exp=None, paper=paper, out=None, format=None,
         )
 
     # nothing set: exactly the SweepConfig defaults

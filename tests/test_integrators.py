@@ -14,6 +14,7 @@ from kguniform import (
     evolve,
     field_from_values,
     from_first_order,
+    make_grid,
     make_multipliers,
     phase_factor,
     phi,
@@ -407,6 +408,18 @@ def test_twist_oracle_and_evolve_reject_non_finite_times_and_c(grid64):
     bad = TwistedPair(p0.u_star, p0.v_star, 0.0, nan)
     with pytest.raises(ValueError, match="pair was twisted at c=nan but context has c=3.0"):
         evolve(SchemeId.UEI1, bad, 0.02, ctx)
+
+
+@pytest.mark.parametrize("scheme", [*SchemeId, "oracle"], ids=lambda s: getattr(s, "value", s))
+def test_runs_and_oracle_reject_a_state_on_another_grid(grid64, scheme):
+    # a K = 32 state with a K = 64 context fails up front, naming both sizes
+    _, _, p = _standard_pair(make_grid(1, 32), 3.0)
+    ctx = StepContext(grid64, make_multipliers(grid64, 3.0), 0.01)
+    with pytest.raises(ValueError, match="grids of 128 and 64 points do not match"):
+        if scheme == "oracle":
+            duhamel_oracle_step(p.u_star, 0.0, ctx)
+        else:
+            evolve(scheme, p, 0.02, ctx)
 
 
 @pytest.mark.parametrize("scheme", [SchemeId.UEI1, SchemeId.UEI2_REAL])

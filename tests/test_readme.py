@@ -1,0 +1,39 @@
+"""README stays in step with the command line it documents."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+from kguniform.cli import _CONFIG_KEYS
+from kguniform.cli import main as cli_main
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def _section(title):
+    # the text of one `## title` section, up to the next `## ` heading
+    return README.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def _help(capsys, command):
+    with pytest.raises(SystemExit) as info:
+        cli_main([command, "--help"])
+    assert info.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_readme_config_keys_are_the_cli_config_keys():
+    keys = re.search(r"\(keys: ([^)]*)\)", _section("Command line")).group(1)
+    assert re.findall(r"`(\w+)`", keys) == _CONFIG_KEYS
+
+
+def _flags(text):
+    return set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", text))
+
+
+def test_readme_command_line_flags_exist(capsys):
+    block = _section("Command line").split("```bash\n", 1)[1].split("```", 1)[0]
+    flags = _flags(block)
+    assert "--tau-exp" in flags and "--K" in flags
+    assert flags <= _flags(_help(capsys, "sweep")) | _flags(_help(capsys, "verify"))
