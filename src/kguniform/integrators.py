@@ -34,8 +34,8 @@ Writing E = e^(i tau A_c) and w_u = |u*|^2 + 2|v*|^2, the available steps are
                  - tau^2 (3/64) c<grad>_c^-1 [ 2|u*^n|^2 c<grad>_c^-1 vartheta
                    - (u*^n)^2 c<grad>_c^-1 conj(vartheta) ]
                  - (i/8) c<grad>_c^-1 * oscillatory_block(tau, t_n, u*^n).
-      Its stepper is model._Uei2Coeffs, which folds the step's symbols once
-      per run and owns the step itself.
+      Its stepper is model._Uei2Coeffs, which folds the step's symbols and
+      scalar weights once per run and owns the step itself.
 
   LIE_LIMIT / STRANG_LIMIT: Lie and Strang splitting of the cubic
       Schroedinger system that the twisted variables solve as c -> infinity.

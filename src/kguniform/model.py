@@ -187,7 +187,7 @@ def reconstruct_z(p: TwistedPair) -> SpectralField:
     """z = (e^(i c^2 t) u* + e^(-i c^2 t) conj(v*)) / 2 at the pair's time."""
     ph = phase_factor(1, p.c, p.t)
     coeffs = 0.5 * (
-        ph * p.u_star.coeffs + ph.conjugate() * _conjrefl(p.v_star.coeffs, p.u_star.grid)
+        ph * p.u_star.coeffs + ph.conjugate() * _conjrefl(p.v_star.coeffs)
     )
     return SpectralField(p.u_star.grid, coeffs)
 
@@ -299,61 +299,67 @@ def kernel_theta(t_n: float, tau: float, v: SpectralField, m: MultiplierSet) -> 
         +(1/2)(9/64) c<grad>_c^-1 e^(i tau/2 A_c) [ v^2 (c<grad>_c^-1 - 1)(|v|^2 conj v) ]
     """
     _check_tau("kernel_theta", tau)
-    co = _Uei2Coeffs(m, tau)
+    co = _ThetaSymbols(m, tau)
     vv = v.values()
     av2 = np.abs(vv) ** 2
     cau = av2 * vv
     cau_hat, quint_hat = _to_coeffs(np.stack([cau, av2 * cau]))
-    g = _theta_g(vv, av2, _to_phys(co.cinvm1 * cau_hat))
-    return SpectralField(v.grid, _theta_hat(co, quint_hat, _to_coeffs(g, out=g)) / (tau * tau))
+    h = _coupling(av2, vv * vv, _to_phys(co.cinvm1 * cau_hat))
+    h_hat = _to_coeffs(h, out=h)
+    return SpectralField(v.grid, (co.theta_quint * quint_hat + co.theta_w * h_hat) / (tau * tau))
 
 
-# tau^2 theta(t_n, tau, v), the step's term, split at its two transforms: the
-# samples w of (c<grad>_c^-1 - 1)(|v|^2 v) give _theta_g, whose transform and
-# that of |v|^4 v give _theta_hat (theta's last two terms share one transform)
-def _theta_g(vv, av2, w, out=None):
-    """v^2 conj(w) - 2|v|^2 w from the samples vv of v, av2 = |vv|^2 and w."""
-    return np.subtract(vv * vv * np.conj(w), 2.0 * av2 * w, out=out)
+def _coupling(a2, sq, w, out=None):
+    """2|v|^2 w - v^2 conj(w) from a2 = |v|^2, sq = v^2 and w, samples or
+    stacks of them alike: with w the samples of (c<grad>_c^-1 - 1)(|v|^2 v),
+    the integrand of theta's last two terms (one transform), and with w = Y
+    that of the vartheta coupling and the block's first filtered moment."""
+    return np.subtract(2.0 * a2 * w, sq * np.conj(w), out=out)
 
 
-def _theta_hat(co, quint_hat, g_hat):
-    return co.theta_quint * quint_hat + co.theta_w * g_hat
+class _ThetaSymbols:
+    """The symbols of tau^2 theta(t_n, tau, v) for one (grid, c, tau): all
+    that kernel_theta reads, and built here for _Uei2Coeffs too."""
+
+    def __init__(self, m: MultiplierSet, tau: float):
+        tau = float(tau)
+        tau2 = tau * tau
+        cinvm1 = m.c_inv - 1.0
+        self.exp_half = exp_half = np.exp(0.5j * tau * m.a_c)
+        # the |v|^4 v term, and the transform of _coupling that the other two share
+        self.theta_quint = (-9.0 / 128.0) * tau2 * cinvm1 * exp_half
+        self.theta_w = (-9.0 / 128.0) * tau2 * m.c_inv * exp_half
+        # stored complex, like every symbol that multiplies complex rows each
+        # step: numpy would cast a real one at every product
+        self.cinvm1 = cinvm1.astype(np.complex128)
 
 
-class _Uei2Coeffs:
+class _Uei2Coeffs(_ThetaSymbols):
     """Symbols and scalar phi values shared by the second-order machinery,
     and the UEI2 stepper.
 
     Everything here depends only on (grid, c, tau), so a time-stepping loop
-    computes it once and reuses it every step; every scalar factor of a
-    symbol-weighted term of the step is folded into its symbol here.
+    computes it once and reuses it every step: every scalar factor of a
+    symbol-weighted term of the step is folded into its symbol, and every
+    scalar weight into a per-run constant (see _block_b).
     """
 
     def __init__(self, m: MultiplierSet, tau: float):
-        grid = m.grid
+        super().__init__(m, tau)
         self.tau = tau = float(tau)
-        self.grid = grid
         c = m.c
-        k2 = grid.wavenumbers**2
+        k2 = m.grid.wavenumbers**2
         tau2 = tau * tau
 
-        self.cinv = m.c_inv
-        self.cinvm1 = m.c_inv - 1.0
+        self.cinv = m.c_inv.astype(np.complex128)
         exp_full = np.exp(1j * tau * m.a_c)
-        exp_half = np.exp(0.5j * tau * m.a_c)
+        exp_half = self.exp_half
         # rows taking u* to (U = e^(i tau/2 A_c) u*, u*, A_c u*) before the
         # step's first inverse transform
         self.lift = np.stack([exp_half, np.ones_like(exp_half), m.a_c])
-        # Strang-like core: e^(i tau/2 A_c) on the transform of e^(-3i tau|U|^2/8) U,
-        # and the -(3i tau/8)(c<grad>_c^-1 - 1) e^(i tau/2 A_c) |U|^2 U correction
-        self.exp_half = exp_half
-        self.cub_w = -0.375j * tau * self.cinvm1 * exp_half
-        # tau^2 theta: the |v|^4 v term and the shared transform of the other two
-        self.theta_quint = (-9.0 / 128.0) * tau2 * self.cinvm1 * exp_half
-        self.theta_w = (9.0 / 128.0) * tau2 * self.cinv * exp_half
         # (3/64) tau^2 c<grad>_c^-1, applied before the inverse transforms of
         # the vartheta coupling and of the block's filtered moments
-        self.cinv_s = 0.046875 * tau2 * self.cinv
+        self.cinv_s = (0.046875 * tau2 * m.c_inv).astype(np.complex128)
 
         # branch symbols l = 2, -2, -4: resonant i tau (2c^2 - Delta/2), then
         # i tau (delta c^2 - A_c) for delta = -2, -4
@@ -372,125 +378,147 @@ class _Uei2Coeffs:
         # the block's main term enters the step as -(i/8) c<grad>_c^-1 e^(i tau A_c)
         # times these branch weights of (u^3, 3|u|^2 conj u, conj u^3) and of
         # the moments (u^2 A_c u, conj(u)^2 A_c u - 2|u|^2 conj(A_c u), conj(u^2 A_c u))
-        blk = -0.125j * self.cinv * exp_full
-        self.block_cubes = tuple(blk * w for w in tau_phi1)
-        self.block_moments = tuple(3j * tau2 * blk * w for w in (psim[0], psim[1], -psim[2]))
+        blk = -0.125j * m.c_inv * exp_full
+        cubes = [blk * w for w in tau_phi1]
+        moments = [3j * tau2 * blk * w for w in (psim[0], psim[1], -psim[2])]
 
-        # per-branch scalar weights, same branch order
+        # the step's output is one sum of its transformed rows (see step),
+        # weighted by: e^(i tau/2 A_c) on the Strang-like core, the
+        # -(3i tau/8)(c<grad>_c^-1 - 1) e^(i tau/2 A_c) correction on |U|^2 U,
+        # theta's |U|^4 U term, the block's six branch rows in the order of
+        # _block_b (pairs of branch l = 2, -2, -4), theta's _coupling, and
+        # c<grad>_c^-1 on the integrand s of the block and vartheta
+        cub_w = -0.375j * tau * self.cinvm1 * exp_half
+        block = [cubes[0], moments[0], moments[1], cubes[1], cubes[2], moments[2]]
+        self.out_syms = np.stack(
+            [exp_half, cub_w, self.theta_quint, *block, self.theta_w, self.cinv]
+        )
+        self.block_syms = self.out_syms[3:9]
+
+        # the per-run weights of Y and v24 (see _block_b) on the rows
+        # (3|u|^2 u, p2 u^3, m2 3|u|^2 conj u, m4 conj u^3): Omega quotients,
+        # psim and phi2 of the branches l = 2, -2, -4
         table = _phi_table(c, tau)
-        self.phi2 = table[2][_BRANCH].tolist()
-        self.psim = (table[1] - table[2])[_BRANCH].tolist()  # phi_moment
-        self.omega_q = dict(zip((2, -2, 4), _omega_weights(table, (2, -2, 4))))
+        phi2 = table[2][_BRANCH].tolist()
+        psim = (table[1] - table[2])[_BRANCH].tolist()  # phi_moment
+        om2, omm2, om4 = _omega_weights(table, (2, -2, 4))
+        om2 = [w.conjugate() for w in om2]
+        om4 = [w.conjugate() for w in om4]
+        y = (om2[1], om2[2], psim[0].conjugate(), om2[0])
+        v24 = (om4[1] - psim[1], om4[2] - omm2[0], psim[2] - omm2[1], om4[0] - omm2[2])
+        self.w_block = _weights(y, v24)
+        # a step's Y also carries the vartheta coupling's branches
+        self.w_step = _weights([w - p for w, p in zip(y, (0.0, *phi2))], v24)
 
     def step(self, uc, phases):
         """One UEI2 step of real data from t_n: the coefficients of u* at
         t_n + tau, a fresh array, from those uc of u*^n (real data is its own
         partner v*), with phases = _phases(e^(2ic^2 t_n)).
 
-        A step computes 16 transforms in 4 stacked calls, each formed from
+        A step computes 15 transforms in 4 stacked calls, each formed from
         the outputs of the one before: an inverse of (U, u*^n, A_c u*^n); a
         forward of e^(-3i tau|U|^2/8) U, |U|^2 U and |U|^4 U (the Strang-like
-        core and theta at U) and the four _block_rows of u*^n (the cubes give
-        every branch cube by reflection, so vartheta's transform is a branch
-        sum of them); an inverse of theta's w, the vartheta coupling and
-        _block_b; and a forward of _theta_g and of _block_s plus the vartheta
-        integrand, which both carry c<grad>_c^-1.  Each writes over its input.
+        core and theta at U) and the four _block_rows of u*^n (with their
+        reflections they give every branch cube, so vartheta's transform is a
+        branch sum of them); an inverse of theta's w and of _block_b's rows Y
+        and v24, where Y = m2 conj(v1) - xw merges the block's first filtered
+        moment v1 with the vartheta coupling xw; and a forward of the
+        _integrands of the samples (U, u*^n), stacked, with (w, Y, v24).
+        Each writes over its input.  The samples of U and u*^n take their
+        |.|^2 and squares as one stack, and the output is one sum of the
+        transformed rows weighted by out_syms.  The phases (p2, m2, m4)
+        multiply the block's branch rows (see _block_b), so the scalar
+        weights of Y and v24 are constants of the run.
         """
         lifted = self.lift * uc
-        Up, up, acu = _to_phys(lifted, out=lifted)
-        aU2 = np.abs(Up) ** 2
-        rows = np.empty((7, uc.shape[-1]), dtype=np.complex128)
+        phys = _to_phys(lifted, out=lifted)
+        pair, acu = phys[:2], phys[2]  # samples of (U, u*^n) and A_c u*^n
+        a2 = np.abs(pair) ** 2
+        sq = pair * pair
+        Up, aU2 = pair[0], a2[0]
+        # rows: the three at U, _block_b's seven, and the two _integrands
+        rows = np.empty((12, uc.shape[-1]), dtype=np.complex128)
         lin = _expi((-0.375 * self.tau) * aU2, out=rows[0])
         lin *= Up
         np.multiply(aU2, Up, out=rows[1])
         np.multiply(aU2, rows[1], out=rows[2])
-        up2, au2 = _block_rows(up, acu, rows[3:])
-        lin_hat, cub_hat, quint_hat, u3_hat, uau_hat, wq_hat, nr2b_hat = _to_coeffs(rows, out=rows)
+        _block_rows(pair[1], acu, sq[1], a2[1], rows[3:7])
+        _to_coeffs(rows[:7], out=rows[:7])
 
-        hats = _cube_hats(u3_hat, uau_hat, self.grid)
-        inv = np.empty_like(rows[:4])
-        np.multiply(self.cinvm1, cub_hat, out=inv[0])
-        np.multiply(self.cinv_s, _branches(hats[:3], phases, self.phi2), out=inv[1])
-        hat = _block_b(self, phases, hats, wq_hat, nr2b_hat, inv[2:])
-        w, xw, v1, v24 = _to_phys(inv, out=inv)
+        inv = np.empty_like(rows[:3])
+        np.multiply(self.cinvm1, rows[1], out=inv[0])
+        _block_b(self, phases, rows[3:10], self.w_step, inv[1:])
+        fwd = _integrands(a2, sq, _to_phys(inv, out=inv), out=rows[10:])
+        _to_coeffs(fwd, out=fwd)
 
-        fwd = np.empty_like(rows[:2])
-        _theta_g(Up, aU2, w, out=fwd[0])
-        s = _block_s(phases, up2, au2, v1, v24, out=fwd[1])
-        s += up2 * np.conj(xw)
-        s -= 2.0 * au2 * xw
-        g_hat, s_hat = _to_coeffs(fwd, out=fwd)
-
-        # the Strang-like core and theta at U, the block and vartheta at u*^n
-        out = self.exp_half * lin_hat + self.cub_w * cub_hat
-        out += _theta_hat(self, quint_hat, g_hat)
-        out += hat
-        out += self.cinv * s_hat
+        # the Strang-like core and theta at U, the block and vartheta at u*^n;
+        # rows[3] (3|u|^2 u) is spent
+        out = (self.out_syms[:3] * rows[:3]).sum(axis=0)
+        out += (self.out_syms[3:] * rows[4:]).sum(axis=0)
         return out
 
 
-def _cube_hats(u3_hat, uau_hat, grid):
-    """Rows (u^3, 3|u|^2 conj u, conj u^3, 3|u|^2 u) in Fourier coefficients:
-    the transforms of _cubes(u) followed by that of 3|u|^2 u, from the
-    coefficients of u^3 and 3|u|^2 u."""
-    return u3_hat, _conjrefl(uau_hat, grid), _conjrefl(u3_hat, grid), uau_hat
+def _weights(y, v24):
+    """The per-run weights of _block_b's rows Y and v24 as a (4, 2, 1) stack:
+    entry j is the column (Y, v24) of weights on the j-th row they sum."""
+    return np.array([y, v24]).T[:, :, None].copy()
 
 
 # The block's term of a step, -(i/8) c<grad>_c^-1 B = hat + c<grad>_c^-1 fft(s),
-# split at its transforms (a caller may add integrands carrying c<grad>_c^-1 to
-# s), from the samples up2, au2 of u*^2, |u*|^2 and the transforms of _block_rows
-def _block_rows(up, acu, out):
-    """Write u^3, 3|u|^2 u, u^2 A_c u and conj(u)^2 A_c u - 2|u|^2 conj(A_c u)
-    into out's rows from the samples up of u and acu of A_c u; return u^2
-    and |u|^2."""
-    up2, au2 = up * up, np.abs(up) ** 2
-    np.multiply(up2, up, out=out[0])
-    np.multiply(3.0 * au2, up, out=out[1])
+# split at its transforms, from the samples of u*: _block_rows, their
+# transforms' _block_b, hat its rows weighted by block_syms, and s the
+# _integrands of its rows Y and v24 (a step adds theta's w before them)
+def _block_rows(up, acu, up2, au2, out):
+    """Write 3|u|^2 u, u^3, u^2 A_c u and conj(u)^2 A_c u - 2|u|^2 conj(A_c u)
+    into out's rows from the samples up of u, acu of A_c u, up2 of u^2 and
+    au2 of |u|^2."""
+    np.multiply(3.0 * au2, up, out=out[0])
+    np.multiply(up2, up, out=out[1])
     np.multiply(up2, acu, out=out[2])
     np.multiply(np.conj(up2), acu, out=out[3])
     out[3] -= 2.0 * au2 * np.conj(acu)
-    return up2, au2
 
 
-def _block_b(co: _Uei2Coeffs, phases, hats, wq_hat, nr2b_hat, b):
-    """Return hat, from _cube_hats and the transforms wq_hat, nr2b_hat of the
-    moment rows of _block_rows, and write the two filtered moments into b's
-    rows."""
+def _block_b(co: _Uei2Coeffs, phases, x, w, b):
+    """Complete the seven rows x, the transforms of _block_rows and room for
+    three more, and write the coefficients of Y and v24 into b's rows, with
+    the per-run weights w (co.w_block or co.w_step).
+
+    x becomes: 3|u|^2 u, then the block's six branch rows, each times the
+    phase of its branch, in the order of block_syms: p2 u^3, p2 u^2 A_c u,
+    m2 (the second moment), m2 3|u|^2 conj u, m4 conj u^3, m4 conj(u^2 A_c u).
+    """
+    _conjrefl(x[:3], out=x[4:])
     p2, m2, m4 = phases
-    psim_p2, psim_m2, psim_m4 = co.psim
-    hat = _branches(hats[:3], phases, co.block_cubes)
-    hat += _branches(
-        (wq_hat, nr2b_hat, _conjrefl(wq_hat, co.grid)), phases, co.block_moments
-    )
+    x[1:3] *= p2
+    x[3:5] *= m2
+    x[5:] *= m4
 
-    # branch-filtered moments of Psi, b1 and b2, and of conj Psi, b3 and b4,
-    # are scalar combinations of the rows of hats (the reflection of a
-    # combination swaps rows 0 <-> 2 and 1 <-> 3 and conjugates the weights).
-    # As psim[1] = conj(psim[0]) and c<grad>_c^-1 is real and even, b3 is the
-    # reflection of b1, so its samples are conj(v1); b2 and b4 both multiply
-    # conj(u*^2), so m4 b4 - m2 b2 takes one inverse transform.  (Sums of
-    # products, not a matrix product: BLAS buffers would raise a run's peak
-    # memory.)
-    u3_hat, uaub_hat, u3b_hat, uau_hat = hats
-    # b2 = psim_m2 row 3 + sum of wm2 rows 0..2; b4 = psim_m4 row 1 + the
-    # reflection of the l = 4 combination, whose conjugated weights are r4
-    wm2 = [p * w for p, w in zip(phases, co.omega_q[-2])]
-    r4 = [(p * w).conjugate() for p, w in zip(phases, co.omega_q[4])]
-    b[0] = _branches(hats[:3], phases, co.omega_q[2]) + psim_p2 * uau_hat
-    b[1] = (
-        (m4 * r4[2] - m2 * wm2[0]) * u3_hat
-        + (m4 * psim_m4 - m2 * wm2[1]) * uaub_hat
-        + (m4 * r4[0] - m2 * wm2[2]) * u3b_hat
-        + (m4 * r4[1] - m2 * psim_m2) * uau_hat
-    )
+    # the branch-filtered moments of Psi, b1 and b2, and of conj Psi, b3 and
+    # b4, are scalar combinations of 3|u|^2 u, u^3 and their reflections; as
+    # c<grad>_c^-1 is real and even, b3 is the reflection of b1, so the block
+    # needs m2 conj(v1) and v24 = m4 b4 - m2 b2, where v1 and v24 are the
+    # samples of (3/64) tau^2 c<grad>_c^-1 times b1 and that combination.  Y is
+    # m2 conj(v1) minus, in a step, the samples xw of (3/64) tau^2
+    # c<grad>_c^-1 vartheta.  With |p2| = 1, the weights of Y on the rows
+    # (x[0], x[1], x[4], x[5]) are constants of the run, and those of v24 are
+    # constants times m2
+    np.multiply(w[0], x[0], out=b)
+    b += w[1] * x[1]
+    b += w[2] * x[4]
+    b += w[3] * x[5]
+    b[1] *= m2
     b *= co.cinv_s
-    return hat
 
 
-def _block_s(phases, up2, au2, v1, v24, out=None):
-    """s from the samples v1 and v24 of _block_b's rows."""
-    p2, m2, _ = phases
-    return np.add(2.0 * m2 * au2 * np.conj(v1) - p2 * up2 * v1, np.conj(up2) * v24, out=out)
+def _integrands(a2, sq, rows, out=None):
+    """The forward rows of a block: the _coupling of the samples, with
+    squares sq and a2 = |.|^2 stacked like rows[:-1], with rows[:-1] (in a
+    step, theta's w and Y; for the block alone, Y), the last plus conj(u^2)
+    times the samples v24 of rows[-1]."""
+    out = _coupling(a2, sq, rows[:-1], out=out)
+    out[-1] += np.conj(sq[-1]) * rows[-1]
+    return out
 
 
 def oscillatory_block(tau: float, t_n: float, u: SpectralField, m: MultiplierSet) -> SpectralField:
@@ -499,16 +527,18 @@ def oscillatory_block(tau: float, t_n: float, u: SpectralField, m: MultiplierSet
     _check_tau("oscillatory_block", tau)
     co = _Uei2Coeffs(m, tau)
     phases = _phases(phase_factor(2, m.c, t_n))
-    up, acu = _to_phys(np.stack([u.coeffs, m.a_c * u.coeffs]))
-    rows = np.empty((4, up.shape[-1]), dtype=np.complex128)
-    up2, au2 = _block_rows(up, acu, rows)
-    u3_hat, uau_hat, wq_hat, nr2b_hat = _to_coeffs(rows, out=rows)
-    b = np.empty_like(rows[2:])
-    hat = _block_b(co, phases, _cube_hats(u3_hat, uau_hat, u.grid), wq_hat, nr2b_hat, b)
-    v1, v24 = _to_phys(b, out=b)
-    s = _block_s(phases, up2, au2, v1, v24)
+    phys = _to_phys(np.stack([u.coeffs, m.a_c * u.coeffs]))
+    up = phys[:1]  # a stack of one row, like the step's (U, u*)
+    sq, a2 = up * up, np.abs(up) ** 2
+    x = np.empty((7, u.grid.n_points), dtype=np.complex128)
+    _block_rows(up[0], phys[1], sq[0], a2[0], x)
+    _to_coeffs(x[:4], out=x[:4])
+    b = np.empty_like(x[:2])
+    _block_b(co, phases, x, co.w_block, b)
+    hat = (co.block_syms * x[1:]).sum(axis=0)
+    (s_hat,) = _to_coeffs(_integrands(a2, sq, _to_phys(b, out=b)))
     # undo the step's -(i/8) c<grad>_c^-1
-    return SpectralField(u.grid, 8j * (hat / co.cinv + _to_coeffs(s, out=s)))
+    return SpectralField(u.grid, 8j * (hat / co.cinv + s_hat))
 
 
 def kernel_bundle(t_n: float, tau: float, v: SpectralField, m: MultiplierSet) -> KernelBundle:

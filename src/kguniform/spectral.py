@@ -67,7 +67,6 @@ class SpectralGrid:
     modes: int
     wavenumbers: np.ndarray = field(repr=False)
     x: np.ndarray = field(repr=False)
-    conj_index: np.ndarray = field(repr=False)
 
     @property
     def n_points(self) -> int:
@@ -94,9 +93,7 @@ def make_grid(d: int, K: int) -> SpectralGrid:
     n = 2 * K
     k = np.concatenate([np.arange(0, K), np.arange(-K, 0)]).astype(np.float64)
     x = 2.0 * np.pi * np.arange(n) / n
-    # index map realizing k -> -k (mode -K is self-paired, as K = -K mod 2K)
-    conj_index = (-np.arange(n)) % n
-    return SpectralGrid(modes=K, wavenumbers=k, x=x, conj_index=conj_index)
+    return SpectralGrid(modes=K, wavenumbers=k, x=x)
 
 
 def _to_phys(coeffs, out=None):
@@ -115,9 +112,16 @@ def _to_coeffs(vals, out=None):
     return _fft.fft(vals, 1.0 / vals.shape[-1], out=out)
 
 
-def _conjrefl(coeffs: np.ndarray, grid: SpectralGrid) -> np.ndarray:
-    """Fourier-side image of physical conjugation."""
-    return np.conj(coeffs[grid.conj_index])
+def _conjrefl(coeffs: np.ndarray, out=None) -> np.ndarray:
+    """Fourier-side image of physical conjugation, k -> -k and conjugation
+    (of each row of a stack alike; mode -K is its own image), written into
+    `out` when given.  Two slices, not an index array: gathering by index
+    costs more on a stack."""
+    if out is None:
+        out = np.empty_like(coeffs)
+    out[..., :1] = coeffs[..., :1]
+    out[..., 1:] = coeffs[..., :0:-1]
+    return np.conj(out, out=out)
 
 
 @dataclass(eq=False)
@@ -173,7 +177,7 @@ def constant_field(grid: SpectralGrid, value: complex) -> SpectralField:
 
 def conj_field(f: SpectralField) -> SpectralField:
     """Complex conjugate in physical space: coefficient reversal plus conjugation."""
-    return SpectralField(f.grid, _conjrefl(f.coeffs, f.grid))
+    return SpectralField(f.grid, _conjrefl(f.coeffs))
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,4 +1,5 @@
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -284,14 +285,40 @@ def test_uei2_step_equals_public_kernel_assembly(grid64):
     assert sobolev_norm(fast - assembled, 1.0) < 1e-13 * max(1.0, sobolev_norm(fast, 1.0))
 
 
-@pytest.mark.parametrize("c", [1.0, 100.0, 1e4])
-@pytest.mark.parametrize("t_n", [0.0, 0.37])
-def test_uei2_step_matches_docstring_composition(grid64, c, t_n):
+def _quadrant_time(c, q):
+    # t_n ~ 0.31 with 2c^2 t_n mod 2pi in the middle of quadrant q = 0..3
+    return (0.2 * math.pi * c * c + (q + 0.5) * math.pi / 2) / (2.0 * c * c)
+
+
+# (t_n, c, K, the quadrant of 2c^2 t_n mod 2pi or None)
+_COMPOSITION_CASES = [
+    *(
+        pytest.param(t_n, c, 64, None, id=f"{t_n}-{c}")
+        for t_n in (0.0, 0.37)
+        for c in (1.0, 100.0, 1e4)
+    ),
+    *(
+        pytest.param(_quadrant_time(c, q), c, 64, q, id=f"quadrant{q}-{c}")
+        for c in (100.0, 1e4)
+        for q in range(4)
+    ),
+    pytest.param(0.37, 100.0, 256, None, id="0.37-100.0-K256"),
+]
+
+
+@pytest.mark.parametrize("t_n, c, K, quadrant", _COMPOSITION_CASES)
+def test_uei2_step_matches_docstring_composition(t_n, c, K, quadrant):
     # the step shares transforms between its terms; each term on its own,
-    # through the public kernels, must add up to the same step
+    # through the public kernels, must add up to the same step.  The step
+    # folds its scalar weights into powers of e^(2ic^2 t_n), taking its
+    # modulus to be 1; the quadrant cases put the phase all round the circle
+    if quadrant is not None:
+        angle = cmath.phase(phase_factor(2, c, t_n)) % (2 * math.pi)
+        assert int(angle // (math.pi / 2)) == quadrant
+    grid = make_grid(1, K)
     tau = 2.0**-7
-    m, _, p0 = _standard_pair(grid64, c)
-    fast = step_uei2_real(p0.u_star, t_n, StepContext(grid64, m, tau))
+    m, _, p0 = _standard_pair(grid, c)
+    fast = step_uei2_real(p0.u_star, t_n, StepContext(grid, m, tau))
     assembled = _assembled_uei2_step(p0.u_star, t_n, m, tau)
     assert sobolev_norm(fast - assembled, 1.0) <= 1e-14 * sobolev_norm(fast, 1.0)
 
@@ -320,7 +347,7 @@ class _CountingFft:
 
 # transforms (rows) one step computes, however they are stacked into calls
 _TRANSFORMS_PER_STEP = {
-    SchemeId.UEI2_REAL: 16,
+    SchemeId.UEI2_REAL: 15,
     SchemeId.UEI1: 6,
     SchemeId.UEI1_REAL: 3,
     SchemeId.LIE_LIMIT: 4,
@@ -328,18 +355,18 @@ _TRANSFORMS_PER_STEP = {
     SchemeId.STRANG_LIMIT: 2,
 }
 
+# transform calls one step may make
+_FFT_CALLS_PER_STEP = {
+    SchemeId.UEI2_REAL: 4,
+    SchemeId.UEI1: 2,
+    SchemeId.UEI1_REAL: 2,
+    SchemeId.LIE_LIMIT: 2,
+    SchemeId.LARGE_C_UEI1: 2,
+    SchemeId.STRANG_LIMIT: 2,
+}
 
-@pytest.mark.parametrize(
-    "scheme, budget",
-    [
-        (SchemeId.UEI2_REAL, 4),
-        (SchemeId.UEI1, 2),
-        (SchemeId.UEI1_REAL, 2),
-        (SchemeId.LIE_LIMIT, 2),
-        (SchemeId.LARGE_C_UEI1, 2),
-        (SchemeId.STRANG_LIMIT, 2),
-    ],
-)
+
+@pytest.mark.parametrize("scheme, budget", _FFT_CALLS_PER_STEP.items())
 def test_fft_calls_per_step(grid64, monkeypatch, scheme, budget):
     # every transform of a step goes through spectral._fft, the solvers' one
     # transform binding; independent ones are stacked into one call, and the
@@ -373,10 +400,19 @@ def test_fft_calls_per_step(grid64, monkeypatch, scheme, budget):
 )
 def test_phi_calls_per_stepper_build(grid64, monkeypatch, scheme, calls):
     # a stepper takes its scalar weights from one phi table (one phi_1 and one
-    # phi_2 call); UEI2 adds one of each on its stacked branch symbols.  Every
-    # binding of spectral.phi is counted, phi_moment's own calls included
-    from kguniform import integrators, model, spectral
+    # phi_2 call); UEI2 adds one of each on its stacked branch symbols
     from kguniform.integrators import _STEPPERS
+
+    count = _count_phi_calls(monkeypatch)
+    m = make_multipliers(grid64, 100.0)
+    _STEPPERS[scheme](m, 0.01)
+    assert len(count) == calls
+
+
+def _count_phi_calls(monkeypatch):
+    # the list that every later call of spectral.phi, through any of its
+    # bindings (phi_moment's own calls included), appends its j to
+    from kguniform import integrators, model, spectral
 
     count = []
     real_phi = spectral.phi
@@ -388,9 +424,18 @@ def test_phi_calls_per_stepper_build(grid64, monkeypatch, scheme, calls):
     for mod in (spectral, model, integrators):
         if hasattr(mod, "phi"):
             monkeypatch.setattr(mod, "phi", counting)
+    return count
+
+
+def test_kernel_theta_makes_no_phi_call(grid64, monkeypatch):
+    # theta's symbols hold no phi value, so kernel_theta builds only those
+    from kguniform import kernel_theta
+
     m = make_multipliers(grid64, 100.0)
-    _STEPPERS[scheme](m, 0.01)
-    assert len(count) == calls
+    v = paper_initial_data(grid64, 100.0).z
+    count = _count_phi_calls(monkeypatch)
+    kernel_theta(0.37, 0.01, v, m)
+    assert count == []
 
 
 def test_twist_oracle_and_evolve_reject_non_finite_times_and_c(grid64):

@@ -5,8 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from kguniform import SchemeId
 from kguniform.cli import _CONFIG_KEYS
 from kguniform.cli import main as cli_main
+from test_integrators import _FFT_CALLS_PER_STEP, _TRANSFORMS_PER_STEP
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -37,3 +39,13 @@ def test_readme_command_line_flags_exist(capsys):
     flags = _flags(block)
     assert "--tau-exp" in flags and "--K" in flags
     assert flags <= _flags(_help(capsys, "sweep")) | _flags(_help(capsys, "verify"))
+
+
+def test_readme_uei2_transform_counts_are_the_pinned_ones():
+    # the counts README quotes are those test_fft_calls_per_step pins
+    conventions = _section("Conventions (fixed, load-bearing)")
+    calls, transforms = re.search(
+        r"a UEI2 step makes (\d+) calls for its (\d+) transforms", conventions
+    ).groups()
+    assert int(calls) == _FFT_CALLS_PER_STEP[SchemeId.UEI2_REAL]
+    assert int(transforms) == _TRANSFORMS_PER_STEP[SchemeId.UEI2_REAL]
