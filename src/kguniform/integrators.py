@@ -80,7 +80,9 @@ from .spectral import (
     SpectralField,
     SpectralGrid,
     _to_coeffs,
+    _to_coeffs_real,
     _to_phys,
+    _to_phys_real,
     sobolev_norm,
 )
 
@@ -372,10 +374,11 @@ def _panel_rule(q: int):
 _ORACLE_MAX_PANELS = 20000
 
 # panels per block of the oracle's sweep: 16 panels of q = 16 nodes are 256
-# rows, so one block array at N = 128 points is 512 KB.  The 35 oracle calls
-# of one benchmark `oracle` body take 0.81 s at 256 rows, 0.84 s at 128 and
-# 0.95, 1.06 and 1.25 s at 512, 1024 and 2048 (medians of 4, one core of a
-# 2-vCPU VM)
+# rows, so one block array at N = 128 points is 512 KB.  Benchmark `oracle`
+# wall_s medians of 5 alternating runs (one core of a 2-vCPU VM) are 0.84,
+# 0.86, 0.84 and 0.99 s at 8, 16, 32 and 64 panels; 8 against 16 over 8 more
+# pairs is 0.79 against 0.82 s, each winning 4, so 8 to 32 panels tie within
+# the noise and 64 is slower
 _ORACLE_BLOCK_PANELS = 16
 
 
@@ -401,6 +404,16 @@ def duhamel_oracle_step(
     panel width, gives a level's in-panel partial integrals and its panel
     sums; the last level needs only the sums.  Memory is O(block * N)
     rather than O(nodes * N).
+
+    The data are real, so the sample a = 2 Re(e^(i c^2 s) u*(s)) and its
+    cube are real.  Each block folds the sample phase into its propagators
+    efwd = e^(i c^2 (t_n + s)) e^(i s A_c) and ebwd = corr conj(efwd), with
+    corr = -(i/8) c<grad>_c^-1, so a level forms y = efwd d, takes one real
+    inverse transform of the half spectrum y_k + conj(y_-k), k = 0..K, cubes
+    the samples in place, takes one real forward transform, fills k < 0 by
+    conjugate reflection and multiplies by ebwd.  The running integrals
+    then hold corr, and the next level's d is u* + their sum.  A result
+    that is not finite raises NonFiniteStateError.
     """
     if nodes < 16:
         raise ValueError(f"need nodes >= 16, got {nodes}")
@@ -430,6 +443,7 @@ def duhamel_oracle_step(
 
     u0 = u.coeffs
     corr = -0.125j * m.c_inv
+    K = u.grid.modes
     levels = 4
     carry = np.zeros((levels, 1, n), dtype=np.complex128)
     for p0 in range(0, panels, _ORACLE_BLOCK_PANELS):
@@ -438,39 +452,45 @@ def duhamel_oracle_step(
         cb = centres[p0 : p0 + _ORACLE_BLOCK_PANELS]
         nb = cb.shape[0]
         phb = ph[p0 : p0 + nb].T[..., None]
-        phr, nphi = phb.real, -phb.imag
-        efwd = np.empty((q, nb, n), dtype=np.complex128)  # e^(i s A_c)
+        efwd = np.empty((q, nb, n), dtype=np.complex128)
         np.multiply(enode, _expi(cb[:, None] * m.a_c), out=efwd)
+        efwd *= phb
         ebwd = np.conj(efwd)
+        ebwd *= corr
+        y = np.empty((q, nb, n), dtype=np.complex128)
+        half = np.empty((q, nb, K + 1), dtype=np.complex128)
+        a = np.empty((q, nb, n))
         d = u0
         for level in range(levels):
-            vals = efwd * d
-            _to_phys(vals, out=vals)
-            # a = 2 Re(ph vals) and g = conj(ph) a^3, in real arithmetic
-            a = phr * vals.real
-            a += nphi * vals.imag
-            a *= 2.0
-            a3 = a * a
-            a3 *= a
-            g = np.empty_like(vals)
-            np.multiply(phr, a3, out=g.real)
-            np.multiply(nphi, a3, out=g.imag)
+            # a = 2 Re(samples of y) has the Hermitian coefficients
+            # y_k + conj(y_-k), of which one real inverse needs k = 0..K
+            np.multiply(efwd, d, out=y)
+            np.conj(y[..., :1], out=half[..., :1])
+            np.conj(y[..., : K - 1 : -1], out=half[..., 1:])
+            half += y[..., : K + 1]
+            _to_phys_real(half, out=a)
+            a *= a * a
+            # the coefficients of conj(ph) a^3: those of a^3 (k < 0 by
+            # conjugate reflection) times conj(ph), which ebwd holds
+            _to_coeffs_real(a, out=y[..., : K + 1])
+            np.conj(y[..., K - 1 : 0 : -1], out=y[..., K + 1 :])
             # an explicit out: numpy would otherwise reuse a large temporary
             # with the operands swapped, and its FMA complex product is not
             # bitwise commutative, so results would depend on the block size
-            hnode = _to_coeffs(g, out=g)
-            np.multiply(ebwd, hnode, out=hnode)
-            hnode = hnode.view(np.float64).reshape(q, -1)
+            np.multiply(ebwd, y, out=y)
             last = level == levels - 1
-            ints = np.matmul(rule[q:] if last else rule, hnode)
+            ints = np.matmul(rule[q:] if last else rule, y.view(np.float64).reshape(q, -1))
             sums = ints[-1].view(np.complex128).reshape(nb, n)
             prefix = np.cumsum(np.concatenate([carry[level], sums]), axis=0)
             carry[level] = prefix[-1]
             if not last:
-                partial = ints[:q].view(np.complex128).reshape(q, nb, n)
-                partial += prefix[:-1]
-                d = u0 + corr * partial
-    out = np.exp(1j * tau * m.a_c) * (u0 + corr * carry[-1, 0])
+                d = ints[:q].view(np.complex128).reshape(q, nb, n)
+                d += prefix[:-1] + u0
+    out = np.exp(1j * tau * m.a_c) * (u0 + carry[-1, 0])
+    if not np.isfinite(out).all():
+        raise NonFiniteStateError(
+            f"oracle result is not finite (c={c!r}, tau={tau!r}, t_n={t_n!r})"
+        )
     return SpectralField(u.grid, out)
 
 

@@ -5,10 +5,13 @@ with integer wavenumbers k in {-K, ..., K-1} in standard FFT layout.
 Fourier coefficients are the canonical state representation and are
 normalized so that the constant function 1 has coefficient 1 at k = 0,
 i.e. coeffs = fft(values) / n_points.  This module owns that convention:
-every solver transforms through _to_phys and _to_coeffs, the one transform
-pair: numpy's pocketfft gufuncs with numpy.fft's norm="forward" factors,
-called directly to skip its Python wrapper.  With that normalization the
-Sobolev norm is
+every solver transforms through _to_phys and _to_coeffs, the one complex
+transform pair, and the Duhamel oracle, whose samples are real, through
+_to_phys_real and _to_coeffs_real, the one real pair, which hold the half
+k = 0..K of a Hermitian spectrum.  Both pairs call numpy's pocketfft
+gufuncs, the one binding _fft, with numpy.fft's norm="forward" factors,
+directly to skip its Python wrapper.  With that normalization the Sobolev
+norm is
 
     ||u||_r^2 = sum_k (1 + |k|^2)^r |u_k|^2,
 
@@ -110,6 +113,25 @@ def _to_coeffs(vals, out=None):
     if out is None:
         out = np.empty(vals.shape, dtype=np.complex128)
     return _fft.fft(vals, 1.0 / vals.shape[-1], out=out)
+
+
+def _to_phys_real(half, out=None):
+    """Real physical samples of Hermitian coefficient vectors given by their
+    half k = 0..K (rows of a stack alike), written into `out` when given: the
+    real counterpart of _to_phys, for 2K points."""
+    if out is None:
+        out = np.empty(half.shape[:-1] + (2 * half.shape[-1] - 2,))
+    return _fft.irfft(half, 1.0, out=out)
+
+
+def _to_coeffs_real(vals, out=None):
+    """Half k = 0..K of the coefficients of real samples at 2K points (rows
+    of a stack alike), written into `out` when given: the real counterpart
+    of _to_coeffs, whose other half is the conjugate reflection of this one."""
+    n = vals.shape[-1]
+    if out is None:
+        out = np.empty(vals.shape[:-1] + (n // 2 + 1,), dtype=np.complex128)
+    return _fft.rfft_n_even(vals, 1.0 / n, out=out)
 
 
 def _conjrefl(coeffs: np.ndarray, out=None) -> np.ndarray:

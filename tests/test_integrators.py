@@ -8,6 +8,7 @@ from kguniform import (
     KgState,
     ReferenceUnreliableError,
     SchemeId,
+    SpectralField,
     StepContext,
     constant_field,
     duhamel_oracle_step,
@@ -325,24 +326,31 @@ def test_uei2_step_matches_docstring_composition(t_n, c, K, quadrant):
 
 class _CountingFft:
     """Stands in for a transform binding, counting calls (a stacked call is
-    one) and the transforms (rows) they compute."""
+    one) and the transforms (rows) they compute, in all and per function."""
 
     def __init__(self, fft):
         self._fft = fft
         self.calls = 0
         self.rows = 0
+        self.calls_of = dict.fromkeys(["fft", "ifft", "rfft_n_even", "irfft"], 0)
 
-    def _count(self, x):
+    def _call(self, name, x, *args, **kwargs):
         self.calls += 1
         self.rows += x.size // x.shape[-1]
+        self.calls_of[name] += 1
+        return getattr(self._fft, name)(x, *args, **kwargs)
 
     def fft(self, x, *args, **kwargs):
-        self._count(x)
-        return self._fft.fft(x, *args, **kwargs)
+        return self._call("fft", x, *args, **kwargs)
 
     def ifft(self, x, *args, **kwargs):
-        self._count(x)
-        return self._fft.ifft(x, *args, **kwargs)
+        return self._call("ifft", x, *args, **kwargs)
+
+    def rfft_n_even(self, x, *args, **kwargs):
+        return self._call("rfft_n_even", x, *args, **kwargs)
+
+    def irfft(self, x, *args, **kwargs):
+        return self._call("irfft", x, *args, **kwargs)
 
 
 # transforms (rows) one step computes, however they are stacked into calls
@@ -669,10 +677,68 @@ def test_oracle_block_size_does_not_change_result(grid64, monkeypatch):
     import kguniform.integrators as integrators_mod
 
     u, ctx = _oracle_c200(grid64)
-    default = duhamel_oracle_step(u, 0.0, ctx).coeffs
+    times = (0.0, 0.3)  # the sample phases are folded in per node
+    default = [duhamel_oracle_step(u, t_n, ctx).coeffs for t_n in times]
     for panels in (1, 10**6):
         monkeypatch.setattr(integrators_mod, "_ORACLE_BLOCK_PANELS", panels)
-        assert np.array_equal(duhamel_oracle_step(u, 0.0, ctx).coeffs, default), panels
+        for t_n, want in zip(times, default):
+            assert np.array_equal(duhamel_oracle_step(u, t_n, ctx).coeffs, want), (t_n, panels)
+
+
+def test_oracle_makes_two_real_transform_calls_per_level_and_block(grid64, monkeypatch):
+    # the samples a and the cube a^3 are real: each level of each block takes
+    # one real inverse and one real forward transform of its 16 * panels
+    # rows, and no complex one
+    from kguniform import integrators as integrators_mod
+    from kguniform import spectral
+
+    u, ctx = _oracle_c200(grid64)
+    panels, levels = 844, 4
+    blocks = -(-panels // integrators_mod._ORACLE_BLOCK_PANELS)
+    counter = _CountingFft(spectral._fft)
+    monkeypatch.setattr(spectral, "_fft", counter)
+    duhamel_oracle_step(u, 0.0, ctx)
+    assert counter.calls_of == {
+        "fft": 0,
+        "ifft": 0,
+        "rfft_n_even": levels * blocks,
+        "irfft": levels * blocks,
+    }
+    assert counter.rows == levels * 2 * panels * 16
+
+
+@pytest.mark.parametrize("K", [3, 4])
+def test_oracle_agrees_with_fine_uei2_at_the_nyquist_mode(K):
+    # random data whose Nyquist coefficient (k = -K) is not small, where the
+    # paper profile's is ~1e-36: the oracle's real transforms must carry
+    # that mode as the complex ones do.  256 UEI2 steps agree to ~1e-10, and
+    # half the Nyquist term in the oracle's half spectrum gives ~2e-3
+    rng = np.random.default_rng(7)
+    grid = make_grid(1, K)
+    m = make_multipliers(grid, 1.0)
+    coeffs = rng.standard_normal(2 * K) + 1j * rng.standard_normal(2 * K)
+    coeffs *= 0.3 / (1.0 + np.abs(grid.wavenumbers))
+    coeffs[K] = 0.3
+    u = SpectralField(grid, coeffs)
+    tau, t_n = 0.05, 0.3
+    oracle = duhamel_oracle_step(u, t_n, StepContext(grid, m, tau))
+    fine = evolve(SchemeId.UEI2_REAL, TwistedPair(u, u, t_n, 1.0), tau, StepContext(grid, m, tau / 256))
+    assert sobolev_norm(oracle - fine.u_star, 1.0) <= 1e-8
+
+
+def test_oracle_raises_on_non_finite_state():
+    # one NaN coefficient makes the whole result NaN; the oracle says so,
+    # naming c, tau and t_n, instead of returning it
+    from kguniform import NonFiniteStateError
+
+    grid = make_grid(1, 16)
+    m = make_multipliers(grid, 10.0)
+    u, _ = to_first_order(paper_initial_data(grid, 10.0), m)
+    u.coeffs[3] = np.nan
+    ctx = StepContext(grid, m, 0.01)
+    with pytest.raises(NonFiniteStateError) as info:
+        duhamel_oracle_step(u, 0.25, ctx)
+    assert str(info.value) == "oracle result is not finite (c=10.0, tau=0.01, t_n=0.25)"
 
 
 def test_oracle_memory_is_bounded_by_the_block(grid64):

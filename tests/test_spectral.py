@@ -16,7 +16,15 @@ from kguniform import (
     sobolev_norm,
     zero_field,
 )
-from kguniform.spectral import _PHI_SERIES_CUTOFF, _phi_series, _to_coeffs, _to_phys
+from kguniform.spectral import (
+    _PHI_SERIES_CUTOFF,
+    _conjrefl,
+    _phi_series,
+    _to_coeffs,
+    _to_coeffs_real,
+    _to_phys,
+    _to_phys_real,
+)
 from kguniform.verify import check_operator_bounds, random_field
 
 
@@ -108,6 +116,32 @@ def test_transform_pair_is_numpy_fft_bitwise(rng, n):
             y = x.copy()
             assert ours(y, out=y) is y and np.array_equal(y, want)
         assert np.array_equal(_to_coeffs(x.real), np.fft.fft(x.real, norm="forward"))
+
+
+@pytest.mark.parametrize("K", [2, 3, 64])
+def test_real_transform_pair_matches_the_complex_pair(rng, K):
+    # y is a random stack whose Nyquist coefficient (k = -K) is not small:
+    # the inverse of the Hermitian half y_k + conj(y_-k), k = 0..K, is
+    # 2 Re of y's samples, and the forward half of real samples, with its
+    # conjugate reflection for k < 0, is _to_coeffs of them
+    n = 2 * K
+    y = rng.standard_normal((2, 3, n)) + 1j * rng.standard_normal((2, 3, n))
+    y[..., K] = 3.0 - 2.0j
+    herm = y + _conjrefl(y)
+    a = _to_phys_real(herm[..., : K + 1])
+    want = 2.0 * _to_phys(y).real
+    assert a.shape == want.shape and a.dtype == np.float64
+    assert np.max(np.abs(a - want)) <= 1e-15 * np.max(np.abs(want))
+    out = np.empty_like(a)
+    assert _to_phys_real(herm[..., : K + 1], out=out) is out and np.array_equal(out, a)
+
+    half = _to_coeffs_real(a)
+    assert half.shape == (2, 3, K + 1)
+    full = np.concatenate([half, np.conj(half[..., K - 1 : 0 : -1])], axis=-1)
+    want = _to_coeffs(a)
+    assert np.max(np.abs(full - want)) <= 1e-15 * np.max(np.abs(want))
+    out = np.empty_like(half)
+    assert _to_coeffs_real(a, out=out) is out and np.array_equal(out, half)
 
 
 def test_spectral_import_names_the_numpy_floor(monkeypatch):
