@@ -373,12 +373,21 @@ def _panel_rule(q: int):
 
 _ORACLE_MAX_PANELS = 20000
 
+# radians of the integrand's fastest oscillation per 16-node panel.  A panel
+# sum of e^(i w x) is exact to round-off up to ~16 rad and its partial
+# integrals to 2.4e-12 at 6 rad.  Against oracles at 1.5 rad per panel, the
+# outputs differ by <= 7.9e-17 of their max (K 16 to 128, c 1 to 200, tau
+# 2^-6 to 2^-12, t_n 0 and 0.37, paper and (1 + |k|)^-2 data), as they do at
+# 3 rad; at c = 200, tau = 2^-6 they are unmoved at 16 rad and move by
+# 3.5e-15 at 24 rad
+_ORACLE_RAD_PER_PANEL = 6.0
+
 # panels per block of the oracle's sweep: 16 panels of q = 16 nodes are 256
 # rows, so one block array at N = 128 points is 512 KB.  Benchmark `oracle`
-# wall_s medians of 5 alternating runs (one core of a 2-vCPU VM) are 0.84,
-# 0.86, 0.84 and 0.99 s at 8, 16, 32 and 64 panels; 8 against 16 over 8 more
-# pairs is 0.79 against 0.82 s, each winning 4, so 8 to 32 panels tie within
-# the noise and 64 is slower
+# wall_s medians of 8 rotating runs (one core of a 2-vCPU VM, 6 rad per
+# panel) are 0.48, 0.43 and 0.45 s at 8, 16 and 32 panels, with quartiles
+# 0.39-0.49, 0.39-0.46 and 0.42-0.51 s: they tie within the noise (64 was
+# slower when every call had twice the panels)
 _ORACLE_BLOCK_PANELS = 16
 
 
@@ -390,8 +399,20 @@ def duhamel_oracle_step(
     u*(t_n + s) inside the integrand supplied by three Picard iterations.
 
     `nodes` is a floor on the total number of quadrature points; panels are
-    added until the fastest oscillation (rate 4c^2 + max A_c) is resolved,
-    so the quadrature error is negligible against the O(tau^4) Picard error.
+    added until each 16-node panel spans at most _ORACLE_RAD_PER_PANEL
+    radians of the integrand's fastest oscillation, so the quadrature error
+    is negligible against the O(tau^4) Picard error.  That rate is
+    4 (c^2 + max A_c): the cube of three samples, each oscillating as
+    e^(i s (c^2 + A_c(j))), times the output propagator e^(-i s (c^2 + A_c(k))).
+    Panels at K = 64 and nodes = 64:
+
+        tau        2^-6   2^-9   2^-12
+        c = 100     124     16       4
+        c = 200     438     55       7
+
+    After the finiteness check, the last two levels' integrals must agree to
+    1e-6 of the result's largest coefficient, else the Picard iteration has
+    not converged and ValueError names c, tau, t_n and the increment.
 
     The iteration is causal: Picard level k+1 at a node needs level k only
     at that node, plus level k's integral over the earlier panels.  So the
@@ -423,8 +444,8 @@ def duhamel_oracle_step(
     n = u.grid.n_points
     c = m.c
     q = 16
-    rate = 4.0 * c * c + float(np.max(m.a_c))
-    panels = max(2, math.ceil(nodes / q), math.ceil(tau * rate / 3.0))
+    rate = 4.0 * (c * c + float(np.max(m.a_c)))
+    panels = max(2, math.ceil(nodes / q), math.ceil(tau * rate / _ORACLE_RAD_PER_PANEL))
     if panels > _ORACLE_MAX_PANELS:
         raise ValueError(
             f"oracle would need {panels} panels to resolve the oscillation; "
@@ -490,6 +511,13 @@ def duhamel_oracle_step(
     if not np.isfinite(out).all():
         raise NonFiniteStateError(
             f"oracle result is not finite (c={c!r}, tau={tau!r}, t_n={t_n!r})"
+        )
+    increment = float(np.max(np.abs(carry[-1] - carry[-2])))
+    scale = float(np.max(np.abs(out)))
+    if increment > 1e-6 * scale:
+        raise ValueError(
+            f"oracle Picard iteration did not converge (c={c!r}, tau={tau!r}, "
+            f"t_n={t_n!r}): last increment {increment:.3e}, largest coefficient {scale:.3e}"
         )
     return SpectralField(u.grid, out)
 

@@ -201,7 +201,9 @@ def _defect_fault(c, pts, name):
 
 def _block_quadrature(tau, t_n, u, m):
     """Composite 16-point GL quadrature of the oscillatory Duhamel branches
-    with u*(t_n+s) replaced by its first-order inner expansion."""
+    with u*(t_n+s) replaced by its first-order inner expansion: one row per
+    node, each transform one call over all rows, and the rows' terms summed
+    with the quadrature weights in one product."""
     grid = u.grid
     n = grid.n_points
     c = m.c
@@ -210,20 +212,17 @@ def _block_quadrature(tau, t_n, u, m):
     rate = 4 * c * c + 2 * float(np.max(m.a_c))
     panels = max(2, math.ceil(tau * rate / 3.0))
     nodes, weights = _gauss_legendre(0.0, tau, 16, panels)
-    nodes = nodes.ravel()
-    acc = np.zeros(n, dtype=complex)
-    for s, w, psi_s in zip(nodes, np.tile(weights, panels), _psi_raw(t_n, nodes, uv, c)):
-        inner = 3.0 * s * uau + psi_s
-        ut_hat = np.exp(1j * s * m.a_c) * u.coeffs - 0.125j * m.c_inv * (
-            _fft.fft(inner) / n
-        )
-        wv = _fft.ifft(ut_hat) * n
-        ph = phase_factor(1, c, t_n + s)
-        w3 = wv**3
-        wau = np.abs(wv) ** 2 * wv
-        g = ph**2 * w3 + 3.0 * ph.conjugate() ** 2 * np.conj(wau) + ph.conjugate() ** 4 * np.conj(w3)
-        acc += w * np.exp(1j * (tau - s) * m.a_c) * (_fft.fft(g) / n)
-    return SpectralField(grid, acc)
+    s = nodes.ravel()
+    sc = s[:, None]
+    inner = 3.0 * sc * uau + _psi_raw(t_n, s, uv, c)
+    ut_hat = np.exp(1j * sc * m.a_c) * u.coeffs - 0.125j * m.c_inv * (_fft.fft(inner) / n)
+    wv = _fft.ifft(ut_hat) * n
+    ph = phase_factor(1, c, t_n + sc)
+    w3 = wv**3
+    wau = np.abs(wv) ** 2 * wv
+    g = ph**2 * w3 + 3.0 * ph.conjugate() ** 2 * np.conj(wau) + ph.conjugate() ** 4 * np.conj(w3)
+    terms = np.exp(1j * (tau - sc) * m.a_c) * (_fft.fft(g) / n)
+    return SpectralField(grid, np.tile(weights, panels) @ terms)
 
 
 def check_block_quadrature():

@@ -586,6 +586,19 @@ def test_panel_rule_partial_weights():
             np.testing.assert_allclose(pm @ xg**p, ref, rtol=0, atol=1e-13, err_msg=f"q={q} p={p}")
 
 
+def test_panel_rule_resolves_six_radians_per_panel():
+    # the oracle's budget: e^(i w x) over [-1, 1] turns through up to 6 rad,
+    # and the 16-node rule's partial integrals and sum stay exact to 2.4e-12
+    # and round-off
+    xg, wg = _legendre_rule(16)
+    pm = _panel_rule(16)
+    for w in np.linspace(-3.0, 3.0, 60):  # an even count skips w = 0
+        f = np.exp(1j * w * xg)
+        partial = (f - np.exp(-1j * w)) / (1j * w)
+        assert np.max(np.abs(pm @ f - partial)) <= 5e-12, w
+        assert abs(wg @ f - 2.0 * np.sin(w) / w) <= 1e-15, w
+
+
 def test_local_defects_fail_on_a_nan_defect(monkeypatch):
     # a defect that is not finite fails the check, naming c and tau, instead
     # of dropping out of the order fit
@@ -663,7 +676,7 @@ def test_oracle_self_consistency(grid64):
 
 
 def _oracle_c200(grid):
-    # 844 panels of 16 nodes: 53 blocks of the oracle's sweep, the last partial
+    # 438 panels of 16 nodes: 28 blocks of the oracle's sweep, the last partial
     c = 200.0
     m = make_multipliers(grid, c)
     u, _ = to_first_order(paper_initial_data(grid, c), m)
@@ -693,7 +706,7 @@ def test_oracle_makes_two_real_transform_calls_per_level_and_block(grid64, monke
     from kguniform import spectral
 
     u, ctx = _oracle_c200(grid64)
-    panels, levels = 844, 4
+    panels, levels = 438, 4
     blocks = -(-panels // integrators_mod._ORACLE_BLOCK_PANELS)
     counter = _CountingFft(spectral._fft)
     monkeypatch.setattr(spectral, "_fft", counter)
@@ -741,8 +754,60 @@ def test_oracle_raises_on_non_finite_state():
     assert str(info.value) == "oracle result is not finite (c=10.0, tau=0.01, t_n=0.25)"
 
 
+def test_oracle_agrees_with_a_denser_panel_rule(grid64, monkeypatch):
+    # four times the panels (1.5 rad each) moves no output by more than
+    # round-off, on the paper data at c = 200 and on rough data; one flipped
+    # last bit of a coefficient in [0.25, 0.5) is 1.1e-16 of a largest 0.5,
+    # and at 24 rad per panel the paper data move by 3.5e-15
+    import kguniform.integrators as integrators_mod
+
+    u, ctx = _oracle_c200(grid64)
+    grid16 = make_grid(1, 16)
+    # real data whose coefficients decay as (1 + |k|)^-2, the largest 0.5
+    co = np.fft.fft(np.random.default_rng(16).standard_normal(32)) / (1.0 + np.abs(grid16.wavenumbers)) ** 2
+    rough = SpectralField(grid16, co * (0.5 / np.max(np.abs(co))))
+    ctx16 = StepContext(grid16, make_multipliers(grid16, 200.0), 2.0**-6)
+    cases = [(u, t_n, ctx) for t_n in (0.0, 0.3)] + [(rough, t_n, ctx16) for t_n in (0.0, 0.3)]
+    default = [duhamel_oracle_step(*case).coeffs for case in cases]
+    monkeypatch.setattr(integrators_mod, "_ORACLE_RAD_PER_PANEL", 1.5)
+    for case, want in zip(cases, default):
+        fine = duhamel_oracle_step(*case).coeffs
+        assert np.max(np.abs(fine - want)) <= np.finfo(float).eps * np.max(np.abs(fine)), case[1:]
+
+
+def test_oracle_raises_when_picard_does_not_converge():
+    # undamped random real data (all 256 modes of size ~1): the four Picard
+    # levels do not settle, and the oracle says so instead of returning them
+    grid = make_grid(1, 128)
+    m = make_multipliers(grid, 100.0)
+    rng = np.random.default_rng(0)
+    u = SpectralField(grid, np.fft.fft(rng.standard_normal(grid.n_points)) / 16.0)
+    with pytest.raises(ValueError, match="Picard") as info:
+        duhamel_oracle_step(u, 0.3, StepContext(grid, m, 2.0**-6))
+    assert "c=100.0, tau=0.015625, t_n=0.3" in str(info.value)
+    assert "increment" in str(info.value)
+
+
+def test_oracle_rejects_too_many_panels_before_allocating():
+    # 32,553 panels: the nodes alone would be 4 MB, the block arrays more
+    import tracemalloc
+
+    grid = make_grid(1, 16)
+    m = make_multipliers(grid, 1e4)
+    u, _ = to_first_order(paper_initial_data(grid, 1e4), m)
+    ctx = StepContext(grid, m, 2.0**-11)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="32553 panels"):
+            duhamel_oracle_step(u, 0.0, ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**18
+
+
 def test_oracle_memory_is_bounded_by_the_block(grid64):
-    # 13,504 nodes x 128 points: one whole-interval (M, N) array would be 27 MB
+    # 7,008 nodes x 128 points: one whole-interval (M, N) array would be 14 MB
     import tracemalloc
 
     u, ctx = _oracle_c200(grid64)

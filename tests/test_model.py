@@ -389,6 +389,46 @@ def test_block_vs_quadrature(monkeypatch):
     assert "c=10:" in res.detail and f"tau={bad_tau:g}" in res.detail, res.detail
 
 
+def _block_quadrature_loop(tau, t_n, u, m):
+    """The quadrature node by node, summed in node order; also returns the
+    sum of the terms' magnitudes, the scale of any summation's round-off."""
+    n = u.grid.n_points
+    c = m.c
+    uv = u.values()
+    uau = np.abs(uv) ** 2 * uv
+    panels = max(2, int(np.ceil(tau * (4 * c * c + 2 * np.max(m.a_c)) / 3.0)))
+    nodes, weights = verify._gauss_legendre(0.0, tau, 16, panels)
+    nodes = nodes.ravel()
+    acc = np.zeros(n, dtype=complex)
+    mag = np.zeros(n)
+    for s, w, psi_s in zip(nodes, np.tile(weights, panels), verify._psi_raw(t_n, nodes, uv, c)):
+        inner = 3.0 * s * uau + psi_s
+        ut_hat = np.exp(1j * s * m.a_c) * u.coeffs - 0.125j * m.c_inv * (np.fft.fft(inner) / n)
+        wv = np.fft.ifft(ut_hat) * n
+        ph = phase_factor(1, c, t_n + s)
+        w3 = wv**3
+        wau = np.abs(wv) ** 2 * wv
+        g = ph**2 * w3 + 3.0 * ph.conjugate() ** 2 * np.conj(wau) + ph.conjugate() ** 4 * np.conj(w3)
+        term = w * np.exp(1j * (tau - s) * m.a_c) * (np.fft.fft(g) / n)
+        acc += term
+        mag += np.abs(term)
+    return acc, mag
+
+
+@pytest.mark.parametrize("c, t_n", [(10.0, 0.0), (10.0, 0.37), (100.0, 0.37)])
+def test_block_quadrature_matches_its_per_node_loop(grid64, c, t_n):
+    # the stacked quadrature sums the same terms in another order: it agrees
+    # to a few units of round-off of the largest sum of term magnitudes
+    from kguniform.harness import paper_initial_data
+
+    m = make_multipliers(grid64, c)
+    u, _ = to_first_order(paper_initial_data(grid64, c), m)
+    for tau in (2.0**-6, 2.0**-9):
+        want, mag = _block_quadrature_loop(tau, t_n, u, m)
+        got = verify._block_quadrature(tau, t_n, u, m).coeffs
+        assert np.max(np.abs(got - want)) <= 8 * np.finfo(float).eps * np.max(mag), tau
+
+
 # ---------------------------------------------------------------------------
 # energy
 
