@@ -174,7 +174,8 @@ def main(argv=None) -> int:
     ps.add_argument("--tau-exp", dest="tau_exp", help="exponent range m (tau = T*2^-m), e.g. 4..12 or 4,6,8")
     ps.add_argument("--T", type=float, help="time horizon")
     ps.add_argument("--K", type=int, help="number of Fourier modes (grid has 2K points)")
-    ps.add_argument("--ref-exp", dest="ref_exp", type=int, help="reference tau = T*2^-ref_exp")
+    ps.add_argument("--ref-exp", dest="ref_exp", type=int,
+                    help=f"reference tau = T*2^-ref_exp (default {SweepConfig.ref_exponent})")
     ps.add_argument("--paper", action="store_true", help="full-scale preset: 1024-point grid, nine c values")
     ps.add_argument("--out", help="output path")
     ps.add_argument("--format", choices=_FORMATS, help="output format")

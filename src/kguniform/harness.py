@@ -84,7 +84,7 @@ class SweepConfig:
     tau_exponents: list = field(default_factory=lambda: list(range(4, 11)))
     T: float = 0.1
     K: int = 256
-    ref_exponent: int = 16
+    ref_exponent: int = 14
 
     def __post_init__(self):
         # each check catches a value that would otherwise fail, or run NaN

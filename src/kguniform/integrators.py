@@ -312,17 +312,17 @@ def step_largec_uei1(p: TwistedPair, ctx: StepContext) -> TwistedPair:
 def evolve(scheme: SchemeId, state: TwistedPair, T: float, ctx: StepContext, callback=None) -> TwistedPair:
     """Advance a twisted pair by T using n = T/tau steps of the given scheme.
 
-    T must be an integer multiple of ctx.tau.  The steps run in the loop
-    that also takes the public steps (_run): one phase_factor table over
-    t_0 + k*tau, the optional callback(step_index, TwistedPair) after every
-    step, and NonFiniteStateError once the state is no longer finite.
+    T must be 0 or a positive integer multiple of ctx.tau.  The steps run in
+    the loop that also takes the public steps (_run): one phase_factor table
+    over t_0 + k*tau, the optional callback(step_index, TwistedPair) after
+    every step, and NonFiniteStateError once the state is no longer finite.
     """
     if T == 0:
         return state
     nf = T / ctx.tau
     n = int(round(nf)) if math.isfinite(nf) else 0
     if n < 1 or abs(nf - n) > 1e-8 * max(1.0, abs(nf)):
-        raise ValueError(f"T={T} is not an integer multiple of tau={ctx.tau}")
+        raise ValueError(f"T={T} is not a positive integer multiple of tau={ctx.tau}")
     return _run(scheme, state, n, ctx, callback)
 
 
@@ -348,16 +348,6 @@ def _legendre_rule(q: int):
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
-
-
-def _gauss_legendre(a: float, b: float, q: int, panels: int = 1):
-    """Composite q-point Gauss-Legendre rule on `panels` equal panels of [a, b]:
-    nodes (panels, q) and the weights of one panel (q,).  Panels are mapped
-    about their centres, so [-1, 1] in one panel gives the reference rule exactly."""
-    xg, wg = _legendre_rule(q)
-    h = (b - a) / panels
-    centres = a + h * (np.arange(panels)[:, None] + 0.5)
-    return centres + 0.5 * h * xg, 0.5 * h * wg
 
 
 @lru_cache(maxsize=8)
@@ -391,6 +381,32 @@ _ORACLE_RAD_PER_PANEL = 6.0
 _ORACLE_BLOCK_PANELS = 16
 
 
+def _duhamel_panels(tau: float, m: MultiplierSet, nodes: int):
+    """Centres (panels,) and width h of the 16-node Gauss-Legendre panels on
+    [0, tau] that sample a Duhamel integral: the oracle's and verify's.
+
+    There are at least max(2, ceil(nodes / 16)) panels, and more until each
+    spans at most _ORACLE_RAD_PER_PANEL rad of the integrand's fastest
+    oscillation, 4 (c^2 + max A_c): the cube of three samples, each
+    oscillating as e^(i s (c^2 + A_c(j))), times the output propagator
+    e^(-i s (c^2 + A_c(k))).  Panels at K = 64 and nodes = 64:
+
+        tau        2^-6   2^-9   2^-12
+        c = 100     124     16       4
+        c = 200     438     55       7
+
+    More than _ORACLE_MAX_PANELS raise ValueError before any allocation."""
+    rate = 4.0 * (m.c * m.c + float(np.max(m.a_c)))
+    panels = max(2, math.ceil(nodes / 16), math.ceil(tau * rate / _ORACLE_RAD_PER_PANEL))
+    if panels > _ORACLE_MAX_PANELS:
+        raise ValueError(
+            f"oracle would need {panels} panels to resolve the oscillation; "
+            "reduce tau, c, or the grid size"
+        )
+    h = tau / panels
+    return h * (np.arange(panels) + 0.5), h
+
+
 def duhamel_oracle_step(
     u: SpectralField, t_n: float, ctx: StepContext, nodes: int = 64
 ) -> SpectralField:
@@ -398,17 +414,9 @@ def duhamel_oracle_step(
     discretized by composite Gauss-Legendre quadrature with the unknown
     u*(t_n + s) inside the integrand supplied by three Picard iterations.
 
-    `nodes` is a floor on the total number of quadrature points; panels are
-    added until each 16-node panel spans at most _ORACLE_RAD_PER_PANEL
-    radians of the integrand's fastest oscillation, so the quadrature error
-    is negligible against the O(tau^4) Picard error.  That rate is
-    4 (c^2 + max A_c): the cube of three samples, each oscillating as
-    e^(i s (c^2 + A_c(j))), times the output propagator e^(-i s (c^2 + A_c(k))).
-    Panels at K = 64 and nodes = 64:
-
-        tau        2^-6   2^-9   2^-12
-        c = 100     124     16       4
-        c = 200     438     55       7
+    `nodes` is a floor on the total number of quadrature points, and
+    _duhamel_panels lays out the 16-node panels, fine enough that the
+    quadrature error is negligible against the O(tau^4) Picard error.
 
     After the finiteness check, the last two levels' integrals must agree to
     1e-6 of the result's largest coefficient, else the Picard iteration has
@@ -444,17 +452,9 @@ def duhamel_oracle_step(
     n = u.grid.n_points
     c = m.c
     q = 16
-    rate = 4.0 * (c * c + float(np.max(m.a_c)))
-    panels = max(2, math.ceil(nodes / q), math.ceil(tau * rate / _ORACLE_RAD_PER_PANEL))
-    if panels > _ORACLE_MAX_PANELS:
-        raise ValueError(
-            f"oracle would need {panels} panels to resolve the oscillation; "
-            "reduce tau, c, or the grid size"
-        )
+    centres, h = _duhamel_panels(tau, m, nodes)
     # nodes s = centre + (h/2) x_j of the composite rule on [0, tau]
     xg, wg = _legendre_rule(q)
-    h = tau / panels
-    centres = h * (np.arange(panels) + 0.5)
     s = centres[:, None] + 0.5 * h * xg  # (panels, q)
     rule = np.vstack([0.5 * h * _panel_rule(q), 0.5 * h * wg])  # (q + 1, q)
     ph = phase_factor(1, c, t_n, s)  # e^(i c^2 (t_n + s))
@@ -467,7 +467,7 @@ def duhamel_oracle_step(
     K = u.grid.modes
     levels = 4
     carry = np.zeros((levels, 1, n), dtype=np.complex128)
-    for p0 in range(0, panels, _ORACLE_BLOCK_PANELS):
+    for p0 in range(0, len(centres), _ORACLE_BLOCK_PANELS):
         # the block's rows in (node, panel) order: a level's integrals are
         # then one product of the rule with all of its rows
         cb = centres[p0 : p0 + _ORACLE_BLOCK_PANELS]

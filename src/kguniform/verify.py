@@ -8,7 +8,6 @@ defects of both schemes against the brute-force Duhamel oracle.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +17,8 @@ import numpy.fft as _fft
 from .harness import fit_order, paper_initial_data
 from .integrators import (
     StepContext,
-    _gauss_legendre,
+    _duhamel_panels,
+    _legendre_rule,
     duhamel_oracle_step,
     step_uei1_real,
     step_uei2_real,
@@ -170,9 +170,9 @@ def check_omega_quadrature():
     vv = v.values()
     tau, t_n = 0.01, 0.37
     worst = 0.0
+    xg, wg = _legendre_rule(64)
+    s_nodes, w_nodes = 0.5 * tau + 0.5 * tau * xg, 0.5 * tau * wg
     for c in (1.0, 10.0):
-        nodes, w_nodes = _gauss_legendre(0.0, tau, 64)
-        s_nodes = nodes[0]
         psi = _psi_raw(t_n, s_nodes, vv, c)
         for l in (-4, -2, 2):
             acc = np.zeros(grid.n_points, dtype=complex)
@@ -200,19 +200,18 @@ def _defect_fault(c, pts, name):
 
 
 def _block_quadrature(tau, t_n, u, m):
-    """Composite 16-point GL quadrature of the oscillatory Duhamel branches
-    with u*(t_n+s) replaced by its first-order inner expansion: one row per
-    node, each transform one call over all rows, and the rows' terms summed
-    with the quadrature weights in one product."""
+    """Composite 16-point GL quadrature, on the oracle's panels (at least two),
+    of the oscillatory Duhamel branches with u*(t_n+s) replaced by its
+    first-order inner expansion: one row per node, each transform one call
+    over all rows, and the rows' terms summed with the weights in one product."""
     grid = u.grid
     n = grid.n_points
     c = m.c
     uv = u.values()
     uau = np.abs(uv) ** 2 * uv
-    rate = 4 * c * c + 2 * float(np.max(m.a_c))
-    panels = max(2, math.ceil(tau * rate / 3.0))
-    nodes, weights = _gauss_legendre(0.0, tau, 16, panels)
-    s = nodes.ravel()
+    centres, h = _duhamel_panels(tau, m, nodes=32)
+    xg, wg = _legendre_rule(16)
+    s = (centres[:, None] + 0.5 * h * xg).ravel()
     sc = s[:, None]
     inner = 3.0 * sc * uau + _psi_raw(t_n, s, uv, c)
     ut_hat = np.exp(1j * sc * m.a_c) * u.coeffs - 0.125j * m.c_inv * (_fft.fft(inner) / n)
@@ -222,7 +221,7 @@ def _block_quadrature(tau, t_n, u, m):
     wau = np.abs(wv) ** 2 * wv
     g = ph**2 * w3 + 3.0 * ph.conjugate() ** 2 * np.conj(wau) + ph.conjugate() ** 4 * np.conj(w3)
     terms = np.exp(1j * (tau - sc) * m.a_c) * (_fft.fft(g) / n)
-    return SpectralField(grid, np.tile(weights, panels) @ terms)
+    return SpectralField(grid, np.tile(0.5 * h * wg, len(centres)) @ terms)
 
 
 def check_block_quadrature():

@@ -34,7 +34,7 @@ from kguniform import (
     zero_field,
 )
 from kguniform.harness import fit_order, paper_initial_data
-from kguniform.integrators import _gauss_legendre, _legendre_rule, _panel_rule
+from kguniform.integrators import _legendre_rule, _panel_rule
 from kguniform.model import TwistedPair
 from kguniform import verify
 from kguniform.verify import random_field
@@ -642,9 +642,9 @@ def _mp_legendre_rule(q):
 
 @pytest.mark.parametrize("q", [16, 64])
 def test_gauss_legendre_reference_rule_against_mpmath(q):
-    nodes, wg = _gauss_legendre(-1.0, 1.0, q)
+    xg, wg = _legendre_rule(q)
     x_ref, w_ref = _mp_legendre_rule(q)
-    np.testing.assert_allclose(nodes[0], x_ref, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(xg, x_ref, rtol=0, atol=1e-15)
     rel = max(float(abs((w - wr) / wr)) for w, wr in zip(wg, w_ref))
     assert rel <= 1e-13
 
@@ -806,6 +806,31 @@ def test_oracle_rejects_too_many_panels_before_allocating():
     assert peak <= 2**18
 
 
+def test_oracle_defects_are_uniform_up_to_c_1e4():
+    # the oracle as a witness at the large-c end, at t_n = 0.37 where no
+    # branch phase is 1: at c = 1e4 both schemes keep their local orders,
+    # and each defect is within 2x of the one at c = 1e3.  The c = 1e4,
+    # tau = 2^-13 call takes ~8,100 panels, near _ORACLE_MAX_PANELS
+    grid = make_grid(1, 64)
+    t_n = 0.37
+    taus = [2.0**-e for e in range(13, 17)]
+    schemes = ((step_uei1_real, 1.8), (step_uei2_real, 2.7))
+    defects = {}
+    for c in (1e3, 1e4):
+        m = make_multipliers(grid, c)
+        u, _ = to_first_order(paper_initial_data(grid, c), m)
+        for tau in taus:
+            ctx = StepContext(grid, m, tau)
+            oracle = duhamel_oracle_step(u, t_n, ctx)
+            for step, _ in schemes:
+                defects[step, c, tau] = sobolev_norm(step(u, t_n, ctx) - oracle, 1.0)
+    for step, slope in schemes:
+        assert fit_order([(tau, defects[step, 1e4, tau]) for tau in taus]) >= slope, step
+        for tau in taus:
+            ratio = defects[step, 1e4, tau] / defects[step, 1e3, tau]
+            assert 0.5 <= ratio <= 2.0, (step, tau, ratio)
+
+
 def test_oracle_memory_is_bounded_by_the_block(grid64):
     # 7,008 nodes x 128 points: one whole-interval (M, N) array would be 14 MB
     import tracemalloc
@@ -829,8 +854,8 @@ def test_evolve_contracts(grid64):
     m, s0, p0 = _standard_pair(grid64, c)
     ctx = StepContext(grid64, m, 0.01)
     assert evolve(SchemeId.UEI1, p0, 0.0, ctx) is p0
-    for T in (0.0155, float("inf"), float("nan")):
-        with pytest.raises(ValueError, match="integer multiple"):
+    for T in (0.0155, -0.08, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="is not a positive integer multiple"):
             evolve(SchemeId.UEI1, p0, T, ctx)
 
     full = evolve(SchemeId.UEI1, p0, 0.08, ctx)

@@ -28,6 +28,7 @@ from kguniform import (
     zero_field,
 )
 from kguniform import verify
+from kguniform.integrators import _duhamel_panels, _legendre_rule
 from kguniform.model import _omega_weights, _phi_table
 from kguniform.verify import (
     check_block_quadrature,
@@ -396,12 +397,12 @@ def _block_quadrature_loop(tau, t_n, u, m):
     c = m.c
     uv = u.values()
     uau = np.abs(uv) ** 2 * uv
-    panels = max(2, int(np.ceil(tau * (4 * c * c + 2 * np.max(m.a_c)) / 3.0)))
-    nodes, weights = verify._gauss_legendre(0.0, tau, 16, panels)
-    nodes = nodes.ravel()
+    centres, h = _duhamel_panels(tau, m, 32)
+    xg, wg = _legendre_rule(16)
+    nodes = (centres[:, None] + 0.5 * h * xg).ravel()
     acc = np.zeros(n, dtype=complex)
     mag = np.zeros(n)
-    for s, w, psi_s in zip(nodes, np.tile(weights, panels), verify._psi_raw(t_n, nodes, uv, c)):
+    for s, w, psi_s in zip(nodes, np.tile(0.5 * h * wg, len(centres)), verify._psi_raw(t_n, nodes, uv, c)):
         inner = 3.0 * s * uau + psi_s
         ut_hat = np.exp(1j * s * m.a_c) * u.coeffs - 0.125j * m.c_inv * (np.fft.fft(inner) / n)
         wv = np.fft.ifft(ut_hat) * n
@@ -413,6 +414,21 @@ def _block_quadrature_loop(tau, t_n, u, m):
         acc += term
         mag += np.abs(term)
     return acc, mag
+
+
+def test_block_quadrature_uses_the_oracle_panel_rule(monkeypatch):
+    # check_block_quadrature's grid (K = 64, c = 10) at tau = 2^-6 .. 2^-12:
+    # 4 (c^2 + max A_c) at 6 rad per 16-node panel, at least two panels
+    seen = []
+    psi = verify._psi_raw
+
+    def counting_psi(t_n, s, vv, c):
+        seen.append(s.size)
+        return psi(t_n, s, vv, c)
+
+    monkeypatch.setattr(verify, "_psi_raw", counting_psi)
+    check_block_quadrature()
+    assert seen == [16 * p for p in (7, 4, 2, 2, 2, 2, 2)]
 
 
 @pytest.mark.parametrize("c, t_n", [(10.0, 0.0), (10.0, 0.37), (100.0, 0.37)])

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from kguniform import SchemeId
+from kguniform.harness import SweepConfig
 from kguniform.cli import _CONFIG_KEYS
 from kguniform.cli import main as cli_main
 from test_integrators import _FFT_CALLS_PER_STEP, _TRANSFORMS_PER_STEP
@@ -49,3 +50,8 @@ def test_readme_uei2_transform_counts_are_the_pinned_ones():
     ).groups()
     assert int(calls) == _FFT_CALLS_PER_STEP[SchemeId.UEI2_REAL]
     assert int(transforms) == _TRANSFORMS_PER_STEP[SchemeId.UEI2_REAL]
+
+
+def test_readme_reference_depth_is_the_default():
+    depth = re.search(r"`SweepConfig.ref_exponent = (\d+)`", _section("Reference solutions")).group(1)
+    assert int(depth) == SweepConfig().ref_exponent
