@@ -104,6 +104,13 @@ class SweepConfig:
             raise ValueError("need tau exponents >= 0 and ref_exponent >= 1, all integers")
         if any(c <= 0 for c in self.c_list):
             raise ValueError("all c must be positive")
+        # a repeated cell enters its order fit twice (and _fit_rows' trim of a
+        # leading non-decrease drops one copy of it)
+        names = [s.value for s in self.schemes]
+        for name, values in (("scheme", names), ("c", self.c_list), ("tau exponent", self.tau_exponents)):
+            for i, v in enumerate(values):
+                if v in values[:i]:
+                    raise ValueError(f"repeated {name} {v!r}")
         make_grid(1, self.K)  # raises on a grid size the solver cannot use
 
 

@@ -233,7 +233,7 @@ _PHASE_CHUNK = 4096
 
 
 def _run(scheme: SchemeId, state: TwistedPair, n: int, ctx: StepContext, callback=None) -> TwistedPair:
-    """Advance a twisted pair by n >= 1 steps of the given scheme: the one
+    """Advance a twisted pair by n >= 0 steps of the given scheme: the one
     stepping loop, behind evolve and every public step (which call it, not
     evolve, so a profiler wrapping both counts a step once).
 
@@ -316,12 +316,11 @@ def evolve(scheme: SchemeId, state: TwistedPair, T: float, ctx: StepContext, cal
     the loop that also takes the public steps (_run): one phase_factor table
     over t_0 + k*tau, the optional callback(step_index, TwistedPair) after
     every step, and NonFiniteStateError once the state is no longer finite.
+    T = 0 is a run of no steps: the same checks, and owned copies of the pair.
     """
-    if T == 0:
-        return state
     nf = T / ctx.tau
     n = int(round(nf)) if math.isfinite(nf) else 0
-    if n < 1 or abs(nf - n) > 1e-8 * max(1.0, abs(nf)):
+    if T != 0 and (n < 1 or abs(nf - n) > 1e-8 * max(1.0, abs(nf))):
         raise ValueError(f"T={T} is not a positive integer multiple of tau={ctx.tau}")
     return _run(scheme, state, n, ctx, callback)
 

@@ -27,8 +27,9 @@ closed-form kernels produced by integrating those branches exactly:
     oscillatory_block      the full second-order treatment of the l != 0
                            branches of the iterated Duhamel formula
 
-It also holds the second-order (UEI2) step, _Uei2Coeffs.step, which shares
-its symbols and transforms with theta and the oscillatory block.
+It also holds the second-order (UEI2) step, _Uei2Coeffs.step.  theta is
+built from that step's symbols, and oscillatory_block runs the step's own
+transforms (_Uei2Coeffs._rows) and reads the block's rows of them.
 
 All nonlinear products are formed pointwise in physical space; conjugation
 of a field is physical-space conjugation, i.e. coefficient reversal plus
@@ -299,7 +300,7 @@ def kernel_theta(t_n: float, tau: float, v: SpectralField, m: MultiplierSet) -> 
         +(1/2)(9/64) c<grad>_c^-1 e^(i tau/2 A_c) [ v^2 (c<grad>_c^-1 - 1)(|v|^2 conj v) ]
     """
     _check_tau("kernel_theta", tau)
-    co = _ThetaSymbols(m, tau)
+    co = _Uei2Coeffs(m, tau)
     vv = v.values()
     av2 = np.abs(vv) ** 2
     cau = av2 * vv
@@ -317,24 +318,7 @@ def _coupling(a2, sq, w, out=None):
     return np.subtract(2.0 * a2 * w, sq * np.conj(w), out=out)
 
 
-class _ThetaSymbols:
-    """The symbols of tau^2 theta(t_n, tau, v) for one (grid, c, tau): all
-    that kernel_theta reads, and built here for _Uei2Coeffs too."""
-
-    def __init__(self, m: MultiplierSet, tau: float):
-        tau = float(tau)
-        tau2 = tau * tau
-        cinvm1 = m.c_inv - 1.0
-        self.exp_half = exp_half = np.exp(0.5j * tau * m.a_c)
-        # the |v|^4 v term, and the transform of _coupling that the other two share
-        self.theta_quint = (-9.0 / 128.0) * tau2 * cinvm1 * exp_half
-        self.theta_w = (-9.0 / 128.0) * tau2 * m.c_inv * exp_half
-        # stored complex, like every symbol that multiplies complex rows each
-        # step: numpy would cast a real one at every product
-        self.cinvm1 = cinvm1.astype(np.complex128)
-
-
-class _Uei2Coeffs(_ThetaSymbols):
+class _Uei2Coeffs:
     """Symbols and scalar phi values shared by the second-order machinery,
     and the UEI2 stepper.
 
@@ -345,17 +329,24 @@ class _Uei2Coeffs(_ThetaSymbols):
     """
 
     def __init__(self, m: MultiplierSet, tau: float):
-        super().__init__(m, tau)
         self.tau = tau = float(tau)
         c = m.c
         k2 = m.grid.wavenumbers**2
         tau2 = tau * tau
 
-        self.cinv = m.c_inv.astype(np.complex128)
+        cinvm1 = m.c_inv - 1.0
+        exp_half = np.exp(0.5j * tau * m.a_c)
         exp_full = np.exp(1j * tau * m.a_c)
-        exp_half = self.exp_half
+        # the symbols of tau^2 theta: its |v|^4 v term, and the transform of
+        # _coupling that the other two share
+        self.theta_quint = (-9.0 / 128.0) * tau2 * cinvm1 * exp_half
+        self.theta_w = (-9.0 / 128.0) * tau2 * m.c_inv * exp_half
+        # stored complex, like every symbol that multiplies complex rows each
+        # step: numpy would cast a real one at every product
+        self.cinvm1 = cinvm1.astype(np.complex128)
+        self.cinv = m.c_inv.astype(np.complex128)
         # rows taking u* to (U = e^(i tau/2 A_c) u*, u*, A_c u*) before the
-        # step's first inverse transform
+        # first inverse transform of _rows
         self.lift = np.stack([exp_half, np.ones_like(exp_half), m.a_c])
         # (3/64) tau^2 c<grad>_c^-1, applied before the inverse transforms of
         # the vartheta coupling and of the block's filtered moments
@@ -397,38 +388,36 @@ class _Uei2Coeffs(_ThetaSymbols):
 
         # the per-run weights of Y and v24 (see _block_b) on the rows
         # (3|u|^2 u, p2 u^3, m2 3|u|^2 conj u, m4 conj u^3): Omega quotients,
-        # psim and phi2 of the branches l = 2, -2, -4
+        # and the scalar phi_moment and phi2 of the branches l = 2, -2, -4
         table = _phi_table(c, tau)
         phi2 = table[2][_BRANCH].tolist()
-        psim = (table[1] - table[2])[_BRANCH].tolist()  # phi_moment
+        mom = (table[1] - table[2])[_BRANCH].tolist()
         om2, omm2, om4 = _omega_weights(table, (2, -2, 4))
         om2 = [w.conjugate() for w in om2]
         om4 = [w.conjugate() for w in om4]
-        y = (om2[1], om2[2], psim[0].conjugate(), om2[0])
-        v24 = (om4[1] - psim[1], om4[2] - omm2[0], psim[2] - omm2[1], om4[0] - omm2[2])
+        y = (om2[1], om2[2], mom[0].conjugate(), om2[0])
+        v24 = (om4[1] - mom[1], om4[2] - omm2[0], mom[2] - omm2[1], om4[0] - omm2[2])
         self.w_block = _weights(y, v24)
         # a step's Y also carries the vartheta coupling's branches
         self.w_step = _weights([w - p for w, p in zip(y, (0.0, *phi2))], v24)
 
-    def step(self, uc, phases):
-        """One UEI2 step of real data from t_n: the coefficients of u* at
-        t_n + tau, a fresh array, from those uc of u*^n (real data is its own
-        partner v*), with phases = _phases(e^(2ic^2 t_n)).
-
-        A step computes 15 transforms in 4 stacked calls, each formed from
-        the outputs of the one before: an inverse of (U, u*^n, A_c u*^n); a
-        forward of e^(-3i tau|U|^2/8) U, |U|^2 U and |U|^4 U (the Strang-like
-        core and theta at U) and the four _block_rows of u*^n (with their
-        reflections they give every branch cube, so vartheta's transform is a
-        branch sum of them); an inverse of theta's w and of _block_b's rows Y
-        and v24, where Y = m2 conj(v1) - xw merges the block's first filtered
-        moment v1 with the vartheta coupling xw; and a forward of the
-        _integrands of the samples (U, u*^n), stacked, with (w, Y, v24).
-        Each writes over its input.  The samples of U and u*^n take their
-        |.|^2 and squares as one stack, and the output is one sum of the
-        transformed rows weighted by out_syms.  The phases (p2, m2, m4)
-        multiply the block's branch rows (see _block_b), so the scalar
-        weights of Y and v24 are constants of the run.
+    def _rows(self, uc, phases, w):
+        """The twelve transformed rows of a step from the coefficients uc of
+        u*^n, phases = _phases(e^(2ic^2 t_n)) and the per-run weights w of Y
+        and v24 (w_step, or w_block for oscillatory_block): 15 transforms in
+        4 stacked calls, each formed from the outputs of the one before:
+        an inverse of (U, u*^n, A_c u*^n); a forward of
+        e^(-3i tau|U|^2/8) U, |U|^2 U and |U|^4 U (the Strang-like core and
+        theta at U) and the four _block_rows of u*^n (with their reflections
+        they give every branch cube, so vartheta's transform is a branch sum
+        of them); an inverse of theta's w and of _block_b's rows Y and v24,
+        where in a step Y = m2 conj(v1) - xw merges the block's first
+        filtered moment v1 with the vartheta coupling xw; and a forward of
+        the _integrands of the samples (U, u*^n), stacked, with (w, Y, v24).
+        Each writes over its input, and the samples of U and u*^n take their
+        |.|^2 and squares as one stack.  The phases (p2, m2, m4) multiply
+        the block's branch rows (see _block_b), so the scalar weights of Y
+        and v24 are constants of the run.
         """
         lifted = self.lift * uc
         phys = _to_phys(lifted, out=lifted)
@@ -447,10 +436,17 @@ class _Uei2Coeffs(_ThetaSymbols):
 
         inv = np.empty_like(rows[:3])
         np.multiply(self.cinvm1, rows[1], out=inv[0])
-        _block_b(self, phases, rows[3:10], self.w_step, inv[1:])
+        _block_b(self, phases, rows[3:10], w, inv[1:])
         fwd = _integrands(a2, sq, _to_phys(inv, out=inv), out=rows[10:])
         _to_coeffs(fwd, out=fwd)
+        return rows
 
+    def step(self, uc, phases):
+        """One UEI2 step of real data from t_n: the coefficients of u* at
+        t_n + tau, a fresh array, from those uc of u*^n (real data is its own
+        partner v*), with phases = _phases(e^(2ic^2 t_n)): one sum of the
+        rows of _rows weighted by out_syms."""
+        rows = self._rows(uc, phases, self.w_step)
         # the Strang-like core and theta at U, the block and vartheta at u*^n;
         # rows[3] (3|u|^2 u) is spent
         out = (self.out_syms[:3] * rows[:3]).sum(axis=0)
@@ -465,9 +461,10 @@ def _weights(y, v24):
 
 
 # The block's term of a step, -(i/8) c<grad>_c^-1 B = hat + c<grad>_c^-1 fft(s),
-# split at its transforms, from the samples of u*: _block_rows, their
-# transforms' _block_b, hat its rows weighted by block_syms, and s the
-# _integrands of its rows Y and v24 (a step adds theta's w before them)
+# split at the transforms of _Uei2Coeffs._rows, from the samples of u*:
+# _block_rows, their transforms' _block_b, hat its rows weighted by
+# block_syms, and s the _integrands of its rows Y and v24 (stacked after
+# theta's w).  oscillatory_block forms B from the same rows
 def _block_rows(up, acu, up2, au2, out):
     """Write 3|u|^2 u, u^3, u^2 A_c u and conj(u)^2 A_c u - 2|u|^2 conj(A_c u)
     into out's rows from the samples up of u, acu of A_c u, up2 of u^2 and
@@ -482,7 +479,7 @@ def _block_rows(up, acu, up2, au2, out):
 def _block_b(co: _Uei2Coeffs, phases, x, w, b):
     """Complete the seven rows x, the transforms of _block_rows and room for
     three more, and write the coefficients of Y and v24 into b's rows, with
-    the per-run weights w (co.w_block or co.w_step).
+    the per-run weights w that _rows was given.
 
     x becomes: 3|u|^2 u, then the block's six branch rows, each times the
     phase of its branch, in the order of block_syms: p2 u^3, p2 u^2 A_c u,
@@ -512,10 +509,9 @@ def _block_b(co: _Uei2Coeffs, phases, x, w, b):
 
 
 def _integrands(a2, sq, rows, out=None):
-    """The forward rows of a block: the _coupling of the samples, with
-    squares sq and a2 = |.|^2 stacked like rows[:-1], with rows[:-1] (in a
-    step, theta's w and Y; for the block alone, Y), the last plus conj(u^2)
-    times the samples v24 of rows[-1]."""
+    """The last forward rows of _rows: the _coupling of the samples of
+    (U, u*), with squares sq and a2 = |.|^2, with rows[:-1] (theta's w and
+    Y), the last plus conj(u*^2) times the samples v24 of rows[-1]."""
     out = _coupling(a2, sq, rows[:-1], out=out)
     out[-1] += np.conj(sq[-1]) * rows[-1]
     return out
@@ -523,22 +519,13 @@ def _integrands(a2, sq, rows, out=None):
 
 def oscillatory_block(tau: float, t_n: float, u: SpectralField, m: MultiplierSet) -> SpectralField:
     """Second-order closed form of the e^(i l c^2 s), l in {2,-2,-4} part of
-    one iterated Duhamel step, starting from u* = u at time t_n."""
+    one iterated Duhamel step from u* = u at time t_n, read off _rows."""
     _check_tau("oscillatory_block", tau)
     co = _Uei2Coeffs(m, tau)
-    phases = _phases(phase_factor(2, m.c, t_n))
-    phys = _to_phys(np.stack([u.coeffs, m.a_c * u.coeffs]))
-    up = phys[:1]  # a stack of one row, like the step's (U, u*)
-    sq, a2 = up * up, np.abs(up) ** 2
-    x = np.empty((7, u.grid.n_points), dtype=np.complex128)
-    _block_rows(up[0], phys[1], sq[0], a2[0], x)
-    _to_coeffs(x[:4], out=x[:4])
-    b = np.empty_like(x[:2])
-    _block_b(co, phases, x, co.w_block, b)
-    hat = (co.block_syms * x[1:]).sum(axis=0)
-    (s_hat,) = _to_coeffs(_integrands(a2, sq, _to_phys(b, out=b)))
+    rows = co._rows(u.coeffs, _phases(phase_factor(2, m.c, t_n)), co.w_block)
+    hat = (co.block_syms * rows[4:10]).sum(axis=0)
     # undo the step's -(i/8) c<grad>_c^-1
-    return SpectralField(u.grid, 8j * (hat / co.cinv + s_hat))
+    return SpectralField(u.grid, 8j * (hat / co.cinv + rows[11]))
 
 
 def kernel_bundle(t_n: float, tau: float, v: SpectralField, m: MultiplierSet) -> KernelBundle:

@@ -181,6 +181,13 @@ def test_sweep_config_validation():
         SweepConfig(tau_exponents=[])
     with pytest.raises(ValueError, match="positive"):
         SweepConfig(c_list=[1.0, -2.0])
+    # a repeated cell would enter its order fit twice
+    with pytest.raises(ValueError, match=r"^repeated c 1\.0$"):
+        SweepConfig(c_list=[1.0, 10.0, 1.0])
+    with pytest.raises(ValueError, match=r"^repeated scheme 'uei1'$"):
+        SweepConfig(schemes=[SchemeId.UEI1, SchemeId.UEI2_REAL, SchemeId.UEI1])
+    with pytest.raises(ValueError, match=r"^repeated tau exponent 5$"):
+        SweepConfig(tau_exponents=[4, 5, 6, 5])
 
 
 def test_empty_scheme_list_gives_empty_table():
@@ -531,6 +538,7 @@ def test_cli_rejects_bad_config_file_before_running(tmp_path, monkeypatch, capsy
         (["--K", "0"], r"invalid grid size K=0; need K >= 2$"),
         (["--T", "nan"], r"T must be finite, got T=nan$"),
         (["--c", "inf"], r"c must be finite, got c=\[inf\]$"),
+        (["--c", "1,1"], r"repeated c 1\.0$"),
     ],
 )
 def test_cli_reports_invalid_values_as_usage_errors(tmp_path, monkeypatch, capsys, flag, match):

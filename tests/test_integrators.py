@@ -435,17 +435,6 @@ def _count_phi_calls(monkeypatch):
     return count
 
 
-def test_kernel_theta_makes_no_phi_call(grid64, monkeypatch):
-    # theta's symbols hold no phi value, so kernel_theta builds only those
-    from kguniform import kernel_theta
-
-    m = make_multipliers(grid64, 100.0)
-    v = paper_initial_data(grid64, 100.0).z
-    count = _count_phi_calls(monkeypatch)
-    kernel_theta(0.37, 0.01, v, m)
-    assert count == []
-
-
 def test_twist_oracle_and_evolve_reject_non_finite_times_and_c(grid64):
     nan = float("nan")
     m, _, p0 = _standard_pair(grid64, 3.0)
@@ -853,7 +842,18 @@ def test_evolve_contracts(grid64):
     c = 3.0
     m, s0, p0 = _standard_pair(grid64, c)
     ctx = StepContext(grid64, m, 0.01)
-    assert evolve(SchemeId.UEI1, p0, 0.0, ctx) is p0
+    # T = 0 is a run of no steps: owned copies of the pair at its own time
+    same = evolve(SchemeId.UEI1, p0, 0.0, ctx)
+    assert same.t == p0.t and same.c == p0.c
+    for new, old in ((same.u_star, p0.u_star), (same.v_star, p0.v_star)):
+        assert np.array_equal(new.coeffs, old.coeffs)
+        assert not np.shares_memory(new.coeffs, old.coeffs)
+    # and it makes the checks of every run
+    complex_pair = TwistedPair(p0.u_star, 1j * p0.v_star, p0.t, p0.c)
+    with pytest.raises(ValueError, match="requires real data"):
+        evolve(SchemeId.UEI2_REAL, complex_pair, 0.0, ctx)
+    with pytest.raises(ValueError, match="twisted at c=5.0 but context has c=3.0"):
+        evolve(SchemeId.UEI1, TwistedPair(p0.u_star, p0.v_star, p0.t, 5.0), 0.0, ctx)
     for T in (0.0155, -0.08, float("inf"), float("nan")):
         with pytest.raises(ValueError, match="is not a positive integer multiple"):
             evolve(SchemeId.UEI1, p0, T, ctx)
