@@ -34,15 +34,18 @@ Writing E = e^(i tau A_c) and w_u = |u*|^2 + 2|v*|^2, the available steps are
                  - tau^2 (3/64) c<grad>_c^-1 [ 2|u*^n|^2 c<grad>_c^-1 vartheta
                    - (u*^n)^2 c<grad>_c^-1 conj(vartheta) ]
                  - (i/8) c<grad>_c^-1 * oscillatory_block(tau, t_n, u*^n).
-      Its stepper is model._Uei2Coeffs, which folds the step's symbols and
-      scalar weights once per run and owns the step itself.
+      Its stepper is model._Uei2Stepper, which folds the step's symbols and
+      scalar weights once per run.
 
   LIE_LIMIT / STRANG_LIMIT: Lie and Strang splitting of the cubic
       Schroedinger system that the twisted variables solve as c -> infinity.
+      Strang is the Lie step of the row u* at half the symbol, -Delta/4,
+      after its own half-step propagator e^(-i tau Delta/4).
 
   LARGE_C_UEI1: the tau*c > 1 simplification dropping all phi_1 branches.
-      It and LIE_LIMIT share one Lie step: one inverse transform of the
-      stack (u*, v*), one rotation of both rows and one forward transform.
+      It, LIE_LIMIT and STRANG_LIMIT share one Lie step (_SplitStepper): one
+      inverse transform of the state, one rotation of its rows (with the
+      weights w of UEI1, 3|u*|^2 for a row) and one forward transform.
 
 A brute-force Duhamel quadrature step (Picard iteration inside composite
 Gauss-Legendre panels) serves as the independent local oracle, and
@@ -69,7 +72,7 @@ from .model import (
     _not_real,
     _phases,
     _phi_table,
-    _Uei2Coeffs,
+    _Uei2Stepper,
     phase_factor,
     reconstruct_z,
     to_first_order,
@@ -132,6 +135,18 @@ class StepContext:
         _check_same_grid(self, self.m)
 
 
+def _partner(a):
+    """The partners of a state's rows: the row u* of real data is its own, a
+    stack's are its rows swapped, copied (a reversed view is slower to use)."""
+    return a if a.ndim == 1 else a[::-1].copy()
+
+
+def _row_weights(p):
+    """w = |p|^2 + 2|partner|^2 of each row of the samples p (3|u*|^2 for a row)."""
+    a2 = np.abs(p) ** 2
+    return a2 + 2.0 * _partner(a2)
+
+
 class _Uei1Stepper:
     """UEI1 on the stack (u*, v*), or on u* alone for real data (u* == v*)."""
 
@@ -143,19 +158,11 @@ class _Uei1Stepper:
         self.phi1 = _phi_table(m.c, tau)[1][_BRANCH].tolist()
 
     def step(self, x, phases):
-        # each row p of the samples is stepped with its partner op and their
-        # weights w = |p|^2 + 2|op|^2 and w_op; a stack's partners are its rows
-        # swapped, copied (a reversed view makes every product with it slower)
+        # each row p of the samples is stepped with its partner op and weights
         tau = self.tau
         p = _to_phys(x)
-        a2 = np.abs(p) ** 2
-        if x.ndim == 1:
-            op, w = p, 3.0 * a2
-            w_op = w
-        else:
-            op = p[::-1].copy()
-            w = a2 + 2.0 * a2[::-1].copy()
-            w_op = w[::-1].copy()
+        op, w = _partner(p), _row_weights(p)
+        w_op = _partner(w)
         opb = np.conj(op)
         wp = w * p
         # the two integrands of each row, transformed in one call
@@ -170,9 +177,9 @@ class _Uei1Stepper:
 
 
 class _SplitStepper:
-    """Lie splitting e^(i tau L) e^(-i tau w/8) of the stack (u*, v*), with
-    the linear operator L given by its symbol: -Delta/2 for the Schroedinger
-    limit, A_c for the large-c UEI1 (which drops every phi_1 branch)."""
+    """Lie splitting e^(i tau L) e^(-i tau w/8) of a state, with the linear
+    operator L given by its symbol: -Delta/2 for the Schroedinger limit, A_c
+    for the large-c UEI1 (which drops every phi_1 branch)."""
 
     def __init__(self, tau: float, symbol):
         self.tau = tau
@@ -182,22 +189,19 @@ class _SplitStepper:
         # the samples are the step's scratch: the rotation and the forward
         # transform work in place
         rows = _to_phys(x)
-        a2 = np.abs(rows) ** 2
-        w = a2 + 2.0 * a2[::-1].copy()  # |p|^2 + 2|partner|^2, as in _Uei1Stepper
-        np.multiply(_expi((-0.125 * self.tau) * w), rows, out=rows)
+        np.multiply(_expi((-0.125 * self.tau) * _row_weights(rows)), rows, out=rows)
         return self.exp_lin * _to_coeffs(rows, out=rows)
 
 
-class _StrangStepper:
+class _StrangStepper(_SplitStepper):
+    """Strang splitting of the row u*: the Lie step at half the symbol,
+    -Delta/4, after its own half-step propagator e^(-i tau Delta/4)."""
+
     def __init__(self, m: MultiplierSet, tau: float):
-        self.tau = tau
-        self.exp_half = np.exp(-0.25j * tau * m.laplace)
+        super().__init__(tau, -0.25 * m.laplace)
 
     def step(self, x, phases):
-        row = self.exp_half * x
-        ump = _to_phys(row, out=row)
-        np.multiply(_expi((-0.375 * self.tau) * np.abs(ump) ** 2), ump, out=row)
-        return self.exp_half * _to_coeffs(row, out=row)
+        return super().step(self.exp_lin * x, phases)
 
 
 # scheme -> stepper constructor (m, tau).  step(x, phases) returns a fresh
@@ -207,7 +211,7 @@ class _StrangStepper:
 _STEPPERS = {
     SchemeId.UEI1: _Uei1Stepper,
     SchemeId.UEI1_REAL: _Uei1Stepper,
-    SchemeId.UEI2_REAL: _Uei2Coeffs,
+    SchemeId.UEI2_REAL: _Uei2Stepper,
     SchemeId.LIE_LIMIT: lambda m, tau: _SplitStepper(tau, -0.5 * m.laplace),
     SchemeId.STRANG_LIMIT: _StrangStepper,
     SchemeId.LARGE_C_UEI1: lambda m, tau: _SplitStepper(tau, m.a_c),

@@ -27,9 +27,9 @@ closed-form kernels produced by integrating those branches exactly:
     oscillatory_block      the full second-order treatment of the l != 0
                            branches of the iterated Duhamel formula
 
-It also holds the second-order (UEI2) step, _Uei2Coeffs.step.  theta is
-built from that step's symbols, and oscillatory_block runs the step's own
-transforms (_Uei2Coeffs._rows) and reads the block's rows of them.
+It also holds the second-order (UEI2) stepper, _Uei2Stepper: theta is built
+from its symbols, and oscillatory_block reads the block's rows of the step's
+own transforms (_Uei2Stepper._rows).
 
 All nonlinear products are formed pointwise in physical space; conjugation
 of a field is physical-space conjugation, i.e. coefficient reversal plus
@@ -156,7 +156,7 @@ def _check_same_grid(*fields):
 
 def to_first_order(s: KgState, m: MultiplierSet):
     """Map (z, z_t) to (u, v) = (z - i c^-1 <grad>_c^-1 z_t, same for conj z)."""
-    _check_same_grid(s.z, s.zt)
+    _check_same_grid(m, s.z, s.zt)
     inv = 1.0 / (m.c * m.bracket_c)
     u = s.z - 1j * apply_symbol(inv, s.zt)
     v = conj_field(s.z) - 1j * apply_symbol(inv, conj_field(s.zt))
@@ -165,7 +165,7 @@ def to_first_order(s: KgState, m: MultiplierSet):
 
 def from_first_order(u: SpectralField, v: SpectralField, m: MultiplierSet, t: float = 0.0) -> KgState:
     """Invert to_first_order: z = (u + conj v)/2, z_t = (i/2) c<grad>_c (u - conj v)."""
-    _check_same_grid(u, v)
+    _check_same_grid(m, u, v)
     vbar = conj_field(v)
     z = 0.5 * (u + vbar)
     zt = 0.5j * apply_symbol(m.c * m.bracket_c, u - vbar)
@@ -300,14 +300,15 @@ def kernel_theta(t_n: float, tau: float, v: SpectralField, m: MultiplierSet) -> 
         +(1/2)(9/64) c<grad>_c^-1 e^(i tau/2 A_c) [ v^2 (c<grad>_c^-1 - 1)(|v|^2 conj v) ]
     """
     _check_tau("kernel_theta", tau)
-    co = _Uei2Coeffs(m, tau)
+    _check_same_grid(m, v)
+    st = _Uei2Stepper(m, tau)
     vv = v.values()
     av2 = np.abs(vv) ** 2
     cau = av2 * vv
     cau_hat, quint_hat = _to_coeffs(np.stack([cau, av2 * cau]))
-    h = _coupling(av2, vv * vv, _to_phys(co.cinvm1 * cau_hat))
+    h = _coupling(av2, vv * vv, _to_phys(st.cinvm1 * cau_hat))
     h_hat = _to_coeffs(h, out=h)
-    return SpectralField(v.grid, (co.theta_quint * quint_hat + co.theta_w * h_hat) / (tau * tau))
+    return SpectralField(v.grid, (st.theta_quint * quint_hat + st.theta_w * h_hat) / (tau * tau))
 
 
 def _coupling(a2, sq, w, out=None):
@@ -318,14 +319,14 @@ def _coupling(a2, sq, w, out=None):
     return np.subtract(2.0 * a2 * w, sq * np.conj(w), out=out)
 
 
-class _Uei2Coeffs:
-    """Symbols and scalar phi values shared by the second-order machinery,
-    and the UEI2 stepper.
+class _Uei2Stepper:
+    """The UEI2 stepper: its symbols and scalar phi values, shared by the
+    second-order machinery, and its step.
 
-    Everything here depends only on (grid, c, tau), so a time-stepping loop
-    computes it once and reuses it every step: every scalar factor of a
-    symbol-weighted term of the step is folded into its symbol, and every
-    scalar weight into a per-run constant (see _block_b).
+    Everything __init__ builds depends only on (grid, c, tau), so a
+    time-stepping loop computes it once and reuses it every step: every
+    scalar factor of a symbol-weighted term of the step is folded into its
+    symbol, and every scalar weight into a per-run constant (see _rows).
     """
 
     def __init__(self, m: MultiplierSet, tau: float):
@@ -377,7 +378,7 @@ class _Uei2Coeffs:
         # weighted by: e^(i tau/2 A_c) on the Strang-like core, the
         # -(3i tau/8)(c<grad>_c^-1 - 1) e^(i tau/2 A_c) correction on |U|^2 U,
         # theta's |U|^4 U term, the block's six branch rows in the order of
-        # _block_b (pairs of branch l = 2, -2, -4), theta's _coupling, and
+        # _rows (pairs of branch l = 2, -2, -4), theta's _coupling, and
         # c<grad>_c^-1 on the integrand s of the block and vartheta
         cub_w = -0.375j * tau * self.cinvm1 * exp_half
         block = [cubes[0], moments[0], moments[1], cubes[1], cubes[2], moments[2]]
@@ -386,7 +387,7 @@ class _Uei2Coeffs:
         )
         self.block_syms = self.out_syms[3:9]
 
-        # the per-run weights of Y and v24 (see _block_b) on the rows
+        # the per-run weights of Y and v24 (see _rows) on the rows
         # (3|u|^2 u, p2 u^3, m2 3|u|^2 conj u, m4 conj u^3): Omega quotients,
         # and the scalar phi_moment and phi2 of the branches l = 2, -2, -4
         table = _phi_table(c, tau)
@@ -405,39 +406,70 @@ class _Uei2Coeffs:
         """The twelve transformed rows of a step from the coefficients uc of
         u*^n, phases = _phases(e^(2ic^2 t_n)) and the per-run weights w of Y
         and v24 (w_step, or w_block for oscillatory_block): 15 transforms in
-        4 stacked calls, each formed from the outputs of the one before:
-        an inverse of (U, u*^n, A_c u*^n); a forward of
-        e^(-3i tau|U|^2/8) U, |U|^2 U and |U|^4 U (the Strang-like core and
-        theta at U) and the four _block_rows of u*^n (with their reflections
-        they give every branch cube, so vartheta's transform is a branch sum
-        of them); an inverse of theta's w and of _block_b's rows Y and v24,
-        where in a step Y = m2 conj(v1) - xw merges the block's first
-        filtered moment v1 with the vartheta coupling xw; and a forward of
-        the _integrands of the samples (U, u*^n), stacked, with (w, Y, v24).
-        Each writes over its input, and the samples of U and u*^n take their
-        |.|^2 and squares as one stack.  The phases (p2, m2, m4) multiply
-        the block's branch rows (see _block_b), so the scalar weights of Y
-        and v24 are constants of the run.
-        """
+        4 stacked calls, each formed from the outputs of the one before and
+        written over its input.  The block's term of a step, -(i/8)
+        c<grad>_c^-1 B, is its branch rows (rows[4:10]) weighted by
+        block_syms, plus c<grad>_c^-1 times its integrand (rows[11])."""
+        # 1. an inverse of (U, u*^n, A_c u*^n); the samples of U and u*^n take
+        # their |.|^2 and squares as one stack
         lifted = self.lift * uc
         phys = _to_phys(lifted, out=lifted)
-        pair, acu = phys[:2], phys[2]  # samples of (U, u*^n) and A_c u*^n
+        pair, acu = phys[:2], phys[2]
         a2 = np.abs(pair) ** 2
         sq = pair * pair
-        Up, aU2 = pair[0], a2[0]
-        # rows: the three at U, _block_b's seven, and the two _integrands
+        (Up, up), (aU2, au2), up2 = pair, a2, sq[1]
+        # 2. a forward of e^(-3i tau|U|^2/8) U, |U|^2 U and |U|^4 U (the
+        # Strang-like core and theta at U), and of 3|u|^2 u, u^3, u^2 A_c u and
+        # conj(u)^2 A_c u - 2|u|^2 conj(A_c u) at u = u*^n: with their
+        # reflections these give every branch cube, so vartheta's transform is
+        # a branch sum of them
         rows = np.empty((12, uc.shape[-1]), dtype=np.complex128)
         lin = _expi((-0.375 * self.tau) * aU2, out=rows[0])
         lin *= Up
         np.multiply(aU2, Up, out=rows[1])
         np.multiply(aU2, rows[1], out=rows[2])
-        _block_rows(pair[1], acu, sq[1], a2[1], rows[3:7])
+        np.multiply(3.0 * au2, up, out=rows[3])
+        np.multiply(up2, up, out=rows[4])
+        np.multiply(up2, acu, out=rows[5])
+        np.multiply(np.conj(up2), acu, out=rows[6])
+        rows[6] -= 2.0 * au2 * np.conj(acu)
         _to_coeffs(rows[:7], out=rows[:7])
 
+        # 3. an inverse of theta's w and of the block's rows Y and v24.  x
+        # becomes 3|u|^2 u, then the block's six branch rows times their
+        # branch phases, in the order of block_syms: p2 u^3, p2 u^2 A_c u,
+        # m2 (the second moment), m2 3|u|^2 conj u, m4 conj u^3,
+        # m4 conj(u^2 A_c u).  The branch-filtered moments of Psi, b1 and b2,
+        # and of conj Psi, b3 and b4, are scalar combinations of 3|u|^2 u, u^3
+        # and their reflections; as c<grad>_c^-1 is real and even, b3 is the
+        # reflection of b1, so the block needs m2 conj(v1) and
+        # v24 = m4 b4 - m2 b2: the samples of (3/64) tau^2 c<grad>_c^-1 times
+        # b1 and that combination.  Y is m2 conj(v1) minus, in a step, the
+        # samples of (3/64) tau^2 c<grad>_c^-1 vartheta.  With |p2| = 1, the
+        # weights w of Y and v24 on x[0], x[1], x[4] and x[5] are constants
+        # of the run (those of v24 times m2)
+        x = rows[3:10]
+        _conjrefl(x[:3], out=x[4:])
+        p2, m2, m4 = phases
+        x[1:3] *= p2
+        x[3:5] *= m2
+        x[5:] *= m4
         inv = np.empty_like(rows[:3])
         np.multiply(self.cinvm1, rows[1], out=inv[0])
-        _block_b(self, phases, rows[3:10], w, inv[1:])
-        fwd = _integrands(a2, sq, _to_phys(inv, out=inv), out=rows[10:])
+        b = inv[1:]
+        np.multiply(w[0], x[0], out=b)
+        b += w[1] * x[1]
+        b += w[2] * x[4]
+        b += w[3] * x[5]
+        b[1] *= m2
+        b *= self.cinv_s
+        _to_phys(inv, out=inv)
+
+        # 4. a forward of the integrands: the _coupling of the samples of
+        # (U, u*^n) with those of theta's w and Y, the last plus conj(u*^2)
+        # times the samples of v24
+        fwd = _coupling(a2, sq, inv[:2], out=rows[10:])
+        fwd[1] += np.conj(up2) * inv[2]
         _to_coeffs(fwd, out=fwd)
         return rows
 
@@ -455,77 +487,21 @@ class _Uei2Coeffs:
 
 
 def _weights(y, v24):
-    """The per-run weights of _block_b's rows Y and v24 as a (4, 2, 1) stack:
+    """The per-run weights of _rows' rows Y and v24 as a (4, 2, 1) stack:
     entry j is the column (Y, v24) of weights on the j-th row they sum."""
     return np.array([y, v24]).T[:, :, None].copy()
-
-
-# The block's term of a step, -(i/8) c<grad>_c^-1 B = hat + c<grad>_c^-1 fft(s),
-# split at the transforms of _Uei2Coeffs._rows, from the samples of u*:
-# _block_rows, their transforms' _block_b, hat its rows weighted by
-# block_syms, and s the _integrands of its rows Y and v24 (stacked after
-# theta's w).  oscillatory_block forms B from the same rows
-def _block_rows(up, acu, up2, au2, out):
-    """Write 3|u|^2 u, u^3, u^2 A_c u and conj(u)^2 A_c u - 2|u|^2 conj(A_c u)
-    into out's rows from the samples up of u, acu of A_c u, up2 of u^2 and
-    au2 of |u|^2."""
-    np.multiply(3.0 * au2, up, out=out[0])
-    np.multiply(up2, up, out=out[1])
-    np.multiply(up2, acu, out=out[2])
-    np.multiply(np.conj(up2), acu, out=out[3])
-    out[3] -= 2.0 * au2 * np.conj(acu)
-
-
-def _block_b(co: _Uei2Coeffs, phases, x, w, b):
-    """Complete the seven rows x, the transforms of _block_rows and room for
-    three more, and write the coefficients of Y and v24 into b's rows, with
-    the per-run weights w that _rows was given.
-
-    x becomes: 3|u|^2 u, then the block's six branch rows, each times the
-    phase of its branch, in the order of block_syms: p2 u^3, p2 u^2 A_c u,
-    m2 (the second moment), m2 3|u|^2 conj u, m4 conj u^3, m4 conj(u^2 A_c u).
-    """
-    _conjrefl(x[:3], out=x[4:])
-    p2, m2, m4 = phases
-    x[1:3] *= p2
-    x[3:5] *= m2
-    x[5:] *= m4
-
-    # the branch-filtered moments of Psi, b1 and b2, and of conj Psi, b3 and
-    # b4, are scalar combinations of 3|u|^2 u, u^3 and their reflections; as
-    # c<grad>_c^-1 is real and even, b3 is the reflection of b1, so the block
-    # needs m2 conj(v1) and v24 = m4 b4 - m2 b2, where v1 and v24 are the
-    # samples of (3/64) tau^2 c<grad>_c^-1 times b1 and that combination.  Y is
-    # m2 conj(v1) minus, in a step, the samples xw of (3/64) tau^2
-    # c<grad>_c^-1 vartheta.  With |p2| = 1, the weights of Y on the rows
-    # (x[0], x[1], x[4], x[5]) are constants of the run, and those of v24 are
-    # constants times m2
-    np.multiply(w[0], x[0], out=b)
-    b += w[1] * x[1]
-    b += w[2] * x[4]
-    b += w[3] * x[5]
-    b[1] *= m2
-    b *= co.cinv_s
-
-
-def _integrands(a2, sq, rows, out=None):
-    """The last forward rows of _rows: the _coupling of the samples of
-    (U, u*), with squares sq and a2 = |.|^2, with rows[:-1] (theta's w and
-    Y), the last plus conj(u*^2) times the samples v24 of rows[-1]."""
-    out = _coupling(a2, sq, rows[:-1], out=out)
-    out[-1] += np.conj(sq[-1]) * rows[-1]
-    return out
 
 
 def oscillatory_block(tau: float, t_n: float, u: SpectralField, m: MultiplierSet) -> SpectralField:
     """Second-order closed form of the e^(i l c^2 s), l in {2,-2,-4} part of
     one iterated Duhamel step from u* = u at time t_n, read off _rows."""
     _check_tau("oscillatory_block", tau)
-    co = _Uei2Coeffs(m, tau)
-    rows = co._rows(u.coeffs, _phases(phase_factor(2, m.c, t_n)), co.w_block)
-    hat = (co.block_syms * rows[4:10]).sum(axis=0)
+    _check_same_grid(m, u)
+    st = _Uei2Stepper(m, tau)
+    rows = st._rows(u.coeffs, _phases(phase_factor(2, m.c, t_n)), st.w_block)
+    hat = (st.block_syms * rows[4:10]).sum(axis=0)
     # undo the step's -(i/8) c<grad>_c^-1
-    return SpectralField(u.grid, 8j * (hat / co.cinv + rows[11]))
+    return SpectralField(u.grid, 8j * (hat / st.cinv + rows[11]))
 
 
 def kernel_bundle(t_n: float, tau: float, v: SpectralField, m: MultiplierSet) -> KernelBundle:

@@ -16,8 +16,10 @@ from kguniform import (
     evolve,
     field_from_values,
     from_first_order,
+    kernel_theta,
     make_grid,
     make_multipliers,
+    oscillatory_block,
     phase_factor,
     phi,
     reference_solution,
@@ -452,14 +454,26 @@ def test_twist_oracle_and_evolve_reject_non_finite_times_and_c(grid64):
         evolve(SchemeId.UEI1, bad, 0.02, ctx)
 
 
-@pytest.mark.parametrize("scheme", [*SchemeId, "oracle"], ids=lambda s: getattr(s, "value", s))
+_OTHER_GRID_CALLS = {
+    "oracle": lambda p, s, ctx: duhamel_oracle_step(p.u_star, 0.0, ctx),
+    "kernel_theta": lambda p, s, ctx: kernel_theta(0.0, 0.01, p.u_star, ctx.m),
+    "oscillatory_block": lambda p, s, ctx: oscillatory_block(0.01, 0.0, p.u_star, ctx.m),
+    "to_first_order": lambda p, s, ctx: to_first_order(s, ctx.m),
+    "from_first_order": lambda p, s, ctx: from_first_order(p.u_star, p.v_star, ctx.m),
+}
+
+
+@pytest.mark.parametrize(
+    "scheme", [*SchemeId, *_OTHER_GRID_CALLS], ids=lambda s: getattr(s, "value", s)
+)
 def test_runs_and_oracle_reject_a_state_on_another_grid(grid64, scheme):
-    # a K = 32 state with a K = 64 context fails up front, naming both sizes
-    _, _, p = _standard_pair(make_grid(1, 32), 3.0)
+    # a K = 32 state with a K = 64 context (or its multipliers) fails up
+    # front, naming both sizes
+    _, s, p = _standard_pair(make_grid(1, 32), 3.0)
     ctx = StepContext(grid64, make_multipliers(grid64, 3.0), 0.01)
     with pytest.raises(ValueError, match="grids of 128 and 64 points do not match"):
-        if scheme == "oracle":
-            duhamel_oracle_step(p.u_star, 0.0, ctx)
+        if scheme in _OTHER_GRID_CALLS:
+            _OTHER_GRID_CALLS[scheme](p, s, ctx)
         else:
             evolve(scheme, p, 0.02, ctx)
 
@@ -524,6 +538,13 @@ def test_lie_step_properties(grid64, rng):
     un, vn = step_lie_limit(u, v, ctx)
     assert sobolev_norm(un, 0.0) == pytest.approx(sobolev_norm(u, 0.0), rel=1e-12)
     assert sobolev_norm(vn, 0.0) == pytest.approx(sobolev_norm(v, 0.0), rel=1e-12)
+    # the row u* is stepped as its own partner: bitwise row 0 of the step of
+    # the stack (u*, u*), as a2 + 2 a2 rounds like 3 a2
+    from kguniform.integrators import _STEPPERS
+
+    lie = _STEPPERS[SchemeId.LIE_LIMIT](m, 0.02)
+    row = lie.step(u.coeffs, None)
+    assert np.array_equal(row, lie.step(np.stack([u.coeffs, u.coeffs]), None)[0])
 
 
 def test_strang_step_constant_and_self_convergence(grid64):

@@ -1,6 +1,7 @@
-"""README stays in step with the command line it documents."""
+"""README stays in step with the command line and the package it documents."""
 
 import re
+import types
 from pathlib import Path
 
 import pytest
@@ -55,3 +56,18 @@ def test_readme_uei2_transform_counts_are_the_pinned_ones():
 def test_readme_reference_depth_is_the_default():
     depth = re.search(r"`SweepConfig.ref_exponent = (\d+)`", _section("Reference solutions")).group(1)
     assert int(depth) == SweepConfig().ref_exponent
+
+
+def test_package_exports_each_modules_public_names():
+    # the public names that README's `from kguniform import *` brings in are
+    # exactly those the four modules list in __all__
+    import kguniform
+    from kguniform import harness, integrators, model, spectral
+
+    public = {
+        name
+        for name, value in vars(kguniform).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    modules = (spectral, model, integrators, harness)
+    assert public == set().union(*(mod.__all__ for mod in modules))
