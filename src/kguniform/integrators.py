@@ -8,7 +8,8 @@ table.  One loop builds the stepper and the table and drives the steps:
 evolve runs it for T/tau steps, and each public step_* function is a
 one-step run of it, so a step taken alone does the arithmetic of a step
 inside a run, and either raises NonFiniteStateError on a state that is not
-finite.
+finite.  The steppers, one class per step body, live in model beside the
+kernels, whose branch cubes they share.
 Writing E = e^(i tau A_c) and w_u = |u*|^2 + 2|v*|^2, the available steps are
 
   UEI1 (complex data, first order, uniform in c):
@@ -34,8 +35,7 @@ Writing E = e^(i tau A_c) and w_u = |u*|^2 + 2|v*|^2, the available steps are
                  - tau^2 (3/64) c<grad>_c^-1 [ 2|u*^n|^2 c<grad>_c^-1 vartheta
                    - (u*^n)^2 c<grad>_c^-1 conj(vartheta) ]
                  - (i/8) c<grad>_c^-1 * oscillatory_block(tau, t_n, u*^n).
-      Its stepper is model._Uei2Stepper, which folds the step's symbols and
-      scalar weights once per run.
+      Its stepper folds the step's symbols and scalar weights once per run.
 
   LIE_LIMIT / STRANG_LIMIT: Lie and Strang splitting of the cubic
       Schroedinger system that the twisted variables solve as c -> infinity.
@@ -43,7 +43,7 @@ Writing E = e^(i tau A_c) and w_u = |u*|^2 + 2|v*|^2, the available steps are
       after its own half-step propagator e^(-i tau Delta/4).
 
   LARGE_C_UEI1: the tau*c > 1 simplification dropping all phi_1 branches.
-      It, LIE_LIMIT and STRANG_LIMIT share one Lie step (_SplitStepper): one
+      It, LIE_LIMIT and STRANG_LIMIT share one Lie step: one
       inverse transform of the state, one rotation of its rows (with the
       weights w of UEI1, 3|u*|^2 for a row) and one forward transform.
 
@@ -65,13 +65,12 @@ from numpy.polynomial import legendre as _leg
 from .model import (
     KgState,
     TwistedPair,
-    _BRANCH,
-    _branches,
     _check_same_grid,
     _expi,
-    _not_real,
     _phases,
-    _phi_table,
+    _SplitStepper,
+    _StrangStepper,
+    _Uei1Stepper,
     _Uei2Stepper,
     phase_factor,
     reconstruct_z,
@@ -82,9 +81,7 @@ from .spectral import (
     MultiplierSet,
     SpectralField,
     SpectralGrid,
-    _to_coeffs,
     _to_coeffs_real,
-    _to_phys,
     _to_phys_real,
     sobolev_norm,
 )
@@ -135,78 +132,9 @@ class StepContext:
         _check_same_grid(self, self.m)
 
 
-def _partner(a):
-    """The partners of a state's rows: the row u* of real data is its own, a
-    stack's are its rows swapped, copied (a reversed view is slower to use)."""
-    return a if a.ndim == 1 else a[::-1].copy()
-
-
-def _row_weights(p):
-    """w = |p|^2 + 2|partner|^2 of each row of the samples p (3|u*|^2 for a row)."""
-    a2 = np.abs(p) ** 2
-    return a2 + 2.0 * _partner(a2)
-
-
-class _Uei1Stepper:
-    """UEI1 on the stack (u*, v*), or on u* alone for real data (u* == v*)."""
-
-    def __init__(self, m: MultiplierSet, tau: float):
-        self.tau = tau
-        self.exp_full = np.exp(1j * tau * m.a_c)
-        # symbol of the correction: -(i tau/8) c<grad>_c^-1 E
-        self.corr = -0.125j * tau * m.c_inv * self.exp_full
-        self.phi1 = _phi_table(m.c, tau)[1][_BRANCH].tolist()
-
-    def step(self, x, phases):
-        # each row p of the samples is stepped with its partner op and weights
-        tau = self.tau
-        p = _to_phys(x)
-        op, w = _partner(p), _row_weights(p)
-        w_op = _partner(w)
-        opb = np.conj(op)
-        wp = w * p
-        # the two integrands of each row, transformed in one call
-        rows = np.empty((2,) + x.shape, dtype=np.complex128)
-        lin = _expi((-0.125 * tau) * w, out=rows[0])
-        lin *= p
-        lin += (0.125j * tau) * wp
-        cubes = (p * p * op, w_op * opb, opb**2 * np.conj(p))
-        np.add(wp, _branches(cubes, phases, self.phi1), out=rows[1])
-        lin_hat, corr_hat = _to_coeffs(rows, out=rows)
-        return self.exp_full * lin_hat + self.corr * corr_hat
-
-
-class _SplitStepper:
-    """Lie splitting e^(i tau L) e^(-i tau w/8) of a state, with the linear
-    operator L given by its symbol: -Delta/2 for the Schroedinger limit, A_c
-    for the large-c UEI1 (which drops every phi_1 branch)."""
-
-    def __init__(self, tau: float, symbol):
-        self.tau = tau
-        self.exp_lin = np.exp(1j * tau * symbol)
-
-    def step(self, x, phases):
-        # the samples are the step's scratch: the rotation and the forward
-        # transform work in place
-        rows = _to_phys(x)
-        np.multiply(_expi((-0.125 * self.tau) * _row_weights(rows)), rows, out=rows)
-        return self.exp_lin * _to_coeffs(rows, out=rows)
-
-
-class _StrangStepper(_SplitStepper):
-    """Strang splitting of the row u*: the Lie step at half the symbol,
-    -Delta/4, after its own half-step propagator e^(-i tau Delta/4)."""
-
-    def __init__(self, m: MultiplierSet, tau: float):
-        super().__init__(tau, -0.25 * m.laplace)
-
-    def step(self, x, phases):
-        return super().step(self.exp_lin * x, phases)
-
-
-# scheme -> stepper constructor (m, tau).  step(x, phases) returns a fresh
-# state x one step on from t_n, the stack (u*, v*) or, for the schemes of
-# _REAL_ONLY, the row u*, and leaves its input as it was; phases =
+# scheme -> model's stepper constructor (m, tau).  step(x, phases) returns a
+# fresh state x one step on from t_n, the stack (u*, v*) or, for the schemes
+# of _REAL_ONLY, the row u*, and leaves its input as it was; phases =
 # model._phases(e^(2ic^2 t_n)) (the splitting steps ignore them)
 _STEPPERS = {
     SchemeId.UEI1: _Uei1Stepper,
@@ -554,11 +482,9 @@ def reference_solution(
 
     Runs UEI2_REAL at tau_ref and at 2*tau_ref; the H^1 difference of the
     reconstructed z at time T is the certificate.  If the certificate
-    exceeds CERTIFICATE_TOL the reference is rejected.
+    exceeds CERTIFICATE_TOL the reference is rejected.  The data must be
+    real: the run rejects u* != v* (1e-8 relative) with ValueError.
     """
-    if _not_real(1e-9, s0.z.values(), s0.zt.values()):
-        raise ValueError("reference_solution requires real-valued initial data")
-
     u0, v0 = to_first_order(s0, m)
     pair0 = twist(u0, v0, s0.t, m.c)
 

@@ -1,4 +1,4 @@
-"""Klein-Gordon state handling, twisted variables, and oscillatory kernels.
+"""Klein-Gordon states, twisted variables, oscillatory kernels and steppers.
 
 The cubic Klein-Gordon equation
 
@@ -27,9 +27,11 @@ closed-form kernels produced by integrating those branches exactly:
     oscillatory_block      the full second-order treatment of the l != 0
                            branches of the iterated Duhamel formula
 
-It also holds the second-order (UEI2) stepper, _Uei2Stepper: theta is built
-from its symbols, and oscillatory_block reads the block's rows of the step's
-own transforms (_Uei2Stepper._rows).
+Every scheme's step arithmetic lives here too: the steppers integrators
+drives (_Uei1Stepper, _SplitStepper, _StrangStepper, _Uei2Stepper) and the
+branch-cube rule _cubes that UEI1 and the kernels share, each row with its
+partner (_partner).  theta is built from _Uei2Stepper's symbols, and
+oscillatory_block reads the block's rows of its transforms (_Uei2Stepper._rows).
 
 All nonlinear products are formed pointwise in physical space; conjugation
 of a field is physical-space conjugation, i.e. coefficient reversal plus
@@ -220,10 +222,26 @@ def _phi_table(c, t):
     return x, phi(1, x), phi(2, x)
 
 
-def _cubes(vv):
-    """The branch cubes (v^3, 3|v|^2 conj(v), conj(v)^3) of physical samples."""
-    v3 = vv**3
-    return v3, np.conj(3.0 * np.abs(vv) ** 2 * vv), np.conj(v3)
+def _partner(a):
+    """The partners of a state's rows: the row u* of real data is its own, a
+    stack's are its rows swapped, copied (a reversed view is slower to use)."""
+    return a if a.ndim == 1 else a[::-1].copy()
+
+
+def _row_weights(p):
+    """w = |p|^2 + 2|partner|^2 of each row of the samples p (3|u*|^2 for a row)."""
+    a2 = np.abs(p) ** 2
+    return a2 + 2.0 * _partner(a2)
+
+
+def _cubes(p, w):
+    """The branch cubes (p^2 o, w_o conj(o), conj(o)^2 conj(p)) of each row p
+    of samples, o its partner and w_o the partner's row of w = _row_weights(p):
+    UEI1's on the stack (u*, v*), and (v^3, 3|v|^2 conj(v), conj(v)^3) for a
+    row v, its own partner."""
+    o = _partner(p)
+    ob = np.conj(o)
+    return p * p * o, _partner(w) * ob, ob**2 * np.conj(p)
 
 
 def _branches(terms, phases, weights):
@@ -237,7 +255,8 @@ def _branches(terms, phases, weights):
 
 
 def _branch_field(v: SpectralField, phases, weights) -> SpectralField:
-    return field_from_values(v.grid, _branches(_cubes(v.values()), phases, weights))
+    vv = v.values()
+    return field_from_values(v.grid, _branches(_cubes(vv, _row_weights(vv)), phases, weights))
 
 
 def kernel_psi(t_n: float, t: float, v: SpectralField, c: float) -> SpectralField:
@@ -317,6 +336,60 @@ def _coupling(a2, sq, w, out=None):
     the integrand of theta's last two terms (one transform), and with w = Y
     that of the vartheta coupling and the block's first filtered moment."""
     return np.subtract(2.0 * a2 * w, sq * np.conj(w), out=out)
+
+
+class _Uei1Stepper:
+    """UEI1 on the stack (u*, v*), or on u* alone for real data (u* == v*)."""
+
+    def __init__(self, m: MultiplierSet, tau: float):
+        self.tau = tau
+        self.exp_full = np.exp(1j * tau * m.a_c)
+        # symbol of the correction: -(i tau/8) c<grad>_c^-1 E
+        self.corr = -0.125j * tau * m.c_inv * self.exp_full
+        self.phi1 = _phi_table(m.c, tau)[1][_BRANCH].tolist()
+
+    def step(self, x, phases):
+        # each row p of the samples is stepped with its partner and weights w
+        tau = self.tau
+        p = _to_phys(x)
+        w = _row_weights(p)
+        wp = w * p
+        # the two integrands of each row, transformed in one call
+        rows = np.empty((2,) + x.shape, dtype=np.complex128)
+        lin = _expi((-0.125 * tau) * w, out=rows[0])
+        lin *= p
+        lin += (0.125j * tau) * wp
+        np.add(wp, _branches(_cubes(p, w), phases, self.phi1), out=rows[1])
+        lin_hat, corr_hat = _to_coeffs(rows, out=rows)
+        return self.exp_full * lin_hat + self.corr * corr_hat
+
+
+class _SplitStepper:
+    """Lie splitting e^(i tau L) e^(-i tau w/8) of a state, with the linear
+    operator L given by its symbol: -Delta/2 for the Schroedinger limit, A_c
+    for the large-c UEI1 (which drops every phi_1 branch)."""
+
+    def __init__(self, tau: float, symbol):
+        self.tau = tau
+        self.exp_lin = np.exp(1j * tau * symbol)
+
+    def step(self, x, phases):
+        # the samples are the step's scratch: the rotation and the forward
+        # transform work in place
+        rows = _to_phys(x)
+        np.multiply(_expi((-0.125 * self.tau) * _row_weights(rows)), rows, out=rows)
+        return self.exp_lin * _to_coeffs(rows, out=rows)
+
+
+class _StrangStepper(_SplitStepper):
+    """Strang splitting of the row u*: the Lie step at half the symbol,
+    -Delta/4, after its own half-step propagator e^(-i tau Delta/4)."""
+
+    def __init__(self, m: MultiplierSet, tau: float):
+        super().__init__(tau, -0.25 * m.laplace)
+
+    def step(self, x, phases):
+        return super().step(self.exp_lin * x, phases)
 
 
 class _Uei2Stepper:
@@ -518,20 +591,16 @@ def kernel_bundle(t_n: float, tau: float, v: SpectralField, m: MultiplierSet) ->
 # conserved energy
 
 
-def _not_real(tol, zv, ztv) -> bool:
-    """Whether z or z_t values have an imaginary part above tol * max(scale, 1)."""
-    scale = max(np.max(np.abs(zv)), np.max(np.abs(ztv)), 1.0)
-    return max(np.max(np.abs(zv.imag)), np.max(np.abs(ztv.imag))) > tol * scale
-
-
 def energy(s: KgState, m: MultiplierSet) -> float:
     """E = int (1/2) c^-2 z_t^2 + (1/2)|grad z|^2 + (1/2) c^2 z^2 - (1/4) z^4 dx.
 
     Conserved along real solutions; quadratic terms are summed on the Fourier
-    side, the quartic one by the (spectrally accurate) trapezoid rule.
+    side, the quartic one by the (spectrally accurate) trapezoid rule.  An
+    imaginary part above 1e-10 max(|z|, |z_t|, 1) raises ValueError.
     """
-    zv = s.z.values()
-    if _not_real(1e-10, zv, s.zt.values()):
+    zv, ztv = s.z.values(), s.zt.values()
+    scale = max(np.max(np.abs(zv)), np.max(np.abs(ztv)), 1.0)
+    if max(np.max(np.abs(zv.imag)), np.max(np.abs(ztv.imag))) > 1e-10 * scale:
         raise ValueError("energy is defined for real-valued states")
     k2 = s.z.grid.wavenumbers**2
     c2 = m.c * m.c

@@ -45,10 +45,9 @@ def _report(num, passed, detail):
 
 @pytest.fixture(scope="module")
 def sweep_table():
-    # Reference tau is T * 2^-14 (the default 2^-16 is configurable); the
+    # Reference tau is T * 2^-14 (SweepConfig's default ref_exponent); the
     # self-convergence certificate comes out near 5e-12, two decades below
-    # the 1e-9 gate and an order under the smallest cell error, at a quarter
-    # of the default cost.
+    # the 1e-9 gate and an order under the smallest cell error.
     cfg = SweepConfig(
         schemes=[SchemeId.UEI1, SchemeId.UEI2_REAL],
         c_list=ACCEPT_C,
@@ -215,6 +214,36 @@ def test_full_nine_c_reproduction_property():
         else f"violations: {bad}; spreads {s1:.2f}x / {s2:.2f}x",
     )
     assert ok
+
+
+def test_dense_c_uniformity():
+    # uniformity between the preset c values: c = 10^(k/8) across the
+    # transition 1 <= c <= 31.6, then 100, 1e3 and 1e4, on a small grid with
+    # three tau and plain e = 12 references (certificates ~5e-11 to 5e-10);
+    # the same spread definition and bound of 10 as criteria 1 and 2
+    dense_c = [10.0 ** (k / 8) for k in range(13)] + [100.0, 1000.0, 10000.0]
+    cfg = SweepConfig(
+        schemes=[SchemeId.UEI1, SchemeId.UEI2_REAL],
+        c_list=dense_c,
+        tau_exponents=[6, 8, 10],
+        T=T,
+        K=32,
+        ref_exponent=12,
+    )
+    table = run_sweep(cfg)
+    failed = [(r.scheme, r.c, r.tau, r.failed) for r in table.rows if r.failed is not None]
+    spreads, details = {}, []
+    for scheme, p in (("uei1", 1.0), ("uei2", 2.0)):
+        spreads[scheme], consts = _constant_spread(table, scheme, p, dense_c)
+        peak, low = max(consts, key=consts.get), min(consts, key=consts.get)
+        details.append(
+            f"{scheme} spread {spreads[scheme]:.2f}x (peak at c={peak:.3g}, low at "
+            f"c={low:.3g}), peak/c=1 {consts[peak] / consts[1.0]:.2f}x"
+        )
+    ok = not failed and all(s <= 10.0 for s in spreads.values())
+    _report("11/dense-c", ok, f"{len(dense_c)} c; " + "; ".join(details) + " (<=10)")
+    assert not failed, failed
+    assert all(s <= 10.0 for s in spreads.values()), details
 
 
 def test_criterion_8_roundtrips_and_symmetry():

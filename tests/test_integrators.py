@@ -178,6 +178,19 @@ def test_uei1_preserves_real_symmetry_and_matches_real_variant(grid64, rng):
     assert sobolev_norm(out.u_star - out.v_star, 1.0) < 1e-12
     out_real = step_uei1_real(p.u_star, 0.0, ctx)
     assert sobolev_norm(out.u_star - out_real, 1.0) < 1e-12
+    # the row u* is its own partner: its branch cubes and its step are
+    # bitwise row 0 of those of the stack (u*, u*)
+    from kguniform.integrators import _STEPPERS
+    from kguniform.model import _cubes, _phases, _row_weights
+
+    row = p.u_star.values()
+    stack = np.stack([row, row])
+    for a, b in zip(_cubes(row, _row_weights(row)), _cubes(stack, _row_weights(stack))):
+        assert np.array_equal(a, b[0])
+    uei1 = _STEPPERS[SchemeId.UEI1](m, 0.005)
+    phases = _phases(phase_factor(2, c, 0.37))
+    x = p.u_star.coeffs
+    assert np.array_equal(uei1.step(x, phases), uei1.step(np.stack([x, x]), phases)[0])
 
 
 def test_uei1_scalar_mode(grid64):
