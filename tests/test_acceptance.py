@@ -26,7 +26,7 @@ from kguniform import (
     twist,
     untwist,
 )
-from kguniform.harness import SweepConfig, run_sweep
+from kguniform.harness import ORDER_BANDS, SweepConfig, run_sweep
 from kguniform.verify import (
     check_block_quadrature,
     check_local_defects,
@@ -77,7 +77,8 @@ def _constant_spread(table, scheme, p_nominal, c_list=None):
 def test_criterion_1_uei1_uniform_first_order(sweep_table):
     orders = {c: sweep_table.fitted_orders[("uei1", c)] for c in ACCEPT_C}
     spread, consts = _constant_spread(sweep_table, "uei1", 1.0)
-    ok_orders = all(o is not None and 0.85 <= o <= 1.15 for o in orders.values())
+    lo, hi = ORDER_BANDS["uei1"]
+    ok_orders = all(o is not None and lo <= o <= hi for o in orders.values())
     ok = ok_orders and spread <= 10.0
     _report(
         1,
@@ -86,14 +87,15 @@ def test_criterion_1_uei1_uniform_first_order(sweep_table):
         + ", ".join(f"c={c:g}:{o:.3f}" for c, o in orders.items())
         + f"; constant spread {spread:.2f}x (<=10); sweep wall {sweep_table.wall:.0f}s",
     )
-    assert ok_orders, f"UEI1 fitted orders outside [0.85, 1.15]: {orders}"
+    assert ok_orders, f"UEI1 fitted orders outside [{lo}, {hi}]: {orders}"
     assert spread <= 10.0, f"UEI1 error constants vary {spread:.1f}x across c: {consts}"
 
 
 def test_criterion_2_uei2_uniform_second_order(sweep_table):
     orders = {c: sweep_table.fitted_orders[("uei2", c)] for c in ACCEPT_C}
     spread, consts = _constant_spread(sweep_table, "uei2", 2.0)
-    ok_orders = all(o is not None and 1.8 <= o <= 2.2 for o in orders.values())
+    lo, hi = ORDER_BANDS["uei2"]
+    ok_orders = all(o is not None and lo <= o <= hi for o in orders.values())
     ok = ok_orders and spread <= 10.0
     _report(
         2,
@@ -102,12 +104,12 @@ def test_criterion_2_uei2_uniform_second_order(sweep_table):
         + ", ".join(f"c={c:g}:{o:.3f}" for c, o in orders.items())
         + f"; constant spread {spread:.2f}x (<=10)",
     )
-    assert ok_orders, f"UEI2 fitted orders outside [1.8, 2.2]: {orders}"
+    assert ok_orders, f"UEI2 fitted orders outside [{lo}, {hi}]: {orders}"
     assert spread <= 10.0, f"UEI2 error constants vary {spread:.1f}x across c: {consts}"
 
 
 def test_criterion_3_local_defect_orders():
-    res = check_local_defects(cs=(1.0, 100.0))
+    res = check_local_defects(cases=((1.0, 0.37), (100.0, 0.0)))
     _report(3, res.passed, res.detail)
     assert res.passed, res.detail
 
@@ -197,12 +199,11 @@ def test_full_nine_c_reproduction_property():
     table = run_sweep(cfg)
     bad = []
     for c in PAPER_C_LIST:
-        o1 = table.fitted_orders[("uei1", c)]
-        o2 = table.fitted_orders[("uei2", c)]
-        if o1 is None or not 0.85 <= o1 <= 1.15:
-            bad.append(f"uei1 c={c}: {o1}")
-        if o2 is None or not 1.8 <= o2 <= 2.2:
-            bad.append(f"uei2 c={c}: {o2}")
+        for scheme in ("uei1", "uei2"):
+            o = table.fitted_orders[(scheme, c)]
+            lo, hi = ORDER_BANDS[scheme]
+            if o is None or not lo <= o <= hi:
+                bad.append(f"{scheme} c={c}: {o}")
     s1, _ = _constant_spread(table, "uei1", 1.0, PAPER_C_LIST)
     s2, _ = _constant_spread(table, "uei2", 2.0, PAPER_C_LIST)
     ok = not bad and s1 <= 10.0 and s2 <= 10.0

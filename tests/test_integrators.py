@@ -635,9 +635,24 @@ def test_local_defects_fail_on_a_nan_defect(monkeypatch):
         return out
 
     monkeypatch.setattr(verify, "step_uei2_real", nan_at_one_tau)
-    res = verify.check_local_defects(cs=(1.0,))
+    res = verify.check_local_defects(cases=((1.0, 0.37),))
     assert not res.passed
     assert "c=1:" in res.detail and f"tau={bad_tau:g}" in res.detail, res.detail
+
+
+def test_local_defects_fail_on_phases_that_ignore_t_n(monkeypatch):
+    # steppers whose branch phase table is taken at t = 0: invisible from
+    # t_n = 0, where every phase is 1, but the c = 1 case steps from 0.37
+    from kguniform import integrators
+
+    phase = integrators.phase_factor
+
+    def phases_at_zero(l, c, t, k=0, tau=1.0):
+        return phase(l, c, 0.0 if l == 2 else t, k, tau)
+
+    monkeypatch.setattr(integrators, "phase_factor", phases_at_zero)
+    res = verify.check_local_defects(cases=((1.0, 0.37),))
+    assert not res.passed, res.detail
 
 
 def _mp_legendre_rule(q):
