@@ -295,18 +295,20 @@ def _panel_rule(q: int):
 _ORACLE_MAX_PANELS = 20000
 
 # radians of the integrand's fastest oscillation per 16-node panel.  A panel
-# sum of e^(i w x) is exact to round-off up to ~16 rad and its partial
-# integrals to 2.4e-12 at 6 rad.  Against oracles at 1.5 rad per panel, the
-# outputs differ by <= 7.9e-17 of their max (K 16 to 128, c 1 to 200, tau
-# 2^-6 to 2^-12, t_n 0 and 0.37, paper and (1 + |k|)^-2 data), as they do at
-# 3 rad; at c = 200, tau = 2^-6 they are unmoved at 16 rad and move by
-# 3.5e-15 at 24 rad
-_ORACLE_RAD_PER_PANEL = 6.0
+# sum of e^(i w x) is exact to round-off (<= 6.7e-16) up to 16 rad and off by
+# 3.2e-11 at 24 rad; its partial integrals are off by 2.4e-12 at 6 rad and
+# 1.1e-7 at 12, an error that enters only the inner Picard levels.  Against
+# oracles at 1.5 rad per panel (3 rad where 1.5 would pass
+# _ORACLE_MAX_PANELS) the outputs at 12 rad move by <= 1.2e-16 of their max,
+# as at 6 and 8 rad, and by <= 2.8e-6 of the uei2 one-step defect (5.6e-8 at
+# 6 rad): K 16 to 128, c 1 to 200, tau 2^-6, 2^-9, 2^-12, t_n 0 and 0.37,
+# paper and (1 + |k|)^-2 data, and c = 1e4 at K = 16, tau 2^-13 to 2^-16
+_ORACLE_RAD_PER_PANEL = 12.0
 
 # panels per block of the oracle's sweep: 16 panels of q = 16 nodes are 256
 # rows, so one block array at N = 128 points is 512 KB.  Benchmark `oracle`
-# wall_s medians of 8 rotating runs (one core of a 2-vCPU VM, 6 rad per
-# panel) are 0.48, 0.43 and 0.45 s at 8, 16 and 32 panels, with quartiles
+# wall_s medians of 8 rotating runs (one core of a 2-vCPU VM, taken at 6 rad
+# per panel) are 0.48, 0.43 and 0.45 s at 8, 16 and 32 panels, with quartiles
 # 0.39-0.49, 0.39-0.46 and 0.42-0.51 s: they tie within the noise (64 was
 # slower when every call had twice the panels)
 _ORACLE_BLOCK_PANELS = 16
@@ -323,8 +325,8 @@ def _duhamel_panels(tau: float, m: MultiplierSet, nodes: int):
     e^(-i s (c^2 + A_c(k))).  Panels at K = 64 and nodes = 64:
 
         tau        2^-6   2^-9   2^-12
-        c = 100     124     16       4
-        c = 200     438     55       7
+        c = 100      62      8       4
+        c = 200     219     28       4
 
     More than _ORACLE_MAX_PANELS raise ValueError before any allocation."""
     rate = 4.0 * (m.c * m.c + float(np.max(m.a_c)))

@@ -610,15 +610,27 @@ def test_panel_rule_partial_weights():
 
 
 def test_panel_rule_resolves_six_radians_per_panel():
-    # the oracle's budget: e^(i w x) over [-1, 1] turns through up to 6 rad,
-    # and the 16-node rule's partial integrals and sum stay exact to 2.4e-12
-    # and round-off
+    # e^(i w x) over [-1, 1] turns through up to 6 rad, half the oracle's
+    # budget, and the 16-node rule's partial integrals and sum stay exact to
+    # 2.4e-12 and round-off
     xg, wg = _legendre_rule(16)
     pm = _panel_rule(16)
     for w in np.linspace(-3.0, 3.0, 60):  # an even count skips w = 0
         f = np.exp(1j * w * xg)
         partial = (f - np.exp(-1j * w)) / (1j * w)
         assert np.max(np.abs(pm @ f - partial)) <= 5e-12, w
+        assert abs(wg @ f - 2.0 * np.sin(w) / w) <= 1e-15, w
+
+
+def test_panel_rule_at_the_oracles_twelve_radians_per_panel():
+    # at the oracle's budget the panel sum stays exact to round-off, and the
+    # partial integrals, which feed only the inner Picard levels, to 1.1e-7
+    xg, wg = _legendre_rule(16)
+    pm = _panel_rule(16)
+    for w in np.linspace(-6.0, 6.0, 60):
+        f = np.exp(1j * w * xg)
+        partial = (f - np.exp(-1j * w)) / (1j * w)
+        assert np.max(np.abs(pm @ f - partial)) <= 2e-7, w
         assert abs(wg @ f - 2.0 * np.sin(w) / w) <= 1e-15, w
 
 
@@ -714,7 +726,7 @@ def test_oracle_self_consistency(grid64):
 
 
 def _oracle_c200(grid):
-    # 438 panels of 16 nodes: 28 blocks of the oracle's sweep, the last partial
+    # 219 panels of 16 nodes: 14 blocks of the oracle's sweep, the last partial
     c = 200.0
     m = make_multipliers(grid, c)
     u, _ = to_first_order(paper_initial_data(grid, c), m)
@@ -744,7 +756,7 @@ def test_oracle_makes_two_real_transform_calls_per_level_and_block(grid64, monke
     from kguniform import spectral
 
     u, ctx = _oracle_c200(grid64)
-    panels, levels = 438, 4
+    panels, levels = 219, 4
     blocks = -(-panels // integrators_mod._ORACLE_BLOCK_PANELS)
     counter = _CountingFft(spectral._fft)
     monkeypatch.setattr(spectral, "_fft", counter)
@@ -793,10 +805,11 @@ def test_oracle_raises_on_non_finite_state():
 
 
 def test_oracle_agrees_with_a_denser_panel_rule(grid64, monkeypatch):
-    # four times the panels (1.5 rad each) moves no output by more than
-    # round-off, on the paper data at c = 200 and on rough data; one flipped
-    # last bit of a coefficient in [0.25, 0.5) is 1.1e-16 of a largest 0.5,
-    # and at 24 rad per panel the paper data move by 3.5e-15
+    # eight times the panels (1.5 rad each) moves no output by more than
+    # round-off, on the paper data at c = 200 and 1e4 and on rough data; one
+    # flipped last bit of a coefficient in [0.25, 0.5) is 1.1e-16 of a
+    # largest 0.5, and at 24 rad per panel the c = 200 paper data move by
+    # 3.5e-15
     import kguniform.integrators as integrators_mod
 
     u, ctx = _oracle_c200(grid64)
@@ -806,6 +819,10 @@ def test_oracle_agrees_with_a_denser_panel_rule(grid64, monkeypatch):
     rough = SpectralField(grid16, co * (0.5 / np.max(np.abs(co))))
     ctx16 = StepContext(grid16, make_multipliers(grid16, 200.0), 2.0**-6)
     cases = [(u, t_n, ctx) for t_n in (0.0, 0.3)] + [(rough, t_n, ctx16) for t_n in (0.0, 0.3)]
+    # c = 1e4 at tau = 2^-16: 509 panels, and 4,070 at 1.5 rad
+    m4 = make_multipliers(grid16, 1e4)
+    u4, _ = to_first_order(paper_initial_data(grid16, 1e4), m4)
+    cases.append((u4, 0.37, StepContext(grid16, m4, 2.0**-16)))
     default = [duhamel_oracle_step(*case).coeffs for case in cases]
     monkeypatch.setattr(integrators_mod, "_ORACLE_RAD_PER_PANEL", 1.5)
     for case, want in zip(cases, default):
@@ -833,7 +850,7 @@ def test_oracle_rejects_too_many_panels_before_allocating():
     grid = make_grid(1, 16)
     m = make_multipliers(grid, 1e4)
     u, _ = to_first_order(paper_initial_data(grid, 1e4), m)
-    ctx = StepContext(grid, m, 2.0**-11)
+    ctx = StepContext(grid, m, 2.0**-10)
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="32553 panels"):
@@ -848,7 +865,7 @@ def test_oracle_defects_are_uniform_up_to_c_1e4():
     # the oracle as a witness at the large-c end, at t_n = 0.37 where no
     # branch phase is 1: at c = 1e4 both schemes keep their local orders,
     # and each defect is within 2x of the one at c = 1e3.  The c = 1e4,
-    # tau = 2^-13 call takes ~8,100 panels, near _ORACLE_MAX_PANELS
+    # tau = 2^-13 call takes ~4,070 panels
     grid = make_grid(1, 64)
     t_n = 0.37
     taus = [2.0**-e for e in range(13, 17)]

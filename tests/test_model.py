@@ -418,7 +418,7 @@ def _block_quadrature_loop(tau, t_n, u, m):
 
 def test_block_quadrature_uses_the_oracle_panel_rule(monkeypatch):
     # check_block_quadrature's grid (K = 64, c = 10) at tau = 2^-6 .. 2^-12:
-    # 4 (c^2 + max A_c) at 6 rad per 16-node panel, at least two panels
+    # 4 (c^2 + max A_c) at 12 rad per 16-node panel, at least two panels
     seen = []
     psi = verify._psi_raw
 
@@ -428,7 +428,7 @@ def test_block_quadrature_uses_the_oracle_panel_rule(monkeypatch):
 
     monkeypatch.setattr(verify, "_psi_raw", counting_psi)
     check_block_quadrature()
-    assert seen == [16 * p for p in (7, 4, 2, 2, 2, 2, 2)]
+    assert seen == [16 * p for p in (4, 2, 2, 2, 2, 2, 2)]
 
 
 @pytest.mark.parametrize("c, t_n", [(10.0, 0.0), (10.0, 0.37), (100.0, 0.37)])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -25,7 +26,8 @@ from kguniform.spectral import (
     _to_phys,
     _to_phys_real,
 )
-from kguniform.verify import check_operator_bounds, random_field
+from kguniform import verify
+from kguniform.verify import check_operator_bounds, check_stability_bounds, random_field
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +396,91 @@ def test_zero_field_is_zero():
 def test_operator_bound_suite():
     res = check_operator_bounds(n_fields=100)
     assert res.passed, res.detail
+
+
+def _operator_bounds_loop(n_fields):
+    """check_operator_bounds field by field: the worst violation, from -inf."""
+    grid = make_grid(1, 64)
+    rng = np.random.default_rng(7)
+    worst = -math.inf
+    for c in (1.0, 10.0, 100.0, 1e4):
+        m = make_multipliers(grid, c)
+        for _ in range(n_fields):
+            f = random_field(grid, rng, decay=rng.uniform(0.0, 2.0))
+            t = rng.uniform(-1.0, 1.0)
+            e = np.exp(1j * t * m.a_c)
+            fr, fr2 = sobolev_norm(f, 1.0), sobolev_norm(f, 3.0)
+            worst = max(
+                worst,
+                sobolev_norm(apply_symbol(m.a_c, f), 1.0) - 0.5 * fr2 - 1e-10,
+                sobolev_norm(apply_symbol(m.c_inv, f), 1.0) - fr - 1e-12,
+                abs(sobolev_norm(apply_symbol(e, f), 1.0) - fr) - 1e-12 * fr,
+                sobolev_norm(apply_symbol(e - 1.0, f), 1.0) - 0.5 * abs(t) * fr2 - 1e-10,
+            )
+    return worst
+
+
+def _stability_bounds_loop(n_fields):
+    """check_stability_bounds field by field: C for each c."""
+    grid = make_grid(1, 64)
+    n = grid.n_points
+    rng = np.random.default_rng(11)
+    ratios = {}
+    for c in (1.0, 10.0, 100.0, 1e4):
+        m = make_multipliers(grid, c)
+        worst = 0.0
+        for tau in (1e-3, 1e-2, 1e-1):
+            syms = [
+                -1j * tau * (c * c + c * m.bracket_c),
+                -1j * tau * (3 * c * c + c * m.bracket_c),
+                1j * tau * (2 * c * c + 0.5 * grid.wavenumbers**2),
+            ]
+            for _ in range(n_fields):
+                v = random_field(grid, rng, decay=1.0)
+                w = random_field(grid, rng, decay=1.0)
+                prod = v.values() * (np.fft.ifft(m.a_c * w.coeffs) * n)
+                ph = field_from_values(grid, prod)
+                denom = tau * sobolev_norm(v, 1.0) * sobolev_norm(w, 1.0)
+                for s in syms:
+                    val = tau * tau * sobolev_norm(apply_symbol(phi_moment(s), ph), 1.0)
+                    worst = max(worst, val / denom)
+        ratios[c] = worst
+    return ratios
+
+
+def test_bound_checks_match_their_per_field_loops():
+    # the stacked checks draw the same fields in the same order and reduce
+    # each field's row alone, so they read what a loop over the fields
+    # reads; the operator margin is below 0, not clamped to it
+    worst = _operator_bounds_loop(20)
+    assert worst < 0.0
+    res = check_operator_bounds(n_fields=20)
+    assert res.detail == f"worst bound violation {worst:.3e} over 20 fields x 4 c values"
+    res = check_stability_bounds(n_fields=5)
+    assert res.detail == ", ".join(f"C(c={c:g})={v:.3g}" for c, v in _stability_bounds_loop(5).items())
+
+
+def test_operator_bounds_fail_on_a_scaled_c_inv(monkeypatch):
+    # c<grad>_c^-1 scaled by 1.01 breaks ||c<grad>_c^-1 f||_r <= ||f||_r
+    make = verify.make_multipliers
+
+    def scaled(grid, c):
+        m = make(grid, c)
+        return dataclasses.replace(m, c_inv=1.01 * m.c_inv)
+
+    monkeypatch.setattr(verify, "make_multipliers", scaled)
+    res = check_operator_bounds(n_fields=100)
+    assert not res.passed, res.detail
+
+
+def test_stability_bounds_fail_on_scaled_kernels(monkeypatch):
+    # phi-moment kernels scaled by 200 take C(c=1) from 0.215 to 43.1, above
+    # the bound of 25 (a factor of 100 would pass at 21.5); every C scales
+    # alike, so the uniform-in-c rule alone would not catch it
+    monkeypatch.setattr(verify, "phi_moment", lambda z: 200.0 * phi_moment(z))
+    res = check_stability_bounds(n_fields=20)
+    assert not res.passed, res.detail
+    assert res.detail.startswith("C(c=1)=43.1,"), res.detail
 
 
 def test_package_imports_no_scipy():
