@@ -1,13 +1,17 @@
 """Command line front end: `kg-uniform sweep` and `kg-uniform verify`.
 
 Options can come from a flat key=value config file; command-line flags win.
-The sweep exit status is nonzero iff any cell failed or a fitted order of an
-order-checked scheme (uei1, uei1_real, uei2) falls outside its band.
+Each value is converted where it is read, a file value even when a flag
+overrides it, and one that does not convert is a usage error (exit status 2)
+naming its file and line or its flag.  The sweep exit status is nonzero iff
+any cell failed or a fitted order of an order-checked scheme (uei1,
+uei1_real, uei2) falls outside its band.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .harness import (
@@ -49,14 +53,44 @@ _BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "
 
 
 def _parse_bool(text):
-    value = text.strip().lower()
+    value = str(text).strip().lower()  # str: the `--paper` switch stores True
     if value not in _BOOLEANS:
         raise ValueError(f"expected one of {sorted(_BOOLEANS)}")
     return _BOOLEANS[value]
 
 
+_FORMATS = ("csv", "json")
+
+
+def _parse_format(text):
+    if text not in _FORMATS:
+        raise ValueError(f"unknown format {text!r}; choose from {_FORMATS}")
+    return text
+
+
+# config-file key (also the flag's dest) -> converter, SweepConfig field it sets
+_SETTINGS = {
+    "schemes": (_parse_schemes, "schemes"),
+    "c": (_parse_floats, "c_list"),
+    "tau_exp": (_parse_exponents, "tau_exponents"),
+    "T": (float, "T"),
+    "K": (int, "K"),
+    "ref_exp": (int, "ref_exponent"),
+    "paper": (_parse_bool, None),
+    "out": (str, None),
+    "format": (_parse_format, None),
+}
+
+
+def _convert(source, key, text):
+    try:
+        return _SETTINGS[key][0](text)
+    except ValueError as exc:
+        raise ValueError(f"{source}: bad {key} value {text!r}: {exc}") from None
+
+
 def _read_config(path):
-    """key -> (value, line number) of a flat key=value config file."""
+    """key -> converted value of a flat key=value config file."""
     opts = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -66,61 +100,35 @@ def _read_config(path):
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: bad config line {raw.rstrip()!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _CONFIG_KEYS:
+            if key not in _SETTINGS:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            opts[key] = (value, lineno)
+            opts[key] = _convert(f"{path}:{lineno}", key, value)
     return opts
-
-
-# config-file key (also the flag's dest), SweepConfig field, converter
-_SWEEP_OPTIONS = (
-    ("schemes", "schemes", _parse_schemes),
-    ("c", "c_list", _parse_floats),
-    ("tau_exp", "tau_exponents", _parse_exponents),
-    ("T", "T", float),
-    ("K", "K", int),
-    ("ref_exp", "ref_exponent", int),
-)
-_CONFIG_KEYS = [key for key, _, _ in _SWEEP_OPTIONS] + ["paper", "out", "format"]
-_FORMATS = ("csv", "json")
 
 
 def _build_config(args):
     """(SweepConfig, output path, output format); flags win over the config
-    file, and fields that neither sets keep the SweepConfig defaults.  A
-    config-file value its converter rejects raises ValueError naming the
-    file and line."""
-    filed = _read_config(args.config) if args.config else {}
-    flags = {key: value for key, value in vars(args).items() if value is not None}
-
-    def from_file(key, conv, default=None):
-        if key not in filed:
-            return default
-        value, lineno = filed[key]
-        try:
-            return conv(value)
-        except ValueError as exc:
-            raise ValueError(f"{args.config}:{lineno}: bad {key} value {value!r}: {exc}") from None
-
-    paper = args.paper or from_file("paper", _parse_bool, False)
-    out_format = flags["format"] if "format" in flags else from_file("format", str, "csv")
-    if out_format not in _FORMATS:
-        raise ValueError(f"{args.config}: unknown format {out_format!r}; choose from {_FORMATS}")
+    file, and fields that neither sets keep the SweepConfig defaults.  A value
+    its converter rejects raises ValueError naming the file and line, or the
+    flag, even where a flag overrides that file value."""
+    settings = _read_config(args.config) if args.config else {}
+    for key in _SETTINGS:
+        value = getattr(args, key)
+        if value is not None and value is not False:  # `--paper` is a switch
+            settings[key] = _convert("--" + key.replace("_", "-"), key, value)
     # the full-scale preset uses 1024 grid points (K = 512), i.e. the mesh
     # 2*pi/1024 ~ 0.0061 of the reference study, and the nine standard c
-    kw = {"c_list": PAPER_C_LIST, "K": 512} if paper else {}
-    for key, name, conv in _SWEEP_OPTIONS:
-        if key in flags:
-            kw[name] = conv(flags[key])
-        elif key in filed:
-            kw[name] = from_file(key, conv)
-    out_path = flags["out"] if "out" in flags else from_file("out", str, "results.csv")
-    return SweepConfig(**kw), out_path, out_format
+    kw = {"c_list": PAPER_C_LIST, "K": 512} if settings.get("paper") else {}
+    kw.update((_SETTINGS[key][1], value) for key, value in settings.items() if _SETTINGS[key][1])
+    return SweepConfig(**kw), settings.get("out", "results.csv"), settings.get("format", "csv")
 
 
 def _cmd_sweep(args) -> int:
     try:
         cfg, out_path, out_format = _build_config(args)
+        out_dir = os.path.dirname(out_path) or "."
+        if not os.path.isdir(out_dir):
+            raise ValueError(f"cannot write results to {out_path}: no directory {out_dir}")
     except ValueError as exc:
         # a usage error, reported as argparse reports its own
         print(f"kg-uniform sweep: error: {exc}", file=sys.stderr)
@@ -172,13 +180,13 @@ def main(argv=None) -> int:
     ps.add_argument("--schemes", help="comma list: " + ",".join(_SCHEMES))
     ps.add_argument("--c", help="comma list of c values")
     ps.add_argument("--tau-exp", dest="tau_exp", help="exponent range m (tau = T*2^-m), e.g. 4..12 or 4,6,8")
-    ps.add_argument("--T", type=float, help="time horizon")
-    ps.add_argument("--K", type=int, help="number of Fourier modes (grid has 2K points)")
-    ps.add_argument("--ref-exp", dest="ref_exp", type=int,
+    ps.add_argument("--T", help="time horizon")
+    ps.add_argument("--K", help="number of Fourier modes (grid has 2K points)")
+    ps.add_argument("--ref-exp", dest="ref_exp",
                     help=f"reference tau = T*2^-ref_exp (default {SweepConfig.ref_exponent})")
     ps.add_argument("--paper", action="store_true", help="full-scale preset: 1024-point grid, nine c values")
     ps.add_argument("--out", help="output path")
-    ps.add_argument("--format", choices=_FORMATS, help="output format")
+    ps.add_argument("--format", help="output format: " + " or ".join(_FORMATS))
     ps.add_argument("-v", "--verbose", action="store_true")
     ps.set_defaults(func=_cmd_sweep)
 

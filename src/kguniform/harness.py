@@ -197,16 +197,6 @@ def _cell_task(c, scheme, T, tau):
     return reconstruct_z(final).coeffs, wall, None
 
 
-def _cancel_if_failed(ref_future, cell_futures):
-    """Done callback of a reference task: if it failed its certificate,
-    cancel the cells of its c that have not started."""
-    if ref_future.cancelled() or ref_future.exception() is not None:
-        return
-    if ref_future.result()[2] is not None:
-        for f in cell_futures:
-            f.cancel()
-
-
 def run_sweep(cfg: SweepConfig, progress=None) -> ErrorTable:
     """Run the full (scheme, c, tau) sweep against per-c references.
 
@@ -216,10 +206,10 @@ def run_sweep(cfg: SweepConfig, progress=None) -> ErrorTable:
     do not depend on the worker count.  A row's wall_time is its cell's own
     evolve time, measured in its worker.  A reference that fails its
     certificate marks all cells of that c as failed instead of aborting the
-    sweep, and cancels those of its cells that have not started; a cancelled
-    cell's row carries the reference's message, a NaN error and a wall_time
-    of 0.0.  A cell whose state blows up is marked failed with the
-    NonFiniteStateError message; any other error propagates.
+    sweep; when the parent reads it, in c order, it cancels those of its
+    cells that have not started, whose rows carry the reference's message, a
+    NaN error and a wall_time of 0.0.  A cell whose state blows up is marked
+    failed with the NonFiniteStateError message; any other error propagates.
     """
     grid = make_grid(1, cfg.K)
     tau_ref = cfg.T * 2.0 ** -cfg.ref_exponent
@@ -256,16 +246,14 @@ def run_sweep(cfg: SweepConfig, progress=None) -> ErrorTable:
         cell_futures = [
             pool.submit(_cell_task, c, scheme, cfg.T, tau) for scheme, c, tau in cells
         ]
-        # a failed reference makes its c's cells worthless: a done callback
-        # cancels those not yet started as soon as it finishes, whatever the
-        # order the parent waits in below
-        for c, fut in ref_futures.items():
-            mine = [f for (_, cc, _), f in zip(cells, cell_futures) if cc == c]
-            fut.add_done_callback(lambda f, mine=mine: _cancel_if_failed(f, mine))
         # c -> (reference z coefficients, certificate, failure)
         refs = {}
         for c, fut in ref_futures.items():
             refs[c] = fut.result()
+            if refs[c][2] is not None:  # its cells are worthless
+                for (_, cell_c, _), cell in zip(cells, cell_futures):
+                    if cell_c == c:
+                        cell.cancel()
             if progress:
                 progress(f"reference c={c} done")
         rows = []

@@ -363,6 +363,40 @@ def test_failed_reference_cancels_its_cells(monkeypatch):
     assert len(never_ran) > len(table.rows) // 2
 
 
+def test_failed_reference_of_a_later_c_cancels_only_its_cells(monkeypatch):
+    # on a pool of one, the parent reads the references in c order: c = 100's
+    # failure, read after c = 1's success, cancels c = 100's unstarted cells
+    # and leaves c = 1's rows as an unpatched run's
+    import kguniform.harness as harness_mod
+    from kguniform.integrators import ReferenceUnreliableError
+
+    real_reference = harness_mod.reference_solution
+
+    def reference_failing_at_c_100(s0, T, m, tau_ref=None):
+        if m.c == 100.0:
+            raise ReferenceUnreliableError("certificate too large (c=100.0)")
+        return real_reference(s0, T, m, tau_ref=tau_ref)
+
+    monkeypatch.setattr(harness_mod, "_worker_count", lambda: 1)
+    cfg = SweepConfig(schemes=[SchemeId.UEI1, SchemeId.UEI2_REAL], c_list=[1.0, 100.0],
+                      tau_exponents=[4, 5, 6, 7, 8, 9], K=16, ref_exponent=11)
+
+    def rows_at(table, c):
+        return [(r.scheme, r.c, r.tau, r.err, r.failed) for r in table.rows if r.c == c]
+
+    clean = run_sweep(cfg)
+    monkeypatch.setattr(harness_mod, "reference_solution", reference_failing_at_c_100)
+    table = run_sweep(cfg)
+    failed = [r for r in table.rows if r.c == 100.0]
+    assert len(failed) == 12
+    for r in failed:
+        assert r.failed == "certificate too large (c=100.0)" and np.isnan(r.err)
+    never_ran = [r for r in failed if r.wall_time == 0.0]
+    assert len(never_ran) > len(failed) // 2
+    assert rows_at(table, 1.0) == rows_at(clean, 1.0)
+    assert all(failure is None for *_, failure in rows_at(table, 1.0))
+
+
 def test_sweep_tasks_do_not_carry_the_inputs(monkeypatch):
     # the pool's workers inherit the multipliers and initial states once,
     # through the initializer; every task names its c and pickles small
@@ -516,7 +550,7 @@ def _assert_usage_error(monkeypatch, capsys, argv, match):
     "text, match",
     [
         ("c = 1\ntau_exps = 4..5\n", r"sweep.cfg:2: unknown config key 'tau_exps'"),
-        ("c = 1\nformat = xml\n", r"sweep.cfg: unknown format 'xml'"),
+        ("c = 1\nformat = xml\n", r"sweep.cfg:2: bad format value 'xml': unknown format 'xml'"),
         # the error norm is H^1 alone: there is no order key
         ("c = 1\nr = 2\n", r"sweep.cfg:2: unknown config key 'r'"),
     ],
@@ -539,11 +573,24 @@ def test_cli_rejects_bad_config_file_before_running(tmp_path, monkeypatch, capsy
         (["--T", "nan"], r"T must be finite, got T=nan$"),
         (["--c", "inf"], r"c must be finite, got c=\[inf\]$"),
         (["--c", "1,1"], r"repeated c 1\.0$"),
+        # a value that does not parse names its flag
+        (["--K", "abc"], r"error: --K: bad K value 'abc': invalid literal for int"),
+        (["--c", "1,x"], r"error: --c: bad c value '1,x': could not convert string to float: 'x'$"),
+        (["--tau-exp", "4..x"], r"error: --tau-exp: bad tau_exp value '4..x': invalid literal"),
+        (["--format", "xml"], r"error: --format: bad format value 'xml': unknown format 'xml'"),
     ],
 )
 def test_cli_reports_invalid_values_as_usage_errors(tmp_path, monkeypatch, capsys, flag, match):
     _assert_usage_error(
         monkeypatch, capsys, ["sweep", "--c", "1", *flag, "--out", str(tmp_path / "x.csv")], match
+    )
+
+
+def test_cli_rejects_missing_output_directory_before_running(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    _assert_usage_error(
+        monkeypatch, capsys, ["sweep", "--c", "1", "--out", str(out)],
+        re.escape(f"error: cannot write results to {out}: no directory {out.parent}") + "$",
     )
 
 
@@ -573,8 +620,15 @@ def test_cli_config_value_errors_name_file_and_line(tmp_path, line, match):
 
     cfgfile = tmp_path / "sweep.cfg"
     cfgfile.write_text(f"# sweep\nref_exp = 8\n{line}\n")
+    args = _config_file_args(cfgfile)
     with pytest.raises(ValueError, match=match):
-        _build_config(_config_file_args(cfgfile))
+        _build_config(args)
+    # a flag that overrides the file value does not hide it
+    key = line.split("=")[0].strip()
+    setattr(args, key, {"K": "8", "c": "1", "tau_exp": "4..6", "schemes": "uei1", "T": "0.1",
+                        "paper": True}[key])
+    with pytest.raises(ValueError, match=match):
+        _build_config(args)
 
 
 @pytest.mark.parametrize(

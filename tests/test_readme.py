@@ -8,7 +8,7 @@ import pytest
 
 from kguniform import SchemeId
 from kguniform.harness import SweepConfig
-from kguniform.cli import _CONFIG_KEYS
+from kguniform.cli import _SETTINGS
 from kguniform.cli import main as cli_main
 from test_integrators import _FFT_CALLS_PER_STEP, _TRANSFORMS_PER_STEP
 
@@ -29,7 +29,7 @@ def _help(capsys, command):
 
 def test_readme_config_keys_are_the_cli_config_keys():
     keys = re.search(r"\(keys: ([^)]*)\)", _section("Command line")).group(1)
-    assert re.findall(r"`(\w+)`", keys) == _CONFIG_KEYS
+    assert re.findall(r"`(\w+)`", keys) == list(_SETTINGS)
 
 
 def _flags(text):
