@@ -3,9 +3,10 @@
 Options can come from a flat key=value config file; command-line flags win.
 Each value is converted where it is read, a file value even when a flag
 overrides it, and one that does not convert is a usage error (exit status 2)
-naming its file and line or its flag.  The sweep exit status is nonzero iff
-any cell failed or a fitted order of an order-checked scheme (uei1,
-uei1_real, uei2) falls outside its band.
+naming its file and line or its flag; so are a config file that cannot be
+read and an output path that is a directory.  The sweep exit status is
+nonzero iff any cell failed or a fitted order of an order-checked scheme
+(uei1, uei1_real, uei2) falls outside its band.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import os
 import sys
 
 from .harness import (
+    FORMATS,
     ORDER_BANDS,
     PAPER_C_LIST,
     SweepConfig,
@@ -59,12 +61,9 @@ def _parse_bool(text):
     return _BOOLEANS[value]
 
 
-_FORMATS = ("csv", "json")
-
-
 def _parse_format(text):
-    if text not in _FORMATS:
-        raise ValueError(f"unknown format {text!r}; choose from {_FORMATS}")
+    if text not in FORMATS:
+        raise ValueError(f"unknown format {text!r}; choose from {FORMATS}")
     return text
 
 
@@ -129,7 +128,9 @@ def _cmd_sweep(args) -> int:
         out_dir = os.path.dirname(out_path) or "."
         if not os.path.isdir(out_dir):
             raise ValueError(f"cannot write results to {out_path}: no directory {out_dir}")
-    except ValueError as exc:
+        if os.path.isdir(out_path):
+            raise ValueError(f"cannot write results to {out_path}: it is a directory")
+    except (ValueError, OSError) as exc:  # OSError: an unreadable config file
         # a usage error, reported as argparse reports its own
         print(f"kg-uniform sweep: error: {exc}", file=sys.stderr)
         raise SystemExit(2) from None
@@ -186,7 +187,7 @@ def main(argv=None) -> int:
                     help=f"reference tau = T*2^-ref_exp (default {SweepConfig.ref_exponent})")
     ps.add_argument("--paper", action="store_true", help="full-scale preset: 1024-point grid, nine c values")
     ps.add_argument("--out", help="output path")
-    ps.add_argument("--format", help="output format: " + " or ".join(_FORMATS))
+    ps.add_argument("--format", help="output format: " + " or ".join(FORMATS))
     ps.add_argument("-v", "--verbose", action="store_true")
     ps.set_defaults(func=_cmd_sweep)
 

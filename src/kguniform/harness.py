@@ -64,6 +64,9 @@ ORDER_BANDS = {
     SchemeId.UEI2_REAL.value: (1.8, 2.2),
 }
 
+# the table formats that emit writes and parse_table reads
+FORMATS = ("csv", "json")
+
 
 def paper_initial_data(grid: SpectralGrid, c: float) -> KgState:
     """Smooth real initial data; z_t carries the c^2 scaling of the
@@ -163,7 +166,7 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
-# c -> (multipliers, initial state) of the running sweep, in a pool worker
+# c -> (multipliers, twisted initial pair) of the running sweep, in a worker
 _inputs = {}
 
 
@@ -175,9 +178,9 @@ def _set_inputs(inputs):
 
 def _reference_task(c, T, tau_ref):
     """Pool task: (reference z coefficients at T, certificate, failure)."""
-    m, s0 = _inputs[c]
+    m, pair0 = _inputs[c]
     try:
-        ref = reference_solution(s0, T, m, tau_ref=tau_ref)
+        ref = reference_solution(pair0, T, m, tau_ref=tau_ref)
     except ReferenceUnreliableError as exc:
         return None, None, str(exc)
     return reconstruct_z(ref.pair).coeffs, ref.certificate, None
@@ -185,9 +188,7 @@ def _reference_task(c, T, tau_ref):
 
 def _cell_task(c, scheme, T, tau):
     """Pool task: (cell z coefficients at T, its evolve time, failure)."""
-    m, s0 = _inputs[c]
-    u0, v0 = to_first_order(s0, m)
-    pair0 = twist(u0, v0, s0.t, m.c)
+    m, pair0 = _inputs[c]
     start = time.perf_counter()
     try:
         final = evolve(scheme, pair0, T, StepContext(m.grid, m, tau))
@@ -200,33 +201,32 @@ def _cell_task(c, scheme, T, tau):
 def run_sweep(cfg: SweepConfig, progress=None) -> ErrorTable:
     """Run the full (scheme, c, tau) sweep against per-c references.
 
-    Every reference and every cell is one task on a process pool with one
-    worker per available CPU; cells do not wait for their reference, and
-    the parent forms the errors and rows in configuration order, so the rows
-    do not depend on the worker count.  A row's wall_time is its cell's own
-    evolve time, measured in its worker.  A reference that fails its
-    certificate marks all cells of that c as failed instead of aborting the
-    sweep; when the parent reads it, in c order, it cancels those of its
-    cells that have not started, whose rows carry the reference's message, a
-    NaN error and a wall_time of 0.0.  A cell whose state blows up is marked
-    failed with the NonFiniteStateError message; any other error propagates.
+    The parent builds each c's multipliers and twisted initial pair once for
+    a process pool with one worker per available CPU, on which every
+    reference and every cell is one task; cells do not wait for their
+    reference, and the parent forms each (scheme, c) group's rows and fitted
+    order in configuration order, so neither depends on the worker count.  A
+    row's wall_time is its cell's own evolve time, measured in its worker.  A
+    failed reference certificate marks all cells of that c as failed; when
+    the parent reads it, in c order, it cancels those of its cells that have
+    not started, whose rows carry the reference's message, a NaN error and a
+    wall_time of 0.0.  A cell whose state blows up is marked failed with the
+    NonFiniteStateError message; any other error propagates.
     """
     grid = make_grid(1, cfg.K)
     tau_ref = cfg.T * 2.0 ** -cfg.ref_exponent
-    # c -> (multipliers, initial state), built before any worker starts
-    inputs = {c: (make_multipliers(grid, c), paper_initial_data(grid, c)) for c in cfg.c_list}
-    cells = [
-        (scheme, c, cfg.T * 2.0**-m_exp)
-        for scheme in cfg.schemes
-        for c in cfg.c_list
-        for m_exp in cfg.tau_exponents
-    ]
+    taus = [cfg.T * 2.0**-m_exp for m_exp in cfg.tau_exponents]
+    # c -> (multipliers, twisted initial pair), built before any worker starts
+    inputs = {}
+    for c in cfg.c_list:
+        m, s0 = make_multipliers(grid, c), paper_initial_data(grid, c)
+        inputs[c] = m, twist(*to_first_order(s0, m), s0.t, m.c)
     # imported here, so that programs which never sweep do not hold the
     # pool's modules (~0.3 MB)
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    workers = max(1, min(_worker_count(), len(inputs) + len(cells)))
+    workers = max(1, min(_worker_count(), len(inputs) * (1 + len(cfg.schemes) * len(taus))))
     # fork where the platform has it: a worker starts without importing numpy
     # and the package again (~0.1 s, numpy 2.4 on a 2-vCPU VM).  The package
     # starts no threads, and a fork-context pool forks every worker at its
@@ -243,37 +243,37 @@ def run_sweep(cfg: SweepConfig, progress=None) -> ErrorTable:
     try:
         # references first: they are the longest tasks
         ref_futures = {c: pool.submit(_reference_task, c, cfg.T, tau_ref) for c in inputs}
-        cell_futures = [
-            pool.submit(_cell_task, c, scheme, cfg.T, tau) for scheme, c, tau in cells
-        ]
+        # (scheme, c) -> its cells' futures, in tau order
+        groups = {
+            (scheme, c): [pool.submit(_cell_task, c, scheme, cfg.T, tau) for tau in taus]
+            for scheme in cfg.schemes
+            for c in cfg.c_list
+        }
         # c -> (reference z coefficients, certificate, failure)
         refs = {}
         for c, fut in ref_futures.items():
             refs[c] = fut.result()
             if refs[c][2] is not None:  # its cells are worthless
-                for (_, cell_c, _), cell in zip(cells, cell_futures):
-                    if cell_c == c:
+                for scheme in cfg.schemes:
+                    for cell in groups[scheme, c]:
                         cell.cancel()
             if progress:
                 progress(f"reference c={c} done")
-        rows = []
-        for (scheme, c, tau), fut in zip(cells, cell_futures):
-            z, wall, failure = (None, 0.0, None) if fut.cancelled() else fut.result()
-            z_ref, _, ref_failure = refs[c]
-            failure = ref_failure or failure
-            err = float("nan")
-            if failure is None:
-                err = float(sobolev_norm(SpectralField(grid, z - z_ref), _NORM_R))
-            rows.append(SweepRow(scheme.value, c, tau, err, wall, failed=failure))
+        rows, fitted = [], {}
+        for (scheme, c), cells in groups.items():
+            z_ref, cert, ref_failure = refs[c]
+            group = []
+            for tau, fut in zip(taus, cells):
+                z, wall, failure = (None, 0.0, None) if fut.cancelled() else fut.result()
+                failure = ref_failure or failure
+                err = float("nan")
+                if failure is None:
+                    err = float(sobolev_norm(SpectralField(grid, z - z_ref), _NORM_R))
+                group.append(SweepRow(scheme.value, c, tau, err, wall, failed=failure))
+            rows += group
+            fitted[(scheme.value, c)] = None if ref_failure else _fit_rows(group, cert)
     finally:
         pool.shutdown(cancel_futures=True)
-
-    fitted = {}
-    for scheme in cfg.schemes:
-        for c in cfg.c_list:
-            _, cert, failure = refs[c]
-            group = [r for r in rows if r.scheme == scheme.value and r.c == c]
-            fitted[(scheme.value, c)] = None if failure else _fit_rows(group, cert)
     return ErrorTable(rows=rows, fitted_orders=fitted)
 
 
@@ -288,7 +288,7 @@ def emit(table: ErrorTable, out_format: str, path: str) -> None:
     Floats use the shortest round-trip representation, so output bytes are a
     pure function of the table contents.
     """
-    if out_format not in ("csv", "json"):
+    if out_format not in FORMATS:
         raise ValueError(f"unknown format {out_format!r}")
     if out_format == "csv":
         lines = [_CSV_HEADER]
@@ -317,6 +317,8 @@ def emit(table: ErrorTable, out_format: str, path: str) -> None:
 
 def parse_table(path: str, out_format: str = "csv") -> ErrorTable:
     """Inverse of emit (CSV carries no fitted orders)."""
+    if out_format not in FORMATS:
+        raise ValueError(f"unknown format {out_format!r}")
     try:
         with open(path) as fh:
             text = fh.read()

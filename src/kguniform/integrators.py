@@ -63,7 +63,6 @@ import numpy as np
 from numpy.polynomial import legendre as _leg
 
 from .model import (
-    KgState,
     TwistedPair,
     _check_same_grid,
     _expi,
@@ -74,8 +73,6 @@ from .model import (
     _Uei2Stepper,
     phase_factor,
     reconstruct_z,
-    to_first_order,
-    twist,
 )
 from .spectral import (
     MultiplierSet,
@@ -478,18 +475,16 @@ class ReferenceSolution:
 
 
 def reference_solution(
-    s0: KgState, T: float, m: MultiplierSet, tau_ref: float
+    pair0: TwistedPair, T: float, m: MultiplierSet, tau_ref: float
 ) -> ReferenceSolution:
     """Fine-step second-order run standing in for the exact solution.
 
-    Runs UEI2_REAL at tau_ref and at 2*tau_ref; the H^1 difference of the
-    reconstructed z at time T is the certificate.  If the certificate
-    exceeds CERTIFICATE_TOL the reference is rejected.  The data must be
-    real: the run rejects u* != v* (1e-8 relative) with ValueError.
+    Runs UEI2_REAL from pair0, the twisted initial pair evolve takes, at
+    tau_ref and at 2*tau_ref; the H^1 difference of the reconstructed z at
+    time T is the certificate.  If it exceeds CERTIFICATE_TOL the reference
+    is rejected.  The data must be real: the run rejects u* != v* (1e-8
+    relative) with ValueError.
     """
-    u0, v0 = to_first_order(s0, m)
-    pair0 = twist(u0, v0, s0.t, m.c)
-
     try:
         fine = evolve(SchemeId.UEI2_REAL, pair0, T, StepContext(m.grid, m, tau_ref))
         coarse = evolve(SchemeId.UEI2_REAL, pair0, T, StepContext(m.grid, m, 2 * tau_ref))

@@ -141,6 +141,16 @@ def test_parse_table_rejects_malformed_csv(tmp_path, text, where):
         parse_table(str(path), "csv")
 
 
+def test_parse_table_rejects_unknown_format(tmp_path):
+    # emit and parse_table share one set of formats: a JSON table read as
+    # "xml" is an error, not a JSON read
+    table = ErrorTable(rows=[SweepRow("uei1", 1.0, 0.1, 1e-3, 0.0)], fitted_orders={})
+    path = tmp_path / "t.json"
+    emit(table, "json", str(path))
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        parse_table(str(path), "xml")
+
+
 def test_parse_table_rejects_json_row_without_key(tmp_path):
     row = {"scheme": "uei1", "tau": 0.1, "err_h1": 0.5, "wall_time_s": 0.2, "failed": None}
     path = tmp_path / "bad.json"
@@ -419,6 +429,34 @@ def test_sweep_tasks_do_not_carry_the_inputs(monkeypatch):
     assert all(r.failed is None for r in table.rows)
 
 
+def test_sweep_converts_the_initial_states_in_the_parent(monkeypatch):
+    # the parent builds each c's twisted initial pair once and the workers
+    # only read it: a worker that converts a state itself raises here
+    import multiprocessing
+    import os
+
+    import kguniform.harness as harness_mod
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("a spawned worker need not see a monkeypatched module")
+    parent, real_convert = os.getpid(), harness_mod.to_first_order
+    converted = []
+
+    def convert_in_parent_only(s, m):
+        if os.getpid() != parent:
+            raise AssertionError(f"a worker converted the initial state of c={m.c}")
+        converted.append(m.c)
+        return real_convert(s, m)
+
+    monkeypatch.setattr(harness_mod, "to_first_order", convert_in_parent_only)
+    cfg = SweepConfig(schemes=[SchemeId.UEI1, SchemeId.UEI2_REAL], c_list=[1.0, 100.0],
+                      tau_exponents=[4, 5, 6], K=16, ref_exponent=11)
+    table = run_sweep(cfg)
+    assert converted == [1.0, 100.0]
+    assert len(table.rows) == 12
+    assert all(r.failed is None for r in table.rows)
+
+
 def test_sweep_propagates_other_errors(monkeypatch):
     # an error that is neither an unreliable reference nor a blow-up comes
     # back from its worker with its type and message
@@ -591,6 +629,26 @@ def test_cli_rejects_missing_output_directory_before_running(tmp_path, monkeypat
     _assert_usage_error(
         monkeypatch, capsys, ["sweep", "--c", "1", "--out", str(out)],
         re.escape(f"error: cannot write results to {out}: no directory {out.parent}") + "$",
+    )
+
+
+@pytest.mark.parametrize("name", ["missing.cfg", "cfgdir"])
+def test_cli_rejects_unreadable_config_file_before_running(tmp_path, monkeypatch, capsys, name):
+    # a config file that does not exist, or a directory, names itself
+    (tmp_path / "cfgdir").mkdir()
+    cfgfile = tmp_path / name
+    _assert_usage_error(
+        monkeypatch, capsys, ["sweep", "--config", str(cfgfile), "--out", str(tmp_path / "x.csv")],
+        re.escape(repr(str(cfgfile))) + "$",
+    )
+
+
+def test_cli_rejects_output_directory_before_running(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "results"
+    out.mkdir()
+    _assert_usage_error(
+        monkeypatch, capsys, ["sweep", "--c", "1", "--out", str(out)],
+        re.escape(f"error: cannot write results to {out}: it is a directory") + "$",
     )
 
 

@@ -1065,7 +1065,7 @@ def test_reference_certificate_and_oracle_agreement(grid64):
     c, T = 1.0, 0.1
     m = make_multipliers(grid64, c)
     s0 = paper_initial_data(grid64, c)
-    ref = reference_solution(s0, T, m, tau_ref=T * 2.0**-12)
+    ref = reference_solution(twist(*to_first_order(s0, m), s0.t, c), T, m, tau_ref=T * 2.0**-12)
     assert 0.0 <= ref.certificate < 1e-9
 
     # energy conservation along the reference endpoint
@@ -1090,7 +1090,7 @@ def test_reference_unreliable_raises(grid64):
     m = make_multipliers(grid64, c)
     s0 = paper_initial_data(grid64, c)
     with pytest.raises(ReferenceUnreliableError):
-        reference_solution(s0, T, m, tau_ref=T / 4)
+        reference_solution(twist(*to_first_order(s0, m), s0.t, c), T, m, tau_ref=T / 4)
 
 
 def test_reference_rejects_complex_data(grid64, rng):
@@ -1098,4 +1098,4 @@ def test_reference_rejects_complex_data(grid64, rng):
     m = make_multipliers(grid64, c)
     s0 = KgState(z=random_field(grid64, rng), zt=zero_field(grid64))
     with pytest.raises(ValueError, match="real"):
-        reference_solution(s0, T, m, tau_ref=T * 2.0**-12)
+        reference_solution(twist(*to_first_order(s0, m), s0.t, c), T, m, tau_ref=T * 2.0**-12)
