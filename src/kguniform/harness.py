@@ -281,6 +281,27 @@ _CSV_HEADER = "scheme,c,tau,err_h1,wall_time_s"
 # JSON row keys, in SweepRow field order
 _JSON_ROW_KEYS = ("scheme", "c", "tau", "err_h1", "wall_time_s", "failed")
 
+# the JSON types of a table's fields; a JSON true is a Python bool, an int
+_NUMBER = ((int, float), "a number")
+_JSON_TYPES = {
+    "scheme": ((str,), "a string"),
+    "c": _NUMBER,
+    "tau": _NUMBER,
+    "err_h1": _NUMBER,
+    "wall_time_s": _NUMBER,
+    "failed": ((str, type(None)), "a string or null"),
+    "order": ((int, float, type(None)), "a number or null"),
+}
+
+
+def _json_field(d: dict, key: str, path: str, where: str):
+    """d[key], if it has the JSON type of that field (KeyError if absent)."""
+    value = d[key]
+    kinds, name = _JSON_TYPES[key]
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ValueError(f"{path}: {where} has {key} {value!r}, expected {name}")
+    return value
+
 
 def emit(table: ErrorTable, out_format: str, path: str) -> None:
     """Write the table; CSV columns are exactly scheme,c,tau,err_h1,wall_time_s.
@@ -316,7 +337,9 @@ def emit(table: ErrorTable, out_format: str, path: str) -> None:
 
 
 def parse_table(path: str, out_format: str = "csv") -> ErrorTable:
-    """Inverse of emit (CSV carries no fitted orders)."""
+    """Inverse of emit (CSV carries no fitted orders).  A JSON field of the
+    wrong type raises ValueError naming the file, the row or fitted order,
+    and the field."""
     if out_format not in FORMATS:
         raise ValueError(f"unknown format {out_format!r}")
     try:
@@ -354,11 +377,12 @@ def parse_table(path: str, out_format: str = "csv") -> ErrorTable:
         rows = []
         for i, d in enumerate(raw_rows):
             where = f"row {i}"
-            rows.append(SweepRow(*(d[key] for key in _JSON_ROW_KEYS)))
+            rows.append(SweepRow(*(_json_field(d, key, path, where) for key in _JSON_ROW_KEYS)))
         fitted = {}
         for i, d in enumerate(raw_fitted):
             where = f"fitted order {i}"
-            fitted[(d["scheme"], d["c"])] = d["order"]
+            scheme, c, order = (_json_field(d, key, path, where) for key in ("scheme", "c", "order"))
+            fitted[(scheme, c)] = order
     except KeyError as exc:
         raise ValueError(f"{path}: {where} has no key {exc}") from None
     return ErrorTable(rows=rows, fitted_orders=fitted)

@@ -302,13 +302,18 @@ _ORACLE_MAX_PANELS = 20000
 # paper and (1 + |k|)^-2 data, and c = 1e4 at K = 16, tau 2^-13 to 2^-16
 _ORACLE_RAD_PER_PANEL = 12.0
 
-# panels per block of the oracle's sweep: 16 panels of q = 16 nodes are 256
-# rows, so one block array at N = 128 points is 512 KB.  Benchmark `oracle`
-# wall_s medians of 8 rotating runs (one core of a 2-vCPU VM, taken at 6 rad
-# per panel) are 0.48, 0.43 and 0.45 s at 8, 16 and 32 panels, with quartiles
-# 0.39-0.49, 0.39-0.46 and 0.42-0.51 s: they tie within the noise (64 was
-# slower when every call had twice the panels)
-_ORACLE_BLOCK_PANELS = 16
+# samples per block array of the oracle's sweep: a block holds
+# max(1, _ORACLE_BLOCK_SAMPLES // (16 N)) panels of 16 nodes at N points
+# (K = 16: 16 panels, K = 64: 4, K >= 256: 1), so a complex block array is at
+# most 128 KB, or one panel's 16 N samples where they exceed the budget.  One
+# call's tracemalloc peak is 0.96, 0.98 and 1.96 MB at K = 64, 256 and 512
+# (c = 200, tau = 2^-6, 2^-7, 2^-8) and 1.05 MB at K = 16 (c = 1e4,
+# tau = 2^-11), against 3.29, 12.89, 25.69 and 12.05 MB with 16-panel blocks
+# and every node's phase formed up front, at a tied wall time (one BLAS
+# thread, 2-vCPU VM).  Benchmark `oracle` peak_rss_mb medians of 6 runs:
+# 42.2 MB at 4,096 and 8,192 samples, 43.2 MB at 16,384 and 45.0 MB with
+# 16-panel blocks; 4,096 was ~35 % slower in wall_s
+_ORACLE_BLOCK_SAMPLES = 8192
 
 
 def _duhamel_panels(tau: float, m: MultiplierSet, nodes: int):
@@ -354,15 +359,18 @@ def duhamel_oracle_step(
 
     The iteration is causal: Picard level k+1 at a node needs level k only
     at that node, plus level k's integral over the earlier panels.  So the
-    panels are swept left to right in blocks of _ORACLE_BLOCK_PANELS, and
+    panels are swept left to right in blocks of
+    max(1, _ORACLE_BLOCK_SAMPLES // (16 N)) panels at N points, and
     each of the four levels (three iterations, then the final integral)
     carries its running integral from one block to the next as one
     coefficient vector.  A block's panel prefixes are the cumsum of
     [carry; its panel sums], the left-to-right order of one cumsum over all
     panels.  One real product with the stacked rule [(h/2) PM; w], h the
     panel width, gives a level's in-panel partial integrals and its panel
-    sums; the last level needs only the sums.  Memory is O(block * N)
-    rather than O(nodes * N).
+    sums; the last level needs only the sums.  Each block forms its own
+    nodes and sample phases, so memory is O(_ORACLE_BLOCK_SAMPLES) samples
+    per block array (16 N where one panel exceeds it), whatever the number
+    of panels, rather than O(nodes * N).
 
     The data are real, so the sample a = 2 Re(e^(i c^2 s) u*(s)) and its
     cube are real.  Each block folds the sample phase into its propagators
@@ -383,29 +391,29 @@ def duhamel_oracle_step(
     c = m.c
     q = 16
     centres, h = _duhamel_panels(tau, m, nodes)
-    # nodes s = centre + (h/2) x_j of the composite rule on [0, tau]
     xg, wg = _legendre_rule(q)
-    s = centres[:, None] + 0.5 * h * xg  # (panels, q)
     rule = np.vstack([0.5 * h * _panel_rule(q), 0.5 * h * wg])  # (q + 1, q)
-    ph = phase_factor(1, c, t_n, s)  # e^(i c^2 (t_n + s))
+    # nodes s = centre + (h/2) x_j of the composite rule on [0, tau]
+    offsets = 0.5 * h * xg
     # e^(i s A_c) is a per-panel factor times a per-node factor, so cos and
     # sin run on (panels, N) and (q, N) values rather than on (panels * q, N)
-    enode = _expi((0.5 * h * xg)[:, None, None] * m.a_c)  # (q, 1, N)
+    enode = _expi(offsets[:, None, None] * m.a_c)  # (q, 1, N)
 
     u0 = u.coeffs
     corr = -0.125j * m.c_inv
     K = u.grid.modes
     levels = 4
     carry = np.zeros((levels, 1, n), dtype=np.complex128)
-    for p0 in range(0, len(centres), _ORACLE_BLOCK_PANELS):
+    block = max(1, _ORACLE_BLOCK_SAMPLES // (q * n))
+    for p0 in range(0, len(centres), block):
         # the block's rows in (node, panel) order: a level's integrals are
         # then one product of the rule with all of its rows
-        cb = centres[p0 : p0 + _ORACLE_BLOCK_PANELS]
+        cb = centres[p0 : p0 + block]
         nb = cb.shape[0]
-        phb = ph[p0 : p0 + nb].T[..., None]
+        s = cb + offsets[:, None]  # (q, nb)
         efwd = np.empty((q, nb, n), dtype=np.complex128)
         np.multiply(enode, _expi(cb[:, None] * m.a_c), out=efwd)
-        efwd *= phb
+        efwd *= phase_factor(1, c, t_n, s)[..., None]  # e^(i c^2 (t_n + s))
         ebwd = np.conj(efwd)
         ebwd *= corr
         y = np.empty((q, nb, n), dtype=np.complex128)

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from pathlib import Path
 
@@ -168,6 +169,45 @@ def test_parse_table_rejects_json_row_without_key(tmp_path):
         path.write_text(text)
         with pytest.raises(ValueError, match=f"bad.json: {where}"):
             parse_table(str(path), "json")
+
+
+_GOOD_ROW = {"scheme": "uei1", "c": 1.0, "tau": 0.1, "err_h1": 0.5, "wall_time_s": 0.2, "failed": None}
+_GOOD_ORDER = {"scheme": "uei1", "c": 1.0, "order": 1.02}
+
+
+@pytest.mark.parametrize(
+    "row, order, where",
+    [
+        ({"scheme": 1}, {}, "row 0 has scheme 1, expected a string"),
+        ({"c": "1.0"}, {}, "row 0 has c '1.0', expected a number"),
+        ({"c": True}, {}, "row 0 has c True, expected a number"),
+        ({"tau": None}, {}, "row 0 has tau None, expected a number"),
+        ({"err_h1": [1]}, {}, r"row 0 has err_h1 \[1\], expected a number"),
+        ({"wall_time_s": "x"}, {}, "row 0 has wall_time_s 'x', expected a number"),
+        ({"failed": 3}, {}, "row 0 has failed 3, expected a string or null"),
+        ({}, {"scheme": None}, "fitted order 0 has scheme None, expected a string"),
+        ({}, {"c": "1"}, "fitted order 0 has c '1', expected a number"),
+        ({}, {"order": "abc"}, "fitted order 0 has order 'abc', expected a number or null"),
+        ({}, {"order": False}, "fitted order 0 has order False, expected a number or null"),
+    ],
+)
+def test_parse_table_rejects_mistyped_json_field(tmp_path, row, order, where):
+    path = tmp_path / "bad.json"
+    table = {"rows": [_GOOD_ROW | row], "fitted_orders": [_GOOD_ORDER | order]}
+    path.write_text(json.dumps(table))
+    with pytest.raises(ValueError, match=f"bad.json: {where}$"):
+        parse_table(str(path), "json")
+
+
+def test_parse_table_reads_json_nan_and_null(tmp_path):
+    # a failed cell's NaN error and a fit's NaN or null order are valid fields
+    path = tmp_path / "t.json"
+    rows = [SweepRow("uei1", 1.0, 0.1, math.nan, 0.2, failed="reference bad")]
+    fitted = {("uei1", 1.0): math.nan, ("uei2", 1.0): None}
+    emit(ErrorTable(rows=rows, fitted_orders=fitted), "json", str(path))
+    back = parse_table(str(path), "json")
+    assert math.isnan(back.rows[0].err) and back.rows[0].failed == "reference bad"
+    assert math.isnan(back.fitted_orders["uei1", 1.0]) and back.fitted_orders["uei2", 1.0] is None
 
 
 def test_emit_bad_path():

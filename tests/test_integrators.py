@@ -726,11 +726,18 @@ def test_oracle_self_consistency(grid64):
 
 
 def _oracle_c200(grid):
-    # 219 panels of 16 nodes: 14 blocks of the oracle's sweep, the last partial
+    # 219 panels of 16 nodes: 55 blocks of the oracle's sweep at K = 64, the last partial
     c = 200.0
     m = make_multipliers(grid, c)
     u, _ = to_first_order(paper_initial_data(grid, c), m)
     return u, StepContext(grid, m, 2.0**-6)
+
+
+def _oracle_block_panels(n):
+    # panels per block of the oracle's sweep at n points
+    import kguniform.integrators as integrators_mod
+
+    return max(1, integrators_mod._ORACLE_BLOCK_SAMPLES // (16 * n))
 
 
 def test_oracle_block_size_does_not_change_result(grid64, monkeypatch):
@@ -740,10 +747,12 @@ def test_oracle_block_size_does_not_change_result(grid64, monkeypatch):
     import kguniform.integrators as integrators_mod
 
     u, ctx = _oracle_c200(grid64)
-    times = (0.0, 0.3)  # the sample phases are folded in per node
+    times = (0.0, 0.3)  # the sample phases are formed per block and node
     default = [duhamel_oracle_step(u, t_n, ctx).coeffs for t_n in times]
-    for panels in (1, 10**6):
-        monkeypatch.setattr(integrators_mod, "_ORACLE_BLOCK_PANELS", panels)
+    n = grid64.n_points
+    for panels in (1, 219):
+        monkeypatch.setattr(integrators_mod, "_ORACLE_BLOCK_SAMPLES", panels * 16 * n)
+        assert _oracle_block_panels(n) == panels
         for t_n, want in zip(times, default):
             assert np.array_equal(duhamel_oracle_step(u, t_n, ctx).coeffs, want), (t_n, panels)
 
@@ -752,12 +761,11 @@ def test_oracle_makes_two_real_transform_calls_per_level_and_block(grid64, monke
     # the samples a and the cube a^3 are real: each level of each block takes
     # one real inverse and one real forward transform of its 16 * panels
     # rows, and no complex one
-    from kguniform import integrators as integrators_mod
     from kguniform import spectral
 
     u, ctx = _oracle_c200(grid64)
     panels, levels = 219, 4
-    blocks = -(-panels // integrators_mod._ORACLE_BLOCK_PANELS)
+    blocks = -(-panels // _oracle_block_panels(grid64.n_points))
     counter = _CountingFft(spectral._fft)
     monkeypatch.setattr(spectral, "_fft", counter)
     duhamel_oracle_step(u, 0.0, ctx)
@@ -886,18 +894,32 @@ def test_oracle_defects_are_uniform_up_to_c_1e4():
             assert 0.5 <= ratio <= 2.0, (step, tau, ratio)
 
 
-def test_oracle_memory_is_bounded_by_the_block(grid64):
-    # 7,008 nodes x 128 points: one whole-interval (M, N) array would be 14 MB
+def test_oracle_memory_is_bounded_by_the_block():
+    # a block's arrays hold a fixed budget of samples (one panel where a
+    # panel exceeds it), and each block forms its own nodes and phases, so
+    # one call's traced peak grows neither with the panels nor much with N
     import tracemalloc
 
-    u, ctx = _oracle_c200(grid64)
-    tracemalloc.start()
-    try:
-        duhamel_oracle_step(u, 0.0, ctx)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 16 * 2**20
+    cases = [
+        # 219 panels: one whole-interval (M, N) array would be 14 MB
+        (64, 200.0, 2.0**-6, 0.0, 2),
+        # 219 panels, one per block, at N = 1024 points
+        (512, 200.0, 2.0**-8, 0.0, 4),
+        # 16,277 panels: their nodes and phases alone would be 6 MB
+        (16, 1e4, 2.0**-11, 0.37, 2),
+    ]
+    for K, c, tau, t_n, mb in cases:
+        grid = make_grid(1, K)
+        m = make_multipliers(grid, c)
+        u, _ = to_first_order(paper_initial_data(grid, c), m)
+        ctx = StepContext(grid, m, tau)
+        tracemalloc.start()
+        try:
+            duhamel_oracle_step(u, t_n, ctx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= mb * 2**20, (K, c, tau, peak)
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,17 @@ def test_readme_uei2_transform_counts_are_the_pinned_ones():
     assert int(transforms) == _TRANSFORMS_PER_STEP[SchemeId.UEI2_REAL]
 
 
+def test_readme_oracle_block_budget_is_the_modules():
+    # the samples per block array that README quotes are the oracle's budget
+    from kguniform.integrators import _ORACLE_BLOCK_SAMPLES
+
+    row = _section("What is in the box")
+    rule, budget = re.search(
+        r"blocks of max\(1, (\d+) // \(16 N\)\) panels.*a budget of (\d+) samples", row
+    ).groups()
+    assert int(rule) == int(budget) == _ORACLE_BLOCK_SAMPLES
+
+
 def test_readme_reference_depth_is_the_default():
     depth = re.search(r"`SweepConfig.ref_exponent = (\d+)`", _section("Reference solutions")).group(1)
     assert int(depth) == SweepConfig().ref_exponent
