@@ -1,9 +1,11 @@
 """Command line front end: `kg-uniform sweep` and `kg-uniform verify`.
 
-Options can come from a flat key=value config file; command-line flags win.
-Each value is converted where it is read, a file value even when a flag
-overrides it, and one that does not convert is a usage error (exit status 2)
-naming its file and line or its flag; so are a config file that cannot be
+Each sweep setting is declared once, in `_SETTINGS`: its config-file key,
+flag, converter, SweepConfig field and flag help.  Settings can come from a
+flat key=value config file; command-line flags win.  Each value is converted
+where it is read, a file value even when a flag overrides it, and one that
+does not convert is a usage error (exit status 2) naming its file and line
+or its flag; so are a repeated config key, a config file that cannot be
 read and an output path that is a directory.  The sweep exit status is
 nonzero iff any cell failed or a fitted order of an order-checked scheme
 (uei1, uei1_real, uei2) falls outside its band.
@@ -67,18 +69,22 @@ def _parse_format(text):
     return text
 
 
-# config-file key (also the flag's dest) -> converter, SweepConfig field it sets
+# config-file key -> converter, SweepConfig field it sets, help of _flag(key)
 _SETTINGS = {
-    "schemes": (_parse_schemes, "schemes"),
-    "c": (_parse_floats, "c_list"),
-    "tau_exp": (_parse_exponents, "tau_exponents"),
-    "T": (float, "T"),
-    "K": (int, "K"),
-    "ref_exp": (int, "ref_exponent"),
-    "paper": (_parse_bool, None),
-    "out": (str, None),
-    "format": (_parse_format, None),
+    "schemes": (_parse_schemes, "schemes", "comma list: " + ",".join(_SCHEMES)),
+    "c": (_parse_floats, "c_list", "comma list of c values"),
+    "tau_exp": (_parse_exponents, "tau_exponents", "exponent range m (tau = T*2^-m), e.g. 4..12 or 4,6,8"),
+    "T": (float, "T", "time horizon"),
+    "K": (int, "K", "number of Fourier modes (grid has 2K points)"),
+    "ref_exp": (int, "ref_exponent", f"reference tau = T*2^-ref_exp (default {SweepConfig.ref_exponent})"),
+    "paper": (_parse_bool, None, "full-scale preset: 1024-point grid, nine c values"),
+    "out": (str, None, "output path"),
+    "format": (_parse_format, None, "output format: " + " or ".join(FORMATS)),
 }
+
+
+def _flag(key):
+    return "--" + key.replace("_", "-")
 
 
 def _convert(source, key, text):
@@ -90,7 +96,7 @@ def _convert(source, key, text):
 
 def _read_config(path):
     """key -> converted value of a flat key=value config file."""
-    opts = {}
+    opts, first = {}, {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -101,6 +107,9 @@ def _read_config(path):
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in _SETTINGS:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            if key in first:
+                raise ValueError(f"{path}:{lineno}: repeated config key {key!r} (first at line {first[key]})")
+            first[key] = lineno
             opts[key] = _convert(f"{path}:{lineno}", key, value)
     return opts
 
@@ -114,7 +123,7 @@ def _build_config(args):
     for key in _SETTINGS:
         value = getattr(args, key)
         if value is not None and value is not False:  # `--paper` is a switch
-            settings[key] = _convert("--" + key.replace("_", "-"), key, value)
+            settings[key] = _convert(_flag(key), key, value)
     # the full-scale preset uses 1024 grid points (K = 512), i.e. the mesh
     # 2*pi/1024 ~ 0.0061 of the reference study, and the nine standard c
     kw = {"c_list": PAPER_C_LIST, "K": 512} if settings.get("paper") else {}
@@ -178,16 +187,9 @@ def main(argv=None) -> int:
     # flags in full: a prefix such as `--r` would otherwise be taken for `--ref-exp`
     ps = sub.add_parser("sweep", help="run a (scheme, c, tau) convergence sweep", allow_abbrev=False)
     ps.add_argument("--config", help="flat key=value config file")
-    ps.add_argument("--schemes", help="comma list: " + ",".join(_SCHEMES))
-    ps.add_argument("--c", help="comma list of c values")
-    ps.add_argument("--tau-exp", dest="tau_exp", help="exponent range m (tau = T*2^-m), e.g. 4..12 or 4,6,8")
-    ps.add_argument("--T", help="time horizon")
-    ps.add_argument("--K", help="number of Fourier modes (grid has 2K points)")
-    ps.add_argument("--ref-exp", dest="ref_exp",
-                    help=f"reference tau = T*2^-ref_exp (default {SweepConfig.ref_exponent})")
-    ps.add_argument("--paper", action="store_true", help="full-scale preset: 1024-point grid, nine c values")
-    ps.add_argument("--out", help="output path")
-    ps.add_argument("--format", help="output format: " + " or ".join(FORMATS))
+    for key, (parse, _, text) in _SETTINGS.items():
+        switch = {"action": "store_true"} if parse is _parse_bool else {}
+        ps.add_argument(_flag(key), dest=key, help=text, **switch)
     ps.add_argument("-v", "--verbose", action="store_true")
     ps.set_defaults(func=_cmd_sweep)
 

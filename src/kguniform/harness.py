@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import os
+import reprlib
 import time
 from dataclasses import dataclass, field
 
@@ -198,6 +199,19 @@ def _cell_task(c, scheme, T, tau):
     return reconstruct_z(final).coeffs, wall, None
 
 
+def _task_result(fut, task):
+    """fut's result; an error raised in its task comes back as a RuntimeError
+    naming the task, chained to it, and a broken pool's error as it is."""
+    from concurrent.futures import BrokenExecutor  # loaded by run_sweep's pool
+
+    try:
+        return fut.result()
+    except BrokenExecutor:
+        raise
+    except Exception as exc:
+        raise RuntimeError(f"{task}: {type(exc).__name__}: {exc}") from exc
+
+
 def run_sweep(cfg: SweepConfig, progress=None) -> ErrorTable:
     """Run the full (scheme, c, tau) sweep against per-c references.
 
@@ -211,7 +225,9 @@ def run_sweep(cfg: SweepConfig, progress=None) -> ErrorTable:
     the parent reads it, in c order, it cancels those of its cells that have
     not started, whose rows carry the reference's message, a NaN error and a
     wall_time of 0.0.  A cell whose state blows up is marked failed with the
-    NonFiniteStateError message; any other error propagates.
+    NonFiniteStateError message; any other error in a task is raised as a
+    RuntimeError that names the task (`cell uei1 c=1.0 tau=0.00625: ...` or
+    `reference c=100.0: ...`), chained to it.
     """
     grid = make_grid(1, cfg.K)
     tau_ref = cfg.T * 2.0 ** -cfg.ref_exponent
@@ -252,7 +268,7 @@ def run_sweep(cfg: SweepConfig, progress=None) -> ErrorTable:
         # c -> (reference z coefficients, certificate, failure)
         refs = {}
         for c, fut in ref_futures.items():
-            refs[c] = fut.result()
+            refs[c] = _task_result(fut, f"reference c={c}")
             if refs[c][2] is not None:  # its cells are worthless
                 for scheme in cfg.schemes:
                     for cell in groups[scheme, c]:
@@ -264,7 +280,8 @@ def run_sweep(cfg: SweepConfig, progress=None) -> ErrorTable:
             z_ref, cert, ref_failure = refs[c]
             group = []
             for tau, fut in zip(taus, cells):
-                z, wall, failure = (None, 0.0, None) if fut.cancelled() else fut.result()
+                task = f"cell {scheme.value} c={c} tau={tau}"
+                z, wall, failure = (None, 0.0, None) if fut.cancelled() else _task_result(fut, task)
                 failure = ref_failure or failure
                 err = float("nan")
                 if failure is None:
@@ -281,9 +298,12 @@ _CSV_HEADER = "scheme,c,tau,err_h1,wall_time_s"
 # JSON row keys, in SweepRow field order
 _JSON_ROW_KEYS = ("scheme", "c", "tau", "err_h1", "wall_time_s", "failed")
 
-# the JSON types of a table's fields; a JSON true is a Python bool, an int
+# the JSON types of a table's entries and of its rows' and fitted orders'
+# fields; a JSON true is a Python bool, an int
 _NUMBER = ((int, float), "a number")
 _JSON_TYPES = {
+    "rows": ((list,), "an array"),
+    "fitted_orders": ((list,), "an array"),
     "scheme": ((str,), "a string"),
     "c": _NUMBER,
     "tau": _NUMBER,
@@ -294,12 +314,15 @@ _JSON_TYPES = {
 }
 
 
-def _json_field(d: dict, key: str, path: str, where: str):
-    """d[key], if it has the JSON type of that field (KeyError if absent)."""
+def _json_field(d, key: str, path: str, where: str):
+    """d[key], if d is a JSON object and d[key] has the JSON type of that
+    field (KeyError if absent)."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{path}: {where} is {reprlib.repr(d)}, expected an object")
     value = d[key]
     kinds, name = _JSON_TYPES[key]
     if isinstance(value, bool) or not isinstance(value, kinds):
-        raise ValueError(f"{path}: {where} has {key} {value!r}, expected {name}")
+        raise ValueError(f"{path}: {where} has {key} {reprlib.repr(value)}, expected {name}")
     return value
 
 
@@ -337,9 +360,9 @@ def emit(table: ErrorTable, out_format: str, path: str) -> None:
 
 
 def parse_table(path: str, out_format: str = "csv") -> ErrorTable:
-    """Inverse of emit (CSV carries no fitted orders).  A JSON field of the
-    wrong type raises ValueError naming the file, the row or fitted order,
-    and the field."""
+    """Inverse of emit (CSV carries no fitted orders).  A JSON table, row,
+    fitted order or field of the wrong type raises ValueError naming the
+    file, the table, row or fitted order, and the field."""
     if out_format not in FORMATS:
         raise ValueError(f"unknown format {out_format!r}")
     try:
@@ -373,7 +396,7 @@ def parse_table(path: str, out_format: str = "csv") -> ErrorTable:
         raise ValueError(f"{path}: not a JSON table: {exc}") from None
     where = "the table"
     try:
-        raw_rows, raw_fitted = payload["rows"], payload["fitted_orders"]
+        raw_rows, raw_fitted = (_json_field(payload, key, path, where) for key in ("rows", "fitted_orders"))
         rows = []
         for i, d in enumerate(raw_rows):
             where = f"row {i}"

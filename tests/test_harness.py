@@ -199,6 +199,24 @@ def test_parse_table_rejects_mistyped_json_field(tmp_path, row, order, where):
         parse_table(str(path), "json")
 
 
+@pytest.mark.parametrize(
+    "table, where",
+    [
+        ({"rows": [[1]], "fitted_orders": []}, r"row 0 is \[1\], expected an object"),
+        ({"rows": 5, "fitted_orders": []}, "the table has rows 5, expected an array"),
+        ([], r"the table is \[\], expected an object"),
+        ("x", "the table is 'x', expected an object"),
+        ({"rows": [], "fitted_orders": [5]}, "fitted order 0 is 5, expected an object"),
+        ({"rows": [], "fitted_orders": 3}, "the table has fitted_orders 3, expected an array"),
+    ],
+)
+def test_parse_table_rejects_malformed_json_structure(tmp_path, table, where):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(table))
+    with pytest.raises(ValueError, match=f"bad.json: {where}$"):
+        parse_table(str(path), "json")
+
+
 def test_parse_table_reads_json_nan_and_null(tmp_path):
     # a failed cell's NaN error and a fit's NaN or null order are valid fields
     path = tmp_path / "t.json"
@@ -499,7 +517,7 @@ def test_sweep_converts_the_initial_states_in_the_parent(monkeypatch):
 
 def test_sweep_propagates_other_errors(monkeypatch):
     # an error that is neither an unreliable reference nor a blow-up comes
-    # back from its worker with its type and message
+    # back from its worker as a RuntimeError naming its cell, chained to it
     import kguniform.harness as harness_mod
 
     def broken_evolve(scheme, state, T, ctx):
@@ -508,7 +526,52 @@ def test_sweep_propagates_other_errors(monkeypatch):
     monkeypatch.setattr(harness_mod, "evolve", broken_evolve)
     cfg = SweepConfig(schemes=[SchemeId.UEI1], c_list=[1.0], tau_exponents=[4, 5, 6], K=16,
                       ref_exponent=11)
-    with pytest.raises(ValueError, match=r"^broken evolve at tau=0\.00625$"):
+    with pytest.raises(RuntimeError) as info:
+        run_sweep(cfg)
+    assert str(info.value) == "cell uei1 c=1.0 tau=0.00625: ValueError: broken evolve at tau=0.00625"
+    assert isinstance(info.value.__cause__, ValueError)
+    assert str(info.value.__cause__) == "broken evolve at tau=0.00625"
+
+
+def test_sweep_names_the_reference_of_an_error(monkeypatch):
+    # an error in a reference task other than an unreliable certificate
+    # names the reference's c
+    import kguniform.harness as harness_mod
+
+    real_reference = harness_mod.reference_solution
+
+    def reference_broken_at_c_100(s0, T, m, tau_ref=None):
+        if m.c == 100.0:
+            raise ZeroDivisionError("broken reference")
+        return real_reference(s0, T, m, tau_ref=tau_ref)
+
+    monkeypatch.setattr(harness_mod, "reference_solution", reference_broken_at_c_100)
+    cfg = SweepConfig(schemes=[SchemeId.UEI1], c_list=[1.0, 100.0], tau_exponents=[4, 5, 6],
+                      K=16, ref_exponent=11)
+    with pytest.raises(RuntimeError, match=r"^reference c=100\.0: ZeroDivisionError: broken reference$") as info:
+        run_sweep(cfg)
+    assert isinstance(info.value.__cause__, ZeroDivisionError)
+
+
+def test_sweep_passes_on_a_broken_pool_unchanged(monkeypatch):
+    # a worker that dies breaks the pool: that error is not its task's, and
+    # reaches the caller as the pool raised it
+    import os
+    from concurrent.futures.process import BrokenProcessPool
+
+    import kguniform.harness as harness_mod
+
+    real_evolve = harness_mod.evolve
+
+    def evolve_dying_at_one_tau(scheme, state, T, ctx):
+        if ctx.tau == 0.1 * 2.0**-5:
+            os._exit(1)
+        return real_evolve(scheme, state, T, ctx)
+
+    monkeypatch.setattr(harness_mod, "evolve", evolve_dying_at_one_tau)
+    cfg = SweepConfig(schemes=[SchemeId.UEI1], c_list=[1.0], tau_exponents=[4, 5, 6], K=16,
+                      ref_exponent=11)
+    with pytest.raises(BrokenProcessPool):
         run_sweep(cfg)
 
 
@@ -740,6 +803,43 @@ def test_cli_config_paper_booleans(tmp_path, value, paper):
     cfgfile.write_text(f"paper = {value}\n")
     cfg, _, _ = _build_config(_config_file_args(cfgfile))
     assert (cfg.K == 512) is paper
+
+
+def test_cli_rejects_repeated_config_key(tmp_path, monkeypatch, capsys):
+    # a second `K = ...` line is a usage error, not a silent override
+    cfgfile = tmp_path / "sweep.cfg"
+    cfgfile.write_text("K = 16\nc = 1\nK = 32\n")
+    _assert_usage_error(
+        monkeypatch, capsys, ["sweep", "--config", str(cfgfile), "--out", str(tmp_path / "x.csv")],
+        re.escape(f"error: {cfgfile}:3: repeated config key 'K' (first at line 1)") + "$",
+    )
+
+
+def test_cli_sweep_flags_are_the_settings(monkeypatch):
+    # the sweep parser has one flag per _SETTINGS key, spelled by _flag and
+    # stored under the key, beside its own -h, --config and -v
+    import argparse
+
+    from kguniform.cli import _SETTINGS, _flag
+
+    parsers = []
+
+    def record(self, args=None, namespace=None):
+        parsers.append(self)
+        raise SystemExit(0)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", record)
+    with pytest.raises(SystemExit):
+        cli_main(["sweep"])
+    (top,) = parsers
+    (sub,) = (a for a in top._actions if isinstance(a, argparse._SubParsersAction))
+    actions = sub.choices["sweep"]._actions
+    assert [(tuple(a.option_strings), a.dest) for a in actions] == [
+        (("-h", "--help"), "help"),
+        (("--config",), "config"),
+        *(((_flag(key),), key) for key in _SETTINGS),
+        (("-v", "--verbose"), "verbose"),
+    ]
 
 
 def test_cli_rejects_unknown_scheme(tmp_path, monkeypatch, capsys):
