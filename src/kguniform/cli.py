@@ -5,10 +5,12 @@ flag, converter, SweepConfig field and flag help.  Settings can come from a
 flat key=value config file; command-line flags win.  Each value is converted
 where it is read, a file value even when a flag overrides it, and one that
 does not convert is a usage error (exit status 2) naming its file and line
-or its flag; so are a repeated config key, a config file that cannot be
-read and an output path that is a directory.  The sweep exit status is
-nonzero iff any cell failed or a fitted order of an order-checked scheme
-(uei1, uei1_real, uei2) falls outside its band.
+or its flag; so are an empty output path, a repeated config key, a config
+file that cannot be read and an output path that is a directory.  The sweep
+writes its table even when cells failed, a cell whose worker died among
+them, and prints each distinct failure message once with its cell count.
+The sweep exit status is nonzero iff any cell failed or a fitted order of an
+order-checked scheme (uei1, uei1_real, uei2) falls outside its band.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import Counter
 
 from .harness import (
     FORMATS,
@@ -63,6 +66,12 @@ def _parse_bool(text):
     return _BOOLEANS[value]
 
 
+def _parse_out(text):
+    if not text:
+        raise ValueError("the output path is empty")
+    return text
+
+
 def _parse_format(text):
     if text not in FORMATS:
         raise ValueError(f"unknown format {text!r}; choose from {FORMATS}")
@@ -78,7 +87,7 @@ _SETTINGS = {
     "K": (int, "K", "number of Fourier modes (grid has 2K points)"),
     "ref_exp": (int, "ref_exponent", f"reference tau = T*2^-ref_exp (default {SweepConfig.ref_exponent})"),
     "paper": (_parse_bool, None, "full-scale preset: 1024-point grid, nine c values"),
-    "out": (str, None, "output path"),
+    "out": (_parse_out, None, "output path"),
     "format": (_parse_format, None, "output format: " + " or ".join(FORMATS)),
 }
 
@@ -157,9 +166,12 @@ def _cmd_sweep(args) -> int:
                 status = 1
         shown = "n/a" if order is None else f"{order:.3f}"
         print(f"  order {scheme:<10} c={c:<8g} {shown}{note}")
-    n_failed = sum(1 for r in table.rows if r.failed is not None)
-    if n_failed:
-        print(f"  {n_failed} cells failed (unreliable reference or non-finite state)")
+    # failure message -> its cell count, in row order
+    failures = Counter(r.failed for r in table.rows if r.failed is not None)
+    if failures:
+        print(f"  {sum(failures.values())} cells failed")
+        for message, count in failures.items():
+            print(f"    {count} cells: {message}")
         status = 1
     return status
 

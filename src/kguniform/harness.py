@@ -200,14 +200,16 @@ def _cell_task(c, scheme, T, tau):
 
 
 def _task_result(fut, task):
-    """fut's result; an error raised in its task comes back as a RuntimeError
-    naming the task, chained to it, and a broken pool's error as it is."""
+    """fut's result; a task whose worker died fails with a message naming it,
+    and an error raised in its task comes back as a RuntimeError naming the
+    task, chained to it."""
     from concurrent.futures import BrokenExecutor  # loaded by run_sweep's pool
 
     try:
         return fut.result()
     except BrokenExecutor:
-        raise
+        # fits both task triples: a failed reference's certificate is never read
+        return None, 0.0, f"worker process died ({task})"
     except Exception as exc:
         raise RuntimeError(f"{task}: {type(exc).__name__}: {exc}") from exc
 
@@ -220,13 +222,14 @@ def run_sweep(cfg: SweepConfig, progress=None) -> ErrorTable:
     reference and every cell is one task; cells do not wait for their
     reference, and the parent forms each (scheme, c) group's rows and fitted
     order in configuration order, so neither depends on the worker count.  A
-    row's wall_time is its cell's own evolve time, measured in its worker.  A
-    failed reference certificate marks all cells of that c as failed; when
-    the parent reads it, in c order, it cancels those of its cells that have
-    not started, whose rows carry the reference's message, a NaN error and a
-    wall_time of 0.0.  A cell whose state blows up is marked failed with the
-    NonFiniteStateError message; any other error in a task is raised as a
-    RuntimeError that names the task (`cell uei1 c=1.0 tau=0.00625: ...` or
+    row's wall_time is its cell's own evolve time, measured in its worker.
+    Every task runs to its end: a failed reference certificate marks all
+    cells of that c as failed, with the reference's message and a NaN error.
+    A cell whose state blows up is marked failed with the NonFiniteStateError
+    message.  A worker that dies breaks the pool: every task not finished by
+    then fails with "worker process died (<task>)", and the rows finished
+    before are kept.  Any other error in a task is raised as a RuntimeError
+    that names the task (`cell uei1 c=1.0 tau=0.00625: ...` or
     `reference c=100.0: ...`), chained to it.
     """
     grid = make_grid(1, cfg.K)
@@ -269,19 +272,16 @@ def run_sweep(cfg: SweepConfig, progress=None) -> ErrorTable:
         refs = {}
         for c, fut in ref_futures.items():
             refs[c] = _task_result(fut, f"reference c={c}")
-            if refs[c][2] is not None:  # its cells are worthless
-                for scheme in cfg.schemes:
-                    for cell in groups[scheme, c]:
-                        cell.cancel()
             if progress:
-                progress(f"reference c={c} done")
+                failure = refs[c][2]
+                progress(f"reference c={c} " + ("done" if failure is None else f"failed: {failure}"))
         rows, fitted = [], {}
         for (scheme, c), cells in groups.items():
             z_ref, cert, ref_failure = refs[c]
             group = []
             for tau, fut in zip(taus, cells):
                 task = f"cell {scheme.value} c={c} tau={tau}"
-                z, wall, failure = (None, 0.0, None) if fut.cancelled() else _task_result(fut, task)
+                z, wall, failure = _task_result(fut, task)
                 failure = ref_failure or failure
                 err = float("nan")
                 if failure is None:

@@ -410,31 +410,11 @@ def test_spawned_sweep_matches_forked_sweep(monkeypatch):
     assert methods == ["fork", "spawn"]
 
 
-def test_failed_reference_cancels_its_cells(monkeypatch):
-    # on a pool of one, a reference that fails at once cancels the cells of
-    # its c that have not started: they report its failure and never run
-    import kguniform.harness as harness_mod
-    from kguniform.integrators import ReferenceUnreliableError
-
-    def failing_reference(s0, T, m, tau_ref=None):
-        raise ReferenceUnreliableError(f"certificate too large (c={m.c})")
-
-    monkeypatch.setattr(harness_mod, "reference_solution", failing_reference)
-    monkeypatch.setattr(harness_mod, "_worker_count", lambda: 1)
-    cfg = SweepConfig(schemes=[SchemeId.UEI1, SchemeId.UEI2_REAL], c_list=[1.0],
-                      tau_exponents=[4, 5, 6, 7, 8, 9], K=16, ref_exponent=11)
-    table = run_sweep(cfg)
-    assert len(table.rows) == 12
-    for r in table.rows:
-        assert r.failed == "certificate too large (c=1.0)" and np.isnan(r.err)
-    never_ran = [r for r in table.rows if r.wall_time == 0.0]
-    assert len(never_ran) > len(table.rows) // 2
-
-
-def test_failed_reference_of_a_later_c_cancels_only_its_cells(monkeypatch):
-    # on a pool of one, the parent reads the references in c order: c = 100's
-    # failure, read after c = 1's success, cancels c = 100's unstarted cells
-    # and leaves c = 1's rows as an unpatched run's
+def test_failed_reference_of_a_later_c_fails_only_its_cells(monkeypatch):
+    # on a pool of one, c = 100's failed reference is read after c = 1's
+    # success and before most cells start; it fails every cell of c = 100
+    # with its message and a NaN error, each of those cells still runs and
+    # reports its own evolve time, and c = 1's rows are an unpatched run's
     import kguniform.harness as harness_mod
     from kguniform.integrators import ReferenceUnreliableError
 
@@ -459,10 +439,11 @@ def test_failed_reference_of_a_later_c_cancels_only_its_cells(monkeypatch):
     assert len(failed) == 12
     for r in failed:
         assert r.failed == "certificate too large (c=100.0)" and np.isnan(r.err)
-    never_ran = [r for r in failed if r.wall_time == 0.0]
-    assert len(never_ran) > len(failed) // 2
+        assert r.wall_time > 0.0
     assert rows_at(table, 1.0) == rows_at(clean, 1.0)
     assert all(failure is None for *_, failure in rows_at(table, 1.0))
+    assert table.fitted_orders[("uei1", 100.0)] is None
+    assert table.fitted_orders[("uei2", 100.0)] is None
 
 
 def test_sweep_tasks_do_not_carry_the_inputs(monkeypatch):
@@ -487,16 +468,21 @@ def test_sweep_tasks_do_not_carry_the_inputs(monkeypatch):
     assert all(r.failed is None for r in table.rows)
 
 
+def _requires_fork():
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("a spawned worker need not see a monkeypatched module")
+
+
 def test_sweep_converts_the_initial_states_in_the_parent(monkeypatch):
     # the parent builds each c's twisted initial pair once and the workers
     # only read it: a worker that converts a state itself raises here
-    import multiprocessing
     import os
 
     import kguniform.harness as harness_mod
 
-    if "fork" not in multiprocessing.get_all_start_methods():
-        pytest.skip("a spawned worker need not see a monkeypatched module")
+    _requires_fork()
     parent, real_convert = os.getpid(), harness_mod.to_first_order
     converted = []
 
@@ -553,26 +539,103 @@ def test_sweep_names_the_reference_of_an_error(monkeypatch):
     assert isinstance(info.value.__cause__, ZeroDivisionError)
 
 
-def test_sweep_passes_on_a_broken_pool_unchanged(monkeypatch):
-    # a worker that dies breaks the pool: that error is not its task's, and
-    # reaches the caller as the pool raised it
+def test_sweep_fails_the_rows_a_lost_worker_leaves(monkeypatch, tmp_path, capsys):
+    # on a pool of one, a worker that dies in one cell breaks the pool: the
+    # rows finished before it are an unpatched run's, bitwise, and that cell
+    # and every later one fail naming their task; the CLI writes the table
+    # and exits 1
     import os
-    from concurrent.futures.process import BrokenProcessPool
 
     import kguniform.harness as harness_mod
 
-    real_evolve = harness_mod.evolve
+    _requires_fork()
+    real_evolve, bad_tau = harness_mod.evolve, 0.1 * 2.0**-5
 
-    def evolve_dying_at_one_tau(scheme, state, T, ctx):
-        if ctx.tau == 0.1 * 2.0**-5:
+    def evolve_dying_at_one_cell(scheme, state, T, ctx):
+        if scheme is SchemeId.UEI2_REAL and state.c == 1.0 and ctx.tau == bad_tau:
             os._exit(1)
         return real_evolve(scheme, state, T, ctx)
 
-    monkeypatch.setattr(harness_mod, "evolve", evolve_dying_at_one_tau)
-    cfg = SweepConfig(schemes=[SchemeId.UEI1], c_list=[1.0], tau_exponents=[4, 5, 6], K=16,
-                      ref_exponent=11)
-    with pytest.raises(BrokenProcessPool):
-        run_sweep(cfg)
+    monkeypatch.setattr(harness_mod, "_worker_count", lambda: 1)
+    cfg = SweepConfig(schemes=[SchemeId.UEI1, SchemeId.UEI2_REAL], c_list=[1.0, 100.0],
+                      tau_exponents=[4, 5, 6], K=16, ref_exponent=11)
+
+    def rows(table):
+        return [(r.scheme, r.c, r.tau, r.err, r.failed) for r in table.rows]
+
+    clean = rows(run_sweep(cfg))
+    monkeypatch.setattr(harness_mod, "evolve", evolve_dying_at_one_cell)
+    lost = rows(run_sweep(cfg))
+    # rows in submission order: uei1 at c = 1 and 100, then uei2 at c = 1
+    assert lost[:7] == clean[:7]
+    assert lost[7][:3] == ("uei2", 1.0, bad_tau)
+    for scheme, c, tau, err, failure in lost[7:]:
+        assert failure == f"worker process died (cell {scheme} c={c} tau={tau})"
+        assert np.isnan(err)
+
+    out = tmp_path / "res.csv"
+    argv = ["sweep", "--schemes", "uei1,uei2", "--c", "1,100", "--tau-exp", "4..6", "--K", "16",
+            "--ref-exp", "11", "--out", str(out)]
+    assert cli_main(argv) == 1
+    assert len(parse_table(str(out), "csv").rows) == 12
+    printed = capsys.readouterr().out.splitlines()
+    assert "  5 cells failed" in printed
+    assert f"    1 cells: worker process died (cell uei2 c=1.0 tau={bad_tau})" in printed
+
+
+def test_sweep_ends_when_a_worker_dies_after_a_failed_reference(tmp_path):
+    # on a pool of two, c = 1's reference fails at once and c = 100's worker
+    # dies at 0.3 s, while most cells (each sleeps 0.2 s first) are pending;
+    # the sweep returns its rows and its process exits
+    import os
+    import signal
+    import subprocess
+    import sys
+    import textwrap
+
+    import kguniform
+
+    _requires_fork()
+    script = tmp_path / "lost_worker.py"
+    script.write_text(textwrap.dedent("""\
+        import os, time
+        import kguniform.harness as h
+        from kguniform.integrators import ReferenceUnreliableError, SchemeId
+
+        real_evolve = h.evolve
+
+        def reference(pair0, T, m, tau_ref=None):
+            if m.c == 1.0:
+                raise ReferenceUnreliableError("certificate too large (c=1.0)")
+            time.sleep(0.3)
+            os._exit(1)
+
+        def evolve(*args):
+            time.sleep(0.2)
+            return real_evolve(*args)
+
+        h.reference_solution, h.evolve, h._worker_count = reference, evolve, lambda: 2
+        cfg = h.SweepConfig(schemes=[SchemeId.UEI1, SchemeId.UEI2_REAL], c_list=[1.0, 100.0],
+                            tau_exponents=[4, 5, 6, 7], K=16, ref_exponent=11)
+        for r in h.run_sweep(cfg).rows:
+            print(r.failed)
+    """))
+    src = os.path.dirname(os.path.dirname(kguniform.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, str(script)], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": src}, start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=15)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)  # the script and its workers
+        proc.communicate()
+        pytest.fail("the sweep's process hung after its worker died")
+    assert proc.returncode == 0, err
+    failures = out.splitlines()
+    assert len(failures) == 16
+    assert failures.count("certificate too large (c=1.0)") == 8
+    assert failures.count("worker process died (reference c=100.0)") == 8
 
 
 def test_sweep_rejects_bad_grid_before_starting_workers(monkeypatch):
@@ -646,7 +709,12 @@ def test_cli_verbose_reports_each_reference_in_order(tmp_path, capsys):
             "--ref-exp", "10", "--out", str(out)]
     cli_main(argv + ["-v"])
     lines = capsys.readouterr().out.splitlines()
-    assert lines[:3] == ["reference c=100.0 done", "reference c=1.0 done", f"wrote 6 rows to {out} [csv]"]
+    # both certificates fail at this depth, and each failure is printed once
+    fail_100 = "reference self-convergence certificate 1.412e-09 exceeds 1.0e-09 (c=100.0, tau_ref=9.766e-05)"
+    fail_1 = "reference self-convergence certificate 1.410e-09 exceeds 1.0e-09 (c=1.0, tau_ref=9.766e-05)"
+    assert lines[:3] == [f"reference c=100.0 failed: {fail_100}", f"reference c=1.0 failed: {fail_1}",
+                         f"wrote 6 rows to {out} [csv]"]
+    assert lines[-3:] == ["  6 cells failed", f"    3 cells: {fail_100}", f"    3 cells: {fail_1}"]
     cli_main(argv)
     assert not any(ln.startswith("reference") for ln in capsys.readouterr().out.splitlines())
 
@@ -743,6 +811,19 @@ def test_cli_rejects_unreadable_config_file_before_running(tmp_path, monkeypatch
     _assert_usage_error(
         monkeypatch, capsys, ["sweep", "--config", str(cfgfile), "--out", str(tmp_path / "x.csv")],
         re.escape(repr(str(cfgfile))) + "$",
+    )
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_cli_rejects_empty_output_path_before_running(tmp_path, monkeypatch, capsys, source):
+    cfgfile = tmp_path / "sweep.cfg"
+    cfgfile.write_text("c = 1\nout =\n")
+    argv, where = ["--c", "1", "--out", ""], "--out"
+    if source == "config":
+        argv, where = ["--config", str(cfgfile)], f"{cfgfile}:2"
+    _assert_usage_error(
+        monkeypatch, capsys, ["sweep", *argv],
+        re.escape(f"error: {where}: bad out value '': the output path is empty") + "$",
     )
 
 
