@@ -410,10 +410,33 @@ def test_spawned_sweep_matches_forked_sweep(monkeypatch):
     assert methods == ["fork", "spawn"]
 
 
-def test_failed_reference_of_a_later_c_fails_only_its_cells(monkeypatch):
+def test_failed_reference_cancels_its_cells(monkeypatch):
+    # on a pool of one, a reference that fails at once cancels the results of
+    # its c's cells: every row reports its failure and a NaN error, while each
+    # cell still runs and reports its own evolve time
+    import kguniform.harness as harness_mod
+    from kguniform.integrators import ReferenceUnreliableError
+
+    def failing_reference(s0, T, m, tau_ref=None):
+        raise ReferenceUnreliableError(f"certificate too large (c={m.c})")
+
+    monkeypatch.setattr(harness_mod, "reference_solution", failing_reference)
+    monkeypatch.setattr(harness_mod, "_worker_count", lambda: 1)
+    cfg = SweepConfig(schemes=[SchemeId.UEI1, SchemeId.UEI2_REAL], c_list=[1.0],
+                      tau_exponents=[4, 5, 6, 7, 8, 9], K=16, ref_exponent=11)
+    table = run_sweep(cfg)
+    assert len(table.rows) == 12
+    for r in table.rows:
+        assert r.failed == "certificate too large (c=1.0)" and np.isnan(r.err)
+        assert r.wall_time > 0.0
+    assert table.fitted_orders[("uei1", 1.0)] is None
+    assert table.fitted_orders[("uei2", 1.0)] is None
+
+
+def test_failed_reference_of_a_later_c_cancels_only_its_cells(monkeypatch):
     # on a pool of one, c = 100's failed reference is read after c = 1's
-    # success and before most cells start; it fails every cell of c = 100
-    # with its message and a NaN error, each of those cells still runs and
+    # success and before most cells start; it cancels the results of c = 100's
+    # cells only: each fails with its message and a NaN error, still runs and
     # reports its own evolve time, and c = 1's rows are an unpatched run's
     import kguniform.harness as harness_mod
     from kguniform.integrators import ReferenceUnreliableError
