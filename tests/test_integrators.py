@@ -699,6 +699,70 @@ def test_gauss_legendre_reference_rule_against_mpmath(q):
     assert rel <= 1e-13
 
 
+def test_gauss_legendre_rule_raises_when_newton_does_not_converge(monkeypatch):
+    # the classical guesses need four Newton steps at q = 16; with two the
+    # rule refuses to return nodes that have not converged
+    import kguniform.integrators as integrators_mod
+
+    monkeypatch.setattr(integrators_mod, "_NEWTON_MAX_STEPS", 2)
+    with pytest.raises(RuntimeError, match="q=16 did not converge"):
+        _legendre_rule.__wrapped__(16)
+    monkeypatch.setattr(integrators_mod, "_NEWTON_MAX_STEPS", 4)
+    x, w = _legendre_rule.__wrapped__(16)
+    assert np.array_equal(x, _legendre_rule(16)[0]) and np.array_equal(w, _legendre_rule(16)[1])
+
+
+def test_sweep_verify_and_oracle_call_no_lapack_and_load_no_numpy_polynomial(tmp_path):
+    # numpy's LAPACK gufuncs are replaced by a stand-in that raises on any
+    # use (np.polyfit binds lstsq and leggauss reaches eigvalsh through it),
+    # both rule caches are cleared, and a sweep, the quick verify suite and
+    # one oracle step then run without it and without numpy.polynomial
+    import os
+    import subprocess
+    import sys
+    import textwrap
+
+    import kguniform
+
+    script = tmp_path / "no_lapack.py"
+    script.write_text(textwrap.dedent("""\
+        import sys
+
+        import numpy as np
+        import numpy.linalg._linalg as linalg
+
+        class NoLapack:
+            def __getattribute__(self, name):
+                raise AssertionError(f"LAPACK routine {name} called")
+
+        linalg._umath_linalg = NoLapack()
+        np.linalg.norm(np.ones(3))  # a vector norm needs no LAPACK
+
+        import kguniform as kg
+        from kguniform import integrators, verify
+        from kguniform.harness import SweepConfig, paper_initial_data, run_sweep
+
+        integrators._legendre_rule.cache_clear()
+        integrators._panel_rule.cache_clear()
+        grid = kg.make_grid(1, 16)
+        m = kg.make_multipliers(grid, 100.0)
+        u, _ = kg.to_first_order(paper_initial_data(grid, 100.0), m)
+        kg.duhamel_oracle_step(u, 0.37, kg.StepContext(grid, m, 2.0**-6))
+        cfg = SweepConfig(c_list=[1.0, 100.0], tau_exponents=[4, 5, 6, 7], K=16, ref_exponent=11)
+        orders = run_sweep(cfg).fitted_orders
+        assert None not in orders.values(), orders
+        for res in verify.run_all(fast=True):
+            assert res.passed, (res.name, res.detail)
+        assert "numpy.polynomial" not in sys.modules
+    """))
+    src = os.path.dirname(os.path.dirname(kguniform.__file__))
+    proc = subprocess.run(
+        [sys.executable, str(script)], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_oracle_rejects_few_nodes(grid64):
     ctx = StepContext(grid64, make_multipliers(grid64, 1.0), 0.02)
     with pytest.raises(ValueError, match="nodes"):
