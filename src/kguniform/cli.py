@@ -202,7 +202,8 @@ def main(argv=None) -> int:
     for key, (parse, _, text) in _SETTINGS.items():
         switch = {"action": "store_true"} if parse is _parse_bool else {}
         ps.add_argument(_flag(key), dest=key, help=text, **switch)
-    ps.add_argument("-v", "--verbose", action="store_true")
+    ps.add_argument("-v", "--verbose", action="store_true",
+                    help="print each reference's end: its wall time in the worker, or its failure")
     ps.set_defaults(func=_cmd_sweep)
 
     pv = sub.add_parser("verify", help="run the property/oracle suite")

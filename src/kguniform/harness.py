@@ -91,8 +91,9 @@ class SweepConfig:
     ref_exponent: int = 14
 
     def __post_init__(self):
-        # each check catches a value that would otherwise fail, or run NaN
-        # references, only inside the workers
+        # each check makes a bad value a construction error (a CLI usage
+        # error, before any work starts) where a bad c or K would fail in
+        # run_sweep's input building and a bad T or tau exponent in every worker
         for s in self.schemes:
             if not isinstance(s, SchemeId):
                 raise ValueError(f"unknown scheme {s!r}; need a SchemeId")
@@ -186,39 +187,52 @@ def _set_inputs(inputs):
     _inputs = inputs
 
 
+@dataclass
+class _Outcome:
+    """A pool task's end: z coefficients at T (None if it failed), its
+    failure message, its run's wall time in the worker, and a reference's
+    certificate."""
+
+    z: np.ndarray | None
+    failure: str | None
+    wall: float = 0.0
+    certificate: float = float("nan")
+
+
 def _reference_task(c, T, tau_ref):
-    """Pool task: (reference z coefficients at T, certificate, failure)."""
+    """Pool task: the reference at T and its certificate."""
     m, pair0 = _inputs[c]
+    start = time.perf_counter()
     try:
         ref = reference_solution(pair0, T, m, tau_ref=tau_ref)
     except ReferenceUnreliableError as exc:
-        return None, None, str(exc)
-    return reconstruct_z(ref.pair).coeffs, ref.certificate, None
+        return _Outcome(None, str(exc), time.perf_counter() - start)
+    wall = time.perf_counter() - start
+    return _Outcome(reconstruct_z(ref.pair).coeffs, None, wall, ref.certificate)
 
 
 def _cell_task(c, scheme, T, tau):
-    """Pool task: (cell z coefficients at T, its evolve time, failure)."""
+    """Pool task: the cell's z at T."""
     m, pair0 = _inputs[c]
     start = time.perf_counter()
     try:
         final = evolve(scheme, pair0, T, StepContext(m.grid, m, tau))
     except NonFiniteStateError as exc:
-        return None, time.perf_counter() - start, str(exc)
+        return _Outcome(None, str(exc), time.perf_counter() - start)
     wall = time.perf_counter() - start
-    return reconstruct_z(final).coeffs, wall, None
+    return _Outcome(reconstruct_z(final).coeffs, None, wall)
 
 
 def _task_result(fut, task):
-    """fut's result; a task whose worker died fails with a message naming it,
-    and an error raised in its task comes back as a RuntimeError naming the
-    task, chained to it."""
+    """fut's _Outcome; a task whose worker died fails with a message naming
+    it and no wall time or certificate, and an error raised in its task comes
+    back as a RuntimeError naming the task, chained to it."""
     from concurrent.futures import BrokenExecutor  # loaded by run_sweep's pool
 
     try:
         return fut.result()
     except BrokenExecutor:
-        # fits both task triples: a failed reference's certificate is never read
-        return None, 0.0, f"worker process died ({task})"
+        return _Outcome(None, f"worker process died ({task})")
     except Exception as exc:
         raise RuntimeError(f"{task}: {type(exc).__name__}: {exc}") from exc
 
@@ -230,10 +244,13 @@ def run_sweep(cfg: SweepConfig, progress=None) -> ErrorTable:
     a process pool with one worker per available CPU, on which every
     reference and every cell is one task; cells do not wait for their
     reference, and the parent forms each (scheme, c) group's rows and fitted
-    order in configuration order, so neither depends on the worker count.  A
-    row's wall_time is its cell's own evolve time, measured in its worker.
+    order in configuration order, so neither depends on the worker count.
+    Each task ends as one _Outcome whose wall is its own run's time in its
+    worker: a row's wall_time is its cell's evolve time, and progress, if
+    given, gets `reference c=<c> done in <wall> s` or `... failed: <message>`.
     Every task runs to its end: a failed reference certificate marks all
-    cells of that c as failed, with the reference's message and a NaN error.
+    cells of that c as failed, with the reference's message and a NaN error,
+    and leaves their fitted order None.
     A cell whose state blows up is marked failed with the NonFiniteStateError
     message.  A worker that dies breaks the pool: every task not finished by
     then fails with "worker process died (<task>)", and the rows finished
@@ -277,27 +294,25 @@ def run_sweep(cfg: SweepConfig, progress=None) -> ErrorTable:
             for scheme in cfg.schemes
             for c in cfg.c_list
         }
-        # c -> (reference z coefficients, certificate, failure)
         refs = {}
         for c, fut in ref_futures.items():
-            refs[c] = _task_result(fut, f"reference c={c}")
+            refs[c] = ref = _task_result(fut, f"reference c={c}")
             if progress:
-                failure = refs[c][2]
-                progress(f"reference c={c} " + ("done" if failure is None else f"failed: {failure}"))
+                done = f"done in {ref.wall:.3f} s" if ref.failure is None else f"failed: {ref.failure}"
+                progress(f"reference c={c} {done}")
         rows, fitted = [], {}
         for (scheme, c), cells in groups.items():
-            z_ref, cert, ref_failure = refs[c]
+            ref = refs[c]
             group = []
             for tau, fut in zip(taus, cells):
-                task = f"cell {scheme.value} c={c} tau={tau}"
-                z, wall, failure = _task_result(fut, task)
-                failure = ref_failure or failure
+                cell = _task_result(fut, f"cell {scheme.value} c={c} tau={tau}")
+                failure = ref.failure or cell.failure
                 err = float("nan")
                 if failure is None:
-                    err = float(sobolev_norm(SpectralField(grid, z - z_ref), _NORM_R))
-                group.append(SweepRow(scheme.value, c, tau, err, wall, failed=failure))
+                    err = float(sobolev_norm(SpectralField(grid, cell.z - ref.z), _NORM_R))
+                group.append(SweepRow(scheme.value, c, tau, err, cell.wall, failed=failure))
             rows += group
-            fitted[(scheme.value, c)] = None if ref_failure else _fit_rows(group, cert)
+            fitted[(scheme.value, c)] = _fit_rows(group, ref.certificate)
     finally:
         pool.shutdown(cancel_futures=True)
     return ErrorTable(rows=rows, fitted_orders=fitted)

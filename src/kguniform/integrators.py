@@ -511,7 +511,6 @@ class ReferenceSolution:
 
     pair: TwistedPair
     certificate: float
-    tau_ref: float
 
 
 def reference_solution(
@@ -536,4 +535,4 @@ def reference_solution(
             f"reference self-convergence certificate {cert:.3e} exceeds "
             f"{CERTIFICATE_TOL:.1e} (c={m.c}, tau_ref={tau_ref:.3e})"
         )
-    return ReferenceSolution(pair=fine, certificate=float(cert), tau_ref=float(tau_ref))
+    return ReferenceSolution(pair=fine, certificate=float(cert))

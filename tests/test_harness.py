@@ -668,8 +668,11 @@ def test_sweep_ends_when_a_worker_dies_after_a_failed_reference(tmp_path):
         h.reference_solution, h.evolve, h._worker_count = reference, evolve, lambda: 2
         cfg = h.SweepConfig(schemes=[SchemeId.UEI1, SchemeId.UEI2_REAL], c_list=[1.0, 100.0],
                             tau_exponents=[4, 5, 6, 7], K=16, ref_exponent=11)
-        for r in h.run_sweep(cfg).rows:
+        table = h.run_sweep(cfg)
+        for r in table.rows:
             print(r.failed)
+        for (scheme, c), order in table.fitted_orders.items():
+            print("order", scheme, c, order)
     """))
     src = os.path.dirname(os.path.dirname(kguniform.__file__))
     proc = subprocess.Popen(
@@ -683,10 +686,13 @@ def test_sweep_ends_when_a_worker_dies_after_a_failed_reference(tmp_path):
         proc.communicate()
         pytest.fail("the sweep's process hung after its worker died")
     assert proc.returncode == 0, err
-    failures = out.splitlines()
+    lines = out.splitlines()
+    failures, orders = lines[:16], lines[16:]
     assert len(failures) == 16
     assert failures.count("certificate too large (c=1.0)") == 8
     assert failures.count("worker process died (reference c=100.0)") == 8
+    # a failed or lost reference leaves no fitted order for its c
+    assert orders == [f"order {s} {c} None" for s in ("uei1", "uei2") for c in (1.0, 100.0)]
 
 
 def test_sweep_rejects_bad_grid_before_starting_workers(monkeypatch):
@@ -768,6 +774,18 @@ def test_cli_verbose_reports_each_reference_in_order(tmp_path, capsys):
     assert lines[-3:] == ["  6 cells failed", f"    3 cells: {fail_100}", f"    3 cells: {fail_1}"]
     cli_main(argv)
     assert not any(ln.startswith("reference") for ln in capsys.readouterr().out.splitlines())
+
+
+def test_cli_verbose_reports_each_reference_wall_time(tmp_path, capsys):
+    # a reference that passes prints its own wall time in the worker
+    out = tmp_path / "res.csv"
+    argv = ["sweep", "--schemes", "uei1", "--c", "100,1", "--tau-exp", "4..6", "--K", "16",
+            "--ref-exp", "11", "--out", str(out), "-v"]
+    assert cli_main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    done = [re.fullmatch(r"reference c=(\S+) done in \d+\.\d{3} s", ln) for ln in lines[:2]]
+    assert [m and m.group(1) for m in done] == ["100.0", "1.0"]
+    assert lines[2] == f"wrote 6 rows to {out} [csv]"
 
 
 def test_cli_verify_quick():
