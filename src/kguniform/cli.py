@@ -2,13 +2,15 @@
 
 Each sweep setting is declared once, in `_SETTINGS`: its config-file key,
 flag, converter, SweepConfig field and flag help.  Settings can come from a
-flat key=value config file; command-line flags win.  Each value is converted
+flat key=value config file, where `#` at the start of a line or after
+whitespace starts a comment; command-line flags win.  Each value is converted
 where it is read, a file value even when a flag overrides it, and one that
 does not convert is a usage error (exit status 2) naming its file and line
 or its flag; so are an empty output path, a repeated config key, a config
-file that cannot be read and an output path that is a directory.  The sweep
-writes its table even when cells failed, a cell whose worker died among
-them, and prints each distinct failure message once with its cell count.
+file that cannot be read and an output path that is a directory, and, after
+the sweep, since only the write can show it, a table that cannot be written.
+The sweep writes its table even when cells failed, a cell whose worker died
+among them, and prints each distinct failure message once with its cell count.
 The sweep exit status is nonzero iff any cell failed or a fitted order of an
 order-checked scheme (uei1, uei1_real, uei2) falls outside its band.
 """
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from collections import Counter
 
@@ -108,7 +111,7 @@ def _read_config(path):
     opts, first = {}, {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
+            line = re.sub(r"(^|\s)#.*", "", raw).strip()
             if not line:
                 continue
             if "=" not in line:
@@ -140,6 +143,12 @@ def _build_config(args):
     return SweepConfig(**kw), settings.get("out", "results.csv"), settings.get("format", "csv")
 
 
+def _usage_error(exc):
+    """Exit with status 2 after one stderr line, as argparse reports its own errors."""
+    print(f"kg-uniform sweep: error: {exc}", file=sys.stderr)
+    raise SystemExit(2) from None
+
+
 def _cmd_sweep(args) -> int:
     try:
         cfg, out_path, out_format = _build_config(args)
@@ -149,11 +158,12 @@ def _cmd_sweep(args) -> int:
         if os.path.isdir(out_path):
             raise ValueError(f"cannot write results to {out_path}: it is a directory")
     except (ValueError, OSError) as exc:  # OSError: an unreadable config file
-        # a usage error, reported as argparse reports its own
-        print(f"kg-uniform sweep: error: {exc}", file=sys.stderr)
-        raise SystemExit(2) from None
+        _usage_error(exc)
     table = run_sweep(cfg, progress=print if args.verbose else None)
-    emit(table, out_format, out_path)
+    try:
+        emit(table, out_format, out_path)
+    except OSError as exc:  # a path the checks above pass but that cannot be written
+        _usage_error(exc)
     print(f"wrote {len(table.rows)} rows to {out_path} [{out_format}]")
 
     status = 0

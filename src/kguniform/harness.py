@@ -102,20 +102,21 @@ class SweepConfig:
                 raise ValueError(f"{name} must be finite, got {name}={value!r}")
         if self.T <= 0:
             raise ValueError("T must be positive")
-        if not self.tau_exponents:
-            raise ValueError("tau exponent list must be nonempty")
+        # an empty list would give a sweep of no cells, and a repeated cell
+        # enters its order fit twice (and _fit_rows' trim of a leading
+        # non-decrease drops one copy of it)
+        names = [s.value for s in self.schemes]
+        for name, values in (("scheme", names), ("c", self.c_list), ("tau exponent", self.tau_exponents)):
+            if len(values) == 0:
+                raise ValueError(f"{name} list must be nonempty")
+            for i, v in enumerate(values):
+                if v in values[:i]:
+                    raise ValueError(f"repeated {name} {v!r}")
         exps = (*self.tau_exponents, self.ref_exponent)
         if min(exps[:-1]) < 0 or exps[-1] < 1 or not all(float(e).is_integer() for e in exps):
             raise ValueError("need tau exponents >= 0 and ref_exponent >= 1, all integers")
         if any(c <= 0 for c in self.c_list):
             raise ValueError("all c must be positive")
-        # a repeated cell enters its order fit twice (and _fit_rows' trim of a
-        # leading non-decrease drops one copy of it)
-        names = [s.value for s in self.schemes]
-        for name, values in (("scheme", names), ("c", self.c_list), ("tau exponent", self.tau_exponents)):
-            for i, v in enumerate(values):
-                if v in values[:i]:
-                    raise ValueError(f"repeated {name} {v!r}")
         make_grid(1, self.K)  # raises on a grid size the solver cannot use
 
 

@@ -64,6 +64,7 @@ import numpy as np
 from .model import (
     TwistedPair,
     _check_same_grid,
+    _check_tau,
     _expi,
     _phases,
     _SplitStepper,
@@ -123,8 +124,7 @@ class StepContext:
     tau: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.tau) and self.tau > 0):
-            raise ValueError(f"invalid step size tau={self.tau}")
+        _check_tau("StepContext", self.tau)
         _check_same_grid(self, self.m)
 
 
@@ -349,8 +349,10 @@ _ORACLE_BLOCK_SAMPLES = 8192
 
 
 def _duhamel_panels(tau: float, m: MultiplierSet, nodes: int):
-    """Centres (panels,) and width h of the 16-node Gauss-Legendre panels on
-    [0, tau] that sample a Duhamel integral: the oracle's and verify's.
+    """The 16-node Gauss-Legendre panels on [0, tau] that sample a Duhamel
+    integral, the oracle's and verify's: their centres (panels,), width h,
+    and the rule's in-panel node offsets (h/2) x_j and weights (h/2) w_j, so
+    the nodes are centre + offset.
 
     There are at least max(2, ceil(nodes / 16)) panels, and more until each
     spans at most _ORACLE_RAD_PER_PANEL rad of the integrand's fastest
@@ -371,7 +373,8 @@ def _duhamel_panels(tau: float, m: MultiplierSet, nodes: int):
             "reduce tau, c, or the grid size"
         )
     h = tau / panels
-    return h * (np.arange(panels) + 0.5), h
+    xg, wg = _legendre_rule(16)
+    return h * (np.arange(panels) + 0.5), h, 0.5 * h * xg, 0.5 * h * wg
 
 
 def duhamel_oracle_step(
@@ -421,12 +424,9 @@ def duhamel_oracle_step(
     tau = ctx.tau
     n = u.grid.n_points
     c = m.c
-    q = 16
-    centres, h = _duhamel_panels(tau, m, nodes)
-    xg, wg = _legendre_rule(q)
-    rule = np.vstack([0.5 * h * _panel_rule(q), 0.5 * h * wg])  # (q + 1, q)
-    # nodes s = centre + (h/2) x_j of the composite rule on [0, tau]
-    offsets = 0.5 * h * xg
+    centres, h, offsets, weights = _duhamel_panels(tau, m, nodes)
+    q = len(offsets)
+    rule = np.vstack([0.5 * h * _panel_rule(q), weights])  # (q + 1, q)
     # e^(i s A_c) is a per-panel factor times a per-node factor, so cos and
     # sin run on (panels, N) and (q, N) values rather than on (panels * q, N)
     enode = _expi(offsets[:, None, None] * m.a_c)  # (q, 1, N)

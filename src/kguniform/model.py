@@ -67,7 +67,6 @@ __all__ = [
     "twist",
     "untwist",
     "reconstruct_z",
-    "cubic",
     "kernel_psi",
     "kernel_vartheta",
     "kernel_omega",
@@ -193,12 +192,6 @@ def reconstruct_z(p: TwistedPair) -> SpectralField:
         ph * p.u_star.coeffs + ph.conjugate() * _conjrefl(p.v_star.coeffs)
     )
     return SpectralField(p.u_star.grid, coeffs)
-
-
-def cubic(z: SpectralField) -> SpectralField:
-    """Pointwise |z|^2 z on the grid (no dealiasing, as in the solvers)."""
-    v = z.values()
-    return field_from_values(z.grid, np.abs(v) ** 2 * v)
 
 
 # ---------------------------------------------------------------------------

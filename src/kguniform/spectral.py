@@ -28,10 +28,10 @@ A_c is evaluated in the cancellation-free form shown above; the naive
 c*sqrt(c^2+k^2) - c^2 loses all significant digits at large c (at
 c = 1e4, k = 1 it retains none).
 
-phi functions: phi_0(z) = e^z, phi_1(z) = (e^z - 1)/z,
-phi_2(z) = (e^z - 1 - z)/z^2, and the first-moment kernel
-phi_moment(z) = int_0^1 theta e^(theta z) dtheta = phi_1(z) - phi_2(z),
-which is the exact kernel of int_0^tau s e^(s B) ds = tau^2 phi_moment(tau B).
+phi functions: phi_1(z) = (e^z - 1)/z, phi_2(z) = (e^z - 1 - z)/z^2, and the
+first-moment kernel phi_moment(z) = int_0^1 theta e^(theta z) dtheta
+= phi_1(z) - phi_2(z), which is the exact kernel of
+int_0^tau s e^(s B) ds = tau^2 phi_moment(tau B).
 """
 
 from __future__ import annotations
@@ -75,10 +75,6 @@ class SpectralGrid:
     def n_points(self) -> int:
         return 2 * self.modes
 
-    @property
-    def dx(self) -> float:
-        return math.pi / self.modes
-
 
 def make_grid(d: int, K: int) -> SpectralGrid:
     """Build the 1-d spectral grid with 2K points.
@@ -115,23 +111,18 @@ def _to_coeffs(vals, out=None):
     return _fft.fft(vals, 1.0 / vals.shape[-1], out=out)
 
 
-def _to_phys_real(half, out=None):
+def _to_phys_real(half, out):
     """Real physical samples of Hermitian coefficient vectors given by their
-    half k = 0..K (rows of a stack alike), written into `out` when given: the
-    real counterpart of _to_phys, for 2K points."""
-    if out is None:
-        out = np.empty(half.shape[:-1] + (2 * half.shape[-1] - 2,))
+    half k = 0..K (rows of a stack alike), written into `out`: the real
+    counterpart of _to_phys, for 2K points."""
     return _fft.irfft(half, 1.0, out=out)
 
 
-def _to_coeffs_real(vals, out=None):
+def _to_coeffs_real(vals, out):
     """Half k = 0..K of the coefficients of real samples at 2K points (rows
-    of a stack alike), written into `out` when given: the real counterpart
-    of _to_coeffs, whose other half is the conjugate reflection of this one."""
-    n = vals.shape[-1]
-    if out is None:
-        out = np.empty(vals.shape[:-1] + (n // 2 + 1,), dtype=np.complex128)
-    return _fft.rfft_n_even(vals, 1.0 / n, out=out)
+    of a stack alike), written into `out`: the real counterpart of
+    _to_coeffs, whose other half is the conjugate reflection of this one."""
+    return _fft.rfft_n_even(vals, 1.0 / vals.shape[-1], out=out)
 
 
 def _conjrefl(coeffs: np.ndarray, out=None) -> np.ndarray:
@@ -244,7 +235,7 @@ def _phi_series(j: int, z):
 
 
 def phi(j: int, z):
-    """phi_0(z) = e^z, phi_1(z) = (e^z - 1)/z, phi_2(z) = (e^z - 1 - z)/z^2.
+    """phi_1(z) = (e^z - 1)/z and phi_2(z) = (e^z - 1 - z)/z^2.
 
     Entire functions, evaluated elementwise on one array path: an array in
     gives an array out, and a scalar in gives a numpy complex scalar out (a
@@ -253,11 +244,9 @@ def phi(j: int, z):
     arguments are evaluated by Taylor series (see _PHI_SERIES_CUTOFF), and
     an exact zero gives 1/j!, the series' value there.
     """
-    if j not in (0, 1, 2):
-        raise ValueError(f"invalid phi index j={j}; need j in {{0, 1, 2}}")
+    if j not in (1, 2):
+        raise ValueError(f"invalid phi index j={j}; need j in {{1, 2}}")
     zarr = np.asarray(z, dtype=np.complex128)
-    if j == 0:
-        return np.exp(zarr)[()]
     zero = zarr == 0
     big = ~(zarr.real**2 + zarr.imag**2 < _PHI_SERIES_CUTOFF**2)
     small = ~(big | zero)

@@ -31,7 +31,6 @@ from .model import kernel_omega, oscillatory_block, phase_factor, to_first_order
 from .spectral import (
     SpectralField,
     _sobolev_norms,
-    _to_phys,
     make_grid,
     make_multipliers,
     phi,
@@ -137,7 +136,7 @@ def check_stability_bounds(n_fields=20):
             for i in range(n_fields):
                 v[i] = random_field(grid, rng, decay=1.0).coeffs
                 w[i] = random_field(grid, rng, decay=1.0).coeffs
-            prod = _to_phys(v) * (_fft.ifft(m.a_c * w) * n)
+            prod = (_fft.ifft(v) * n) * (_fft.ifft(m.a_c * w) * n)
             ph = _fft.fft(prod) / n
             denom = tau * _sobolev_norms(grid, v, _R) * _sobolev_norms(grid, w, _R)
             val = tau * tau * _sobolev_norms(grid, kernels * ph, _R)
@@ -174,11 +173,14 @@ def _psi_raw(t_n, s, vv, c):
 def check_omega_quadrature():
     """Omega_l against 64-node Gauss-Legendre quadrature of its defining
     integral, plus the moment identity int_0^tau e^(ilc^2 s) s ds
-    = tau^2 phi_moment(ilc^2 tau), both to 1e-10."""
+    = tau^2 phi_moment(ilc^2 tau), both to 1e-10: each (c, l) forms its
+    weighted phases w_j e^(ilc^2 s_j) once, and each quadrature is one
+    product with them."""
     grid = make_grid(1, _K)
+    n = grid.n_points
     rng = np.random.default_rng(3)
     v = random_field(grid, rng, decay=2.0)
-    vv = v.values()
+    vv = _fft.ifft(v.coeffs) * n
     tau, t_n = 0.01, 0.37
     worst = 0.0
     xg, wg = _legendre_rule(64)
@@ -186,16 +188,11 @@ def check_omega_quadrature():
     for c in (1.0, 10.0):
         psi = _psi_raw(t_n, s_nodes, vv, c)
         for l in (-4, -2, 2):
-            acc = np.zeros(grid.n_points, dtype=complex)
-            for s, w, psi_s in zip(s_nodes, w_nodes, psi):
-                acc += w * np.exp(1j * l * c * c * s) * psi_s
-            quad = SpectralField(grid, _fft.fft(acc / tau**2) / grid.n_points)
+            wph = w_nodes * np.exp(1j * l * c * c * s_nodes)
+            quad = SpectralField(grid, _fft.fft(wph @ psi / tau**2) / n)
             diff = sobolev_norm(quad - kernel_omega(t_n, tau, v, c, l), 1.0)
-            worst = max(worst, diff)
-            mom_quad = np.sum(w_nodes * np.exp(1j * l * c * c * s_nodes) * s_nodes)
-            worst = max(
-                worst, abs(mom_quad - tau**2 * phi_moment(1j * l * c * c * tau))
-            )
+            mom = abs(wph @ s_nodes - tau**2 * phi_moment(1j * l * c * c * tau))
+            worst = max(worst, diff, mom)
     return CheckResult(
         "omega_quadrature", worst <= 1e-10, f"worst |closed form - quadrature| = {worst:.3e}"
     )
@@ -230,11 +227,10 @@ def _block_quadrature(tau, t_n, u, m):
     grid = u.grid
     n = grid.n_points
     c = m.c
-    uv = u.values()
+    uv = _fft.ifft(u.coeffs) * n
     uau = np.abs(uv) ** 2 * uv
-    centres, h = _duhamel_panels(tau, m, nodes=32)
-    xg, wg = _legendre_rule(16)
-    s = (centres[:, None] + 0.5 * h * xg).ravel()
+    centres, _, offsets, weights = _duhamel_panels(tau, m, nodes=32)
+    s = (centres[:, None] + offsets).ravel()
     sc = s[:, None]
     inner = 3.0 * sc * uau + _psi_raw(t_n, s, uv, c)
     ut_hat = np.exp(1j * sc * m.a_c) * u.coeffs - 0.125j * m.c_inv * (_fft.fft(inner) / n)
@@ -244,7 +240,7 @@ def _block_quadrature(tau, t_n, u, m):
     wau = np.abs(wv) ** 2 * wv
     g = ph**2 * w3 + 3.0 * ph.conjugate() ** 2 * np.conj(wau) + ph.conjugate() ** 4 * np.conj(w3)
     terms = np.exp(1j * (tau - sc) * m.a_c) * (_fft.fft(g) / n)
-    return SpectralField(grid, np.tile(0.5 * h * wg, len(centres)) @ terms)
+    return SpectralField(grid, np.tile(weights, len(centres)) @ terms)
 
 
 def check_block_quadrature():

@@ -286,10 +286,12 @@ def test_sweep_config_validation():
         SweepConfig(tau_exponents=[4, 5, 6, 5])
 
 
-def test_empty_scheme_list_gives_empty_table():
-    cfg = SweepConfig(schemes=[], c_list=[1.0], tau_exponents=[4, 5, 6], K=16, ref_exponent=6)
-    table = run_sweep(cfg)
-    assert table.rows == [] and table.fitted_orders == {}
+def test_sweep_config_rejects_empty_scheme_and_c_lists():
+    # an empty list would give a sweep of no cells, as an empty tau list would
+    with pytest.raises(ValueError, match=r"^scheme list must be nonempty$"):
+        SweepConfig(schemes=[], c_list=[1.0], tau_exponents=[4, 5, 6], K=16, ref_exponent=6)
+    with pytest.raises(ValueError, match=r"^c list must be nonempty$"):
+        SweepConfig(schemes=[SchemeId.UEI1], c_list=[], tau_exponents=[4, 5, 6], K=16, ref_exponent=6)
 
 
 def _slope_stderr(points):
@@ -903,6 +905,36 @@ def test_cli_rejects_output_directory_before_running(tmp_path, monkeypatch, caps
         monkeypatch, capsys, ["sweep", "--c", "1", "--out", str(out)],
         re.escape(f"error: cannot write results to {out}: it is a directory") + "$",
     )
+
+
+def test_cli_reports_unwritable_table_as_usage_error(tmp_path, monkeypatch, capsys):
+    # a dangling link into a missing directory passes the checks before the
+    # sweep, so only the write fails: one stderr line and exit 2, no traceback
+    import kguniform.cli as cli_mod
+
+    out = tmp_path / "x.csv"
+    try:
+        out.symlink_to(tmp_path / "missing" / "x.csv")
+    except OSError:
+        pytest.skip("no symbolic links here")
+    stub = ErrorTable(rows=[SweepRow("uei1", 1.0, 0.1 * 2.0**-4, 1e-3, 0.0)], fitted_orders={})
+    monkeypatch.setattr(cli_mod, "run_sweep", lambda cfg, progress=None: stub)
+    with pytest.raises(SystemExit) as info:
+        cli_main(["sweep", "--schemes", "uei1", "--c", "1", "--out", str(out)])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"kg-uniform sweep: error: cannot write table to {out}: ")
+    assert "wrote" not in captured.out
+
+
+def test_cli_config_comments_start_at_line_start_or_after_whitespace(tmp_path):
+    # a `#` inside a value is part of it; `# ...` lines and `  # ...` tails are comments
+    from kguniform.cli import _read_config
+
+    cfgfile = tmp_path / "sweep.cfg"
+    cfgfile.write_text("# sweep\nK = 8  # grid\nout = run#2.csv\n  # indented\nformat = json\t# tab\n")
+    assert _read_config(cfgfile) == {"K": 8, "out": "run#2.csv", "format": "json"}
 
 
 def _config_file_args(cfgfile):

@@ -141,7 +141,7 @@ def test_step_context_is_immutable(grid64):
 def test_step_context_rejects_bad_tau(grid64):
     m = make_multipliers(grid64, 2.0)
     for tau in (0.0, -0.01, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="invalid step size tau="):
+        with pytest.raises(ValueError, match="StepContext requires finite tau > 0, got tau="):
             StepContext(grid64, m, tau)
 
 

@@ -6,7 +6,6 @@ import pytest
 from kguniform import (
     KgState,
     constant_field,
-    cubic,
     energy,
     field_from_values,
     from_first_order,
@@ -28,7 +27,7 @@ from kguniform import (
     zero_field,
 )
 from kguniform import verify
-from kguniform.integrators import _duhamel_panels, _legendre_rule
+from kguniform.integrators import _duhamel_panels
 from kguniform.model import _omega_weights, _phi_table
 from kguniform.verify import (
     check_block_quadrature,
@@ -134,17 +133,6 @@ def test_reconstruct_constants(grid64):
     assert z.coeffs[0] == pytest.approx(0.5 * phase_factor(1, c, t) * a, abs=1e-13)
     p0 = twist(constant_field(grid64, 0.5), constant_field(grid64, 0.5), 0.0, c)
     assert reconstruct_z(p0).coeffs[0] == pytest.approx(0.5, abs=1e-14)
-
-
-# ---------------------------------------------------------------------------
-# cubic nonlinearity
-
-
-def test_cubic_values(grid64):
-    assert sobolev_norm(cubic(zero_field(grid64)), 0.0) == 0.0
-    assert cubic(constant_field(grid64, 2.0)).coeffs[0] == pytest.approx(8.0, abs=1e-13)
-    out = cubic(constant_field(grid64, 1.0 + 1.0j))
-    assert out.coeffs[0] == pytest.approx(2.0 + 2.0j, abs=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -397,12 +385,11 @@ def _block_quadrature_loop(tau, t_n, u, m):
     c = m.c
     uv = u.values()
     uau = np.abs(uv) ** 2 * uv
-    centres, h = _duhamel_panels(tau, m, 32)
-    xg, wg = _legendre_rule(16)
-    nodes = (centres[:, None] + 0.5 * h * xg).ravel()
+    centres, _, offsets, weights = _duhamel_panels(tau, m, 32)
+    nodes = (centres[:, None] + offsets).ravel()
     acc = np.zeros(n, dtype=complex)
     mag = np.zeros(n)
-    for s, w, psi_s in zip(nodes, np.tile(0.5 * h * wg, len(centres)), verify._psi_raw(t_n, nodes, uv, c)):
+    for s, w, psi_s in zip(nodes, np.tile(weights, len(centres)), verify._psi_raw(t_n, nodes, uv, c)):
         inner = 3.0 * s * uau + psi_s
         ut_hat = np.exp(1j * s * m.a_c) * u.coeffs - 0.125j * m.c_inv * (np.fft.fft(inner) / n)
         wv = np.fft.ifft(ut_hat) * n

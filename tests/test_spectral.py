@@ -47,7 +47,6 @@ def test_grid_full_scale_mesh():
     # the 1024-point grid (K = 512) has the reference mesh 2*pi/1024 ~ 0.0061
     g = make_grid(1, 512)
     assert g.n_points == 1024
-    assert g.dx == pytest.approx(0.0061359, rel=1e-4)
     assert make_grid(1, 1024).n_points == 2048
 
 
@@ -130,20 +129,16 @@ def test_real_transform_pair_matches_the_complex_pair(rng, K):
     y = rng.standard_normal((2, 3, n)) + 1j * rng.standard_normal((2, 3, n))
     y[..., K] = 3.0 - 2.0j
     herm = y + _conjrefl(y)
-    a = _to_phys_real(herm[..., : K + 1])
     want = 2.0 * _to_phys(y).real
-    assert a.shape == want.shape and a.dtype == np.float64
+    a = np.empty_like(want)
+    assert _to_phys_real(herm[..., : K + 1], out=a) is a
     assert np.max(np.abs(a - want)) <= 1e-15 * np.max(np.abs(want))
-    out = np.empty_like(a)
-    assert _to_phys_real(herm[..., : K + 1], out=out) is out and np.array_equal(out, a)
 
-    half = _to_coeffs_real(a)
-    assert half.shape == (2, 3, K + 1)
+    half = np.empty((2, 3, K + 1), dtype=np.complex128)
+    assert _to_coeffs_real(a, out=half) is half
     full = np.concatenate([half, np.conj(half[..., K - 1 : 0 : -1])], axis=-1)
     want = _to_coeffs(a)
     assert np.max(np.abs(full - want)) <= 1e-15 * np.max(np.abs(want))
-    out = np.empty_like(half)
-    assert _to_coeffs_real(a, out=out) is out and np.array_equal(out, half)
 
 
 def test_spectral_import_names_the_numpy_floor(monkeypatch):
@@ -228,7 +223,6 @@ def _phi_taylor_mpmath(j, z, terms=40):
 def test_phi_at_zero():
     assert phi(1, 0.0) == pytest.approx(1.0, abs=1e-15)
     assert phi(2, 0.0) == pytest.approx(0.5, abs=1e-15)
-    assert phi(0, 0.0) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_phi_at_exact_zero_skips_the_series(monkeypatch):
@@ -256,11 +250,12 @@ def test_phi_at_exact_zero_skips_the_series(monkeypatch):
 
 
 def test_phi_rejects_bad_index():
-    with pytest.raises(ValueError, match="phi index"):
-        phi(3, 1.0)
+    for j in (0, 3):
+        with pytest.raises(ValueError, match="phi index"):
+            phi(j, 1.0)
 
 
-@pytest.mark.parametrize("j", [0, 1, 2])
+@pytest.mark.parametrize("j", [1, 2])
 def test_phi_matches_taylor_reference(j):
     # 40-term Taylor oracle in 40-digit arithmetic, |z| <= 1
     for radius in (1e-3, 1e-2, 0.05, 0.0999, 0.1001, 0.3, 1.0):
@@ -292,7 +287,7 @@ def test_phi_branches_agree_on_ring(j):
         assert abs(series - direct) <= 1e-12
 
 
-@pytest.mark.parametrize("j", [0, 1, 2])
+@pytest.mark.parametrize("j", [1, 2])
 def test_phi_scalar_path_matches_array_path(j):
     # a scalar goes through the array path: bitwise the matching entry of one
     # stacked call, on both sides of the series cutoff, on the axes and off them
