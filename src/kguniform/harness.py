@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import os
 import reprlib
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -115,6 +116,10 @@ class SweepConfig:
         exps = (*self.tau_exponents, self.ref_exponent)
         if min(exps[:-1]) < 0 or exps[-1] < 1 or not all(float(e).is_integer() for e in exps):
             raise ValueError("need tau exponents >= 0 and ref_exponent >= 1, all integers")
+        # a subnormal or zero step would fail in every worker; with normal
+        # steps T/tau is exactly 2^e, as evolve requires
+        if self.T * 2.0 ** -max(exps) < sys.float_info.min:
+            raise ValueError(f"step T * 2^-{max(exps)} underflows; need a larger T or smaller exponents")
         if any(c <= 0 for c in self.c_list):
             raise ValueError("all c must be positive")
         make_grid(1, self.K)  # raises on a grid size the solver cannot use

@@ -297,7 +297,7 @@ def kernel_omega(t_n: float, tau: float, v: SpectralField, c: float, l: int) -> 
     the mirrored kernels built from conj(Psi)).
     """
     _check_tau("kernel_omega", tau)
-    if l not in (-4, -2, 2):
+    if isinstance(l, bool) or not isinstance(l, (int, np.integer)) or l not in (-4, -2, 2):
         raise ValueError(f"invalid oscillation index l={l}; need l in {{-4, -2, 2}}")
     phases = _phases(phase_factor(2, c, t_n))
     return _branch_field(v, phases, _omega_weights(_phi_table(c, tau), (l,))[0])

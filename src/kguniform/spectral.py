@@ -53,8 +53,6 @@ __all__ = [
     "make_grid",
     "make_multipliers",
     "field_from_values",
-    "zero_field",
-    "constant_field",
     "conj_field",
     "apply_symbol",
     "phi",
@@ -176,16 +174,6 @@ def field_from_values(grid: SpectralGrid, values: np.ndarray) -> SpectralField:
             f"value vector has shape {values.shape}, expected ({grid.n_points},)"
         )
     return SpectralField(grid, _to_coeffs(values))
-
-
-def zero_field(grid: SpectralGrid) -> SpectralField:
-    return SpectralField(grid, np.zeros(grid.n_points, dtype=np.complex128))
-
-
-def constant_field(grid: SpectralGrid, value: complex) -> SpectralField:
-    coeffs = np.zeros(grid.n_points, dtype=np.complex128)
-    coeffs[0] = value
-    return SpectralField(grid, coeffs)
 
 
 def conj_field(f: SpectralField) -> SpectralField:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kguniform import KgState, field_from_values, make_grid
+from kguniform import KgState, SpectralField, field_from_values, make_grid
 
 
 @pytest.fixture
@@ -30,3 +30,10 @@ def random_real_state(grid, rng, scale=0.3):
         zt=field_from_values(grid, smooth()),
         t=0.0,
     )
+
+
+def const_field(grid, value=0.0):
+    """The constant field `value`: its one nonzero coefficient is at k = 0."""
+    coeffs = np.zeros(grid.n_points, dtype=np.complex128)
+    coeffs[0] = value
+    return SpectralField(grid, coeffs)

@@ -858,6 +858,10 @@ def test_cli_rejects_bad_config_file_before_running(tmp_path, monkeypatch, capsy
         (["--c", "1,x"], r"error: --c: bad c value '1,x': could not convert string to float: 'x'$"),
         (["--tau-exp", "4..x"], r"error: --tau-exp: bad tau_exp value '4..x': invalid literal"),
         (["--format", "xml"], r"error: --format: bad format value 'xml': unknown format 'xml'"),
+        # a step that underflows to a subnormal or zero
+        (["--ref-exp", "1100"], r"step T \* 2\^-1100 underflows"),
+        (["--tau-exp", "1100"], r"step T \* 2\^-1100 underflows"),
+        (["--T", "1e-320"], r"step T \* 2\^-14 underflows"),
     ],
 )
 def test_cli_reports_invalid_values_as_usage_errors(tmp_path, monkeypatch, capsys, flag, match):

@@ -10,7 +10,6 @@ from kguniform import (
     SchemeId,
     SpectralField,
     StepContext,
-    constant_field,
     duhamel_oracle_step,
     energy,
     evolve,
@@ -33,15 +32,15 @@ from kguniform import (
     to_first_order,
     twist,
     untwist,
-    zero_field,
 )
 from kguniform.harness import fit_order, paper_initial_data
 from kguniform.integrators import _legendre_rule, _panel_rule
 from kguniform.model import TwistedPair
+from kguniform.spectral import _conjrefl
 from kguniform import verify
 from kguniform.verify import random_field
 
-from conftest import random_real_state
+from conftest import const_field, random_real_state
 
 
 def _standard_pair(grid, c):
@@ -153,7 +152,7 @@ def test_steps_vanish_on_zero(grid64):
     c = 2.0
     m = make_multipliers(grid64, c)
     ctx = StepContext(grid64, m, 0.01)
-    z = zero_field(grid64)
+    z = const_field(grid64)
     p = TwistedPair(z, z, 0.0, c)
     out = step_uei1(p, ctx)
     assert sobolev_norm(out.u_star, 1.0) == 0.0
@@ -199,7 +198,7 @@ def test_uei1_scalar_mode(grid64):
     a = 0.4 - 0.25j
     m = make_multipliers(grid64, c)
     ctx = StepContext(grid64, m, tau)
-    p = TwistedPair(constant_field(grid64, a), constant_field(grid64, a), t_n, c)
+    p = TwistedPair(const_field(grid64, a), const_field(grid64, a), t_n, c)
     out = step_uei1(p, ctx)
     x = 2j * c * c * tau
     p2 = cmath.exp(2j * c * c * t_n)
@@ -219,7 +218,7 @@ def test_uei1_scalar_mode_complex_pair(grid64):
     b = -0.1 + 0.3j
     m = make_multipliers(grid64, c)
     ctx = StepContext(grid64, m, tau)
-    p = TwistedPair(constant_field(grid64, a), constant_field(grid64, b), t_n, c)
+    p = TwistedPair(const_field(grid64, a), const_field(grid64, b), t_n, c)
     out = step_uei1(p, ctx)
     x = 2j * c * c * tau
     p2 = cmath.exp(2j * c * c * t_n)
@@ -543,7 +542,7 @@ def test_lie_step_properties(grid64, rng):
     m = make_multipliers(grid64, c)
     ctx = StepContext(grid64, m, 0.02)
     a = 0.7 - 0.4j
-    ua, va = step_lie_limit(constant_field(grid64, a), constant_field(grid64, a), ctx)
+    ua, va = step_lie_limit(const_field(grid64, a), const_field(grid64, a), ctx)
     ref = cmath.exp(-0.375j * 0.02 * abs(a) ** 2) * a
     assert ua.coeffs[0] == pytest.approx(ref, abs=1e-14)
     u = random_field(grid64, rng)
@@ -563,7 +562,7 @@ def test_lie_step_properties(grid64, rng):
 def test_strang_step_constant_and_self_convergence(grid64):
     ctx = StepContext(grid64, make_multipliers(grid64, 2.0), 0.02)
     a = 0.5 + 0.3j
-    out = step_strang_limit(constant_field(grid64, a), ctx)
+    out = step_strang_limit(const_field(grid64, a), ctx)
     assert out.coeffs[0] == pytest.approx(cmath.exp(-0.375j * 0.02 * abs(a) ** 2) * a, abs=1e-14)
 
     # second-order self-convergence on smooth data for the limit equation
@@ -766,7 +765,7 @@ def test_sweep_verify_and_oracle_call_no_lapack_and_load_no_numpy_polynomial(tmp
 def test_oracle_rejects_few_nodes(grid64):
     ctx = StepContext(grid64, make_multipliers(grid64, 1.0), 0.02)
     with pytest.raises(ValueError, match="nodes"):
-        duhamel_oracle_step(zero_field(grid64), 0.0, ctx, nodes=8)
+        duhamel_oracle_step(const_field(grid64), 0.0, ctx, nodes=8)
 
 
 def test_oracle_self_consistency(grid64):
@@ -1144,6 +1143,76 @@ def test_trajectory_norms_bounded(grid64):
 
 
 # ---------------------------------------------------------------------------
+# symmetries: each map takes a solution of the equation to a solution, so a
+# scheme's steps must commute with its image on the twisted coefficients
+
+
+def _smooth_coeffs(grid, rng, rows=()):
+    # seeded complex coefficients with |coeff_k| ~ (1 + k^2)^-1.5: a row, or
+    # a stack of shape (*rows, N)
+    draws = rng.standard_normal((2, *rows, grid.n_points))
+    return (draws[0] + 1j * draws[1]) * (1.0 + grid.wavenumbers**2) ** -1.5
+
+
+def _space_maps(grid):
+    # translation x -> x + 5 mesh cells, and reflection x -> -x (k -> -k, no conjugation)
+    shift = np.exp(1j * grid.wavenumbers * grid.x[5])
+    return {
+        "translation": lambda x: shift * x,
+        "reflection": lambda x: _conjrefl(np.conj(x)),
+    }
+
+
+def _rel(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("scheme", list(SchemeId))
+def test_schemes_commute_with_the_equations_symmetries(scheme):
+    # translation and reflection for every scheme; for the stack schemes also
+    # conjugation, (u*, v*) -> (v*, u*), bitwise, and the gauge
+    # z -> e^(i alpha) z, (u*, v*) -> (e^(i alpha) u*, e^(-i alpha) v*)
+    from kguniform.integrators import _REAL_ONLY
+
+    grid = make_grid(1, 32)
+    rng = np.random.default_rng(19)
+    maps = _space_maps(grid)
+    stack = scheme not in _REAL_ONLY
+    if stack:
+        maps["gauge"] = lambda x: np.exp(0.7j * np.array([[1.0], [-1.0]])) * x
+    t_n = 0.37
+    for c, tau in ((1.0, 0.05), (7.0, 0.01), (1e4, 2.0**-10)):
+        ctx = StepContext(grid, make_multipliers(grid, c), tau)
+
+        def run(x):
+            u, v = (x, x) if x.ndim == 1 else x
+            pair = TwistedPair(SpectralField(grid, u), SpectralField(grid, v), t_n, c)
+            return _state(scheme, evolve(scheme, pair, 3 * tau, ctx))
+
+        x = _smooth_coeffs(grid, rng, (2,) if stack else ())
+        out = run(x)
+        for name, g in maps.items():
+            assert _rel(run(g(x)), g(out)) <= 1e-14, (name, c, tau)
+        if stack:
+            assert np.array_equal(run(x[::-1]), out[::-1]), (c, tau)
+
+
+def test_oracle_and_block_commute_with_translation_and_reflection():
+    grid = make_grid(1, 16)
+    c, tau, t_n = 3.0, 0.01, 0.37
+    m = make_multipliers(grid, c)
+    ctx = StepContext(grid, m, tau)
+    u = _smooth_coeffs(grid, np.random.default_rng(19))
+    steps = {
+        "oracle": lambda x: duhamel_oracle_step(SpectralField(grid, x), t_n, ctx).coeffs,
+        "block": lambda x: oscillatory_block(tau, t_n, SpectralField(grid, x), m).coeffs,
+    }
+    for name, g in _space_maps(grid).items():
+        for kind, step in steps.items():
+            assert _rel(step(g(u)), g(step(u))) <= 1e-14, (kind, name)
+
+
+# ---------------------------------------------------------------------------
 # reference solution
 
 
@@ -1182,6 +1251,6 @@ def test_reference_unreliable_raises(grid64):
 def test_reference_rejects_complex_data(grid64, rng):
     c, T = 1.0, 0.1
     m = make_multipliers(grid64, c)
-    s0 = KgState(z=random_field(grid64, rng), zt=zero_field(grid64))
+    s0 = KgState(z=random_field(grid64, rng), zt=const_field(grid64))
     with pytest.raises(ValueError, match="real"):
         reference_solution(twist(*to_first_order(s0, m), s0.t, c), T, m, tau_ref=T * 2.0**-12)

@@ -5,7 +5,6 @@ import pytest
 
 from kguniform import (
     KgState,
-    constant_field,
     energy,
     field_from_values,
     from_first_order,
@@ -24,7 +23,6 @@ from kguniform import (
     to_first_order,
     twist,
     untwist,
-    zero_field,
 )
 from kguniform import verify
 from kguniform.integrators import _duhamel_panels
@@ -35,7 +33,7 @@ from kguniform.verify import (
     random_field,
 )
 
-from conftest import random_real_state
+from conftest import const_field, random_real_state
 
 
 def test_phase_factor_accuracy():
@@ -69,12 +67,12 @@ def test_phase_factor_accuracy():
 def test_to_first_order_trivial(grid64):
     m = make_multipliers(grid64, 2.0)
     z = field_from_values(grid64, np.cos(grid64.x))
-    s = KgState(z=z, zt=zero_field(grid64))
+    s = KgState(z=z, zt=const_field(grid64))
     u, v = to_first_order(s, m)
     assert sobolev_norm(u - z, 1.0) < 1e-13
     assert sobolev_norm(v - z, 1.0) < 1e-13
 
-    s0 = KgState(z=zero_field(grid64), zt=zero_field(grid64))
+    s0 = KgState(z=const_field(grid64), zt=const_field(grid64))
     u0, v0 = to_first_order(s0, m)
     assert sobolev_norm(u0, 0.0) == 0.0 and sobolev_norm(v0, 0.0) == 0.0
 
@@ -94,7 +92,7 @@ def test_from_first_order_single_mode(grid64):
     c = 3.0
     m = make_multipliers(grid64, c)
     u = field_from_values(grid64, np.exp(1j * grid64.x))
-    s = from_first_order(u, zero_field(grid64), m)
+    s = from_first_order(u, const_field(grid64), m)
     i1 = list(grid64.wavenumbers).index(1.0)
     assert s.z.coeffs[i1] == pytest.approx(0.5, abs=1e-14)
     expect_zt = 0.5j * c * np.sqrt(c * c + 1.0)
@@ -127,11 +125,11 @@ def test_reconstruct_consistency(grid64, rng):
 def test_reconstruct_constants(grid64):
     a = 0.3 - 0.2j
     t, c = 0.21, 4.0
-    p = twist(constant_field(grid64, a), zero_field(grid64), 0.0, c)
+    p = twist(const_field(grid64, a), const_field(grid64), 0.0, c)
     p.t = t  # u*, v* given at time t directly
     z = reconstruct_z(p)
     assert z.coeffs[0] == pytest.approx(0.5 * phase_factor(1, c, t) * a, abs=1e-13)
-    p0 = twist(constant_field(grid64, 0.5), constant_field(grid64, 0.5), 0.0, c)
+    p0 = twist(const_field(grid64, 0.5), const_field(grid64, 0.5), 0.0, c)
     assert reconstruct_z(p0).coeffs[0] == pytest.approx(0.5, abs=1e-14)
 
 
@@ -142,7 +140,7 @@ def test_reconstruct_constants(grid64):
 def test_kernel_psi_trivial(grid64, rng):
     v = random_field(grid64, rng)
     assert sobolev_norm(kernel_psi(0.1, 0.0, v, 2.0), 1.0) == 0.0
-    assert sobolev_norm(kernel_psi(0.1, 0.3, zero_field(grid64), 2.0), 1.0) == 0.0
+    assert sobolev_norm(kernel_psi(0.1, 0.3, const_field(grid64), 2.0), 1.0) == 0.0
 
 
 def test_kernel_psi_small_phase_limit(grid64, rng):
@@ -163,7 +161,7 @@ def test_kernel_psi_small_phase_limit(grid64, rng):
 
 def test_kernel_vartheta_limit_and_bound(grid64, rng):
     v = random_field(grid64, rng, decay=2.0)
-    assert sobolev_norm(kernel_vartheta(0.2, 0.01, zero_field(grid64), 3.0), 1.0) == 0.0
+    assert sobolev_norm(kernel_vartheta(0.2, 0.01, const_field(grid64), 3.0), 1.0) == 0.0
     # c^2 tau -> 0: ratios -> 1/2
     c, t_n, tau = 1e-3, 0.3, 1e-3
     vv = v.values()
@@ -232,7 +230,7 @@ def test_dd_phi1_branches_agree():
 
 @pytest.mark.parametrize("bad", [-0.01, float("nan"), float("inf")])
 def test_kernels_reject_bad_times(grid64, bad):
-    v = zero_field(grid64)
+    v = const_field(grid64)
     m = make_multipliers(grid64, 2.0)
     with pytest.raises(ValueError, match="kernel_psi requires finite t >= 0"):
         kernel_psi(0.1, bad, v, 2.0)
@@ -263,18 +261,21 @@ def test_kernels_reject_bad_times(grid64, bad):
 
 def test_kernel_omega_contract(grid64, rng):
     v = random_field(grid64, rng)
-    assert sobolev_norm(kernel_omega(0.1, 0.01, zero_field(grid64), 2.0, 2), 1.0) == 0.0
+    assert sobolev_norm(kernel_omega(0.1, 0.01, const_field(grid64), 2.0, 2), 1.0) == 0.0
     with pytest.raises(ValueError, match="l"):
         kernel_omega(0.1, 0.01, v, 2.0, 3)
+    # an index equal to an allowed one but not an integer is rejected by name
+    with pytest.raises(ValueError, match=r"invalid oscillation index l=2\.0"):
+        kernel_omega(0.1, 0.01, v, 2.0, 2.0)
     res = check_omega_quadrature()
     assert res.passed, res.detail
 
 
 def test_kernel_theta_trivial_and_decay(grid64, rng):
     m = make_multipliers(grid64, 10.0)
-    assert sobolev_norm(kernel_theta(0.0, 0.01, zero_field(grid64), m), 1.0) == 0.0
+    assert sobolev_norm(kernel_theta(0.0, 0.01, const_field(grid64), m), 1.0) == 0.0
     # constants are killed by (c<grad>_c^-1 - 1)
-    out = kernel_theta(0.0, 0.01, constant_field(grid64, 0.7 + 0.1j), m)
+    out = kernel_theta(0.0, 0.01, const_field(grid64, 0.7 + 0.1j), m)
     assert sobolev_norm(out, 1.0) < 1e-14
     # ||theta||_1 decays like c^-2
     v = random_field(grid64, rng, decay=3.0)
@@ -312,7 +313,7 @@ def test_kernels_smooth_across_phi_threshold(grid64, rng):
 
 def test_block_zero(grid64):
     m = make_multipliers(grid64, 3.0)
-    out = oscillatory_block(0.01, 0.2, zero_field(grid64), m)
+    out = oscillatory_block(0.01, 0.2, const_field(grid64), m)
     assert sobolev_norm(out, 1.0) == 0.0
 
 
@@ -351,7 +352,7 @@ def _scalar_block_reference(tau, t_n, a, c):
 def test_block_scalar_mode(grid64):
     tau, t_n, c = 0.02, 0.31, 3.0
     a = 0.4 - 0.25j
-    out = oscillatory_block(tau, t_n, constant_field(grid64, a), make_multipliers(grid64, c))
+    out = oscillatory_block(tau, t_n, const_field(grid64, a), make_multipliers(grid64, c))
     ref = _scalar_block_reference(tau, t_n, a, c)
     assert out.coeffs[0] == pytest.approx(ref, abs=1e-14)
     assert np.max(np.abs(out.coeffs[1:])) < 1e-14
@@ -438,14 +439,14 @@ def test_block_quadrature_matches_its_per_node_loop(grid64, c, t_n):
 
 def test_energy_values(grid64):
     m = make_multipliers(grid64, 1.0)
-    s = KgState(z=zero_field(grid64), zt=zero_field(grid64))
+    s = KgState(z=const_field(grid64), zt=const_field(grid64))
     assert energy(s, m) == 0.0
     a = 0.7
-    s = KgState(z=constant_field(grid64, a), zt=zero_field(grid64))
+    s = KgState(z=const_field(grid64, a), zt=const_field(grid64))
     assert energy(s, m) == pytest.approx(2 * np.pi * (0.5 * a * a - 0.25 * a**4), rel=1e-13)
 
 
 def test_energy_rejects_complex(grid64):
-    s = KgState(z=constant_field(grid64, 1.0j), zt=zero_field(grid64))
+    s = KgState(z=const_field(grid64, 1.0j), zt=const_field(grid64))
     with pytest.raises(ValueError, match="real"):
         energy(s, make_multipliers(grid64, 1.0))

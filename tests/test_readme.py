@@ -12,7 +12,8 @@ from kguniform.cli import _SETTINGS
 from kguniform.cli import main as cli_main
 from test_integrators import _FFT_CALLS_PER_STEP, _TRANSFORMS_PER_STEP
 
-README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text()
 
 
 def _section(title):
@@ -82,3 +83,23 @@ def test_package_exports_each_modules_public_names():
     }
     modules = (spectral, model, integrators, harness)
     assert public == set().union(*(mod.__all__ for mod in modules))
+
+
+def test_each_public_name_has_a_caller_outside_the_tests():
+    # a name in a module's __all__ occurs in the package, a demo or the
+    # benchmark more than twice: somewhere besides its __all__ entry and its
+    # definition, so no public name is kept alive by the tests alone
+    from kguniform import harness, integrators, model, spectral, verify
+
+    text = "\n".join(
+        path.read_text()
+        for folder in ("src/kguniform", "demos", "kgbench")
+        for path in sorted((ROOT / folder).glob("*.py"))
+    )
+    uncalled = [
+        name
+        for mod in (spectral, model, integrators, harness, verify)
+        for name in mod.__all__
+        if len(re.findall(rf"\b{re.escape(name)}\b", text)) <= 2
+    ]
+    assert uncalled == []

@@ -8,14 +8,12 @@ import pytest
 from kguniform import (
     apply_symbol,
     conj_field,
-    constant_field,
     field_from_values,
     make_grid,
     make_multipliers,
     phi,
     phi_moment,
     sobolev_norm,
-    zero_field,
 )
 from kguniform.spectral import (
     _PHI_SERIES_CUTOFF,
@@ -28,6 +26,8 @@ from kguniform.spectral import (
 )
 from kguniform import verify
 from kguniform.verify import check_operator_bounds, check_stability_bounds, random_field
+
+from conftest import const_field
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +331,7 @@ def test_apply_symbol_identity_and_shape(rng):
 def test_apply_a_c_kills_constants():
     g = make_grid(1, 16)
     m = make_multipliers(g, 3.0)
-    out = apply_symbol(m.a_c, constant_field(g, 2.0 + 1.0j))
+    out = apply_symbol(m.a_c, const_field(g, 2.0 + 1.0j))
     assert sobolev_norm(out, 0.0) == 0.0
 
 
@@ -377,11 +377,6 @@ def test_sobolev_triangle_inequality(rng):
         f = random_field(g, rng)
         h = random_field(g, rng)
         assert sobolev_norm(f + h, 1.0) <= sobolev_norm(f, 1.0) + sobolev_norm(h, 1.0) + 1e-12
-
-
-def test_zero_field_is_zero():
-    g = make_grid(1, 8)
-    assert sobolev_norm(zero_field(g), 2.0) == 0.0
 
 
 # ---------------------------------------------------------------------------
