@@ -53,10 +53,12 @@ def _parse_floats(text):
 
 def _parse_exponents(text):
     text = text.strip()
-    if ".." in text:
-        lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(p) for p in text.split(",")]
+    if ".." not in text:
+        return [int(p) for p in text.split(",")]
+    bounds = text.split("..")
+    if len(bounds) != 2:
+        raise ValueError("expected a range m..n or a comma list")
+    return list(range(int(bounds[0]), int(bounds[1]) + 1))
 
 
 _BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
@@ -107,22 +109,26 @@ def _convert(source, key, text):
 
 
 def _read_config(path):
-    """key -> converted value of a flat key=value config file."""
+    """key -> converted value of a flat key=value config file (UTF-8)."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:  # a ValueError that would not name the file
+        raise ValueError(f"{exc}: {path!r}") from None
     opts, first = {}, {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = re.sub(r"(^|\s)#.*", "", raw).strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: bad config line {raw.rstrip()!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _SETTINGS:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            if key in first:
-                raise ValueError(f"{path}:{lineno}: repeated config key {key!r} (first at line {first[key]})")
-            first[key] = lineno
-            opts[key] = _convert(f"{path}:{lineno}", key, value)
+    for lineno, raw in enumerate(lines, 1):
+        line = re.sub(r"(^|\s)#.*", "", raw).strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: bad config line {raw.rstrip()!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _SETTINGS:
+            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in first:
+            raise ValueError(f"{path}:{lineno}: repeated config key {key!r} (first at line {first[key]})")
+        first[key] = lineno
+        opts[key] = _convert(f"{path}:{lineno}", key, value)
     return opts
 
 

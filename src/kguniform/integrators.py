@@ -152,7 +152,8 @@ class NonFiniteStateError(FloatingPointError):
     """A run's state stopped being finite (it blew up)."""
 
 
-# the loop checks the state is finite every this many steps and after the last
+# the loop checks the state is finite before the first step, every this many
+# steps and after the last
 _FINITE_CHECK_EVERY = 64
 
 # steps per phase_factor call: the loop holds one chunk of the phase table at
@@ -170,8 +171,8 @@ def _run(scheme: SchemeId, state: TwistedPair, n: int, ctx: StepContext, callbac
     to c = 1e4), one call per _PHASE_CHUNK steps, and step k runs
     step(x, phases) with the triple of its table entry.  The optional
     callback receives (step_index, TwistedPair) after every step.  A state
-    that is no longer finite raises NonFiniteStateError, checked every
-    _FINITE_CHECK_EVERY steps and after the last.
+    that is not finite raises NonFiniteStateError, checked before the first
+    step (as step 0), every _FINITE_CHECK_EVERY steps and after the last.
     """
     if not abs(state.c - ctx.m.c) <= 1e-12 * max(1.0, abs(state.c)):  # NaN fails too
         raise ValueError(f"pair was twisted at c={state.c} but context has c={ctx.m.c}")
@@ -185,6 +186,8 @@ def _run(scheme: SchemeId, state: TwistedPair, n: int, ctx: StepContext, callbac
     elif np.linalg.norm(uc - vc) > 1e-8 * max(np.linalg.norm(uc), 1e-300):
         raise ValueError(f"{scheme.value} requires real data (u* == v*)")
 
+    if not np.isfinite(x).all():
+        raise _not_finite(scheme, 0, n, ctx)
     st = _STEPPERS[scheme](ctx.m, ctx.tau)
     for k0 in range(0, n, _PHASE_CHUNK):
         ks = np.arange(k0, min(n, k0 + _PHASE_CHUNK))
@@ -193,11 +196,14 @@ def _run(scheme: SchemeId, state: TwistedPair, n: int, ctx: StepContext, callbac
             if callback is not None:
                 callback(k, _pair(grid, x, state.t + k * ctx.tau, state.c))
             if (k % _FINITE_CHECK_EVERY == 0 or k == n) and not np.isfinite(x).all():
-                raise NonFiniteStateError(
-                    f"{scheme.value} state is not finite at step {k} of {n} "
-                    f"(c={ctx.m.c!r}, tau={ctx.tau!r})"
-                )
+                raise _not_finite(scheme, k, n, ctx)
     return _pair(grid, x, state.t + n * ctx.tau, state.c)
+
+
+def _not_finite(scheme, k, n, ctx):
+    return NonFiniteStateError(
+        f"{scheme.value} state is not finite at step {k} of {n} (c={ctx.m.c!r}, tau={ctx.tau!r})"
+    )
 
 
 def step_uei1(p: TwistedPair, ctx: StepContext) -> TwistedPair:

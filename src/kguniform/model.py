@@ -29,9 +29,12 @@ closed-form kernels produced by integrating those branches exactly:
 
 Every scheme's step arithmetic lives here too: the steppers integrators
 drives (_Uei1Stepper, _SplitStepper, _StrangStepper, _Uei2Stepper) and the
-branch-cube rule _cubes that UEI1 and the kernels share, each row with its
-partner (_partner).  theta is built from _Uei2Stepper's symbols, and
-oscillatory_block reads the block's rows of its transforms (_Uei2Stepper._rows).
+branch sum _branches that UEI1 and the kernels share.  It reads the l = -2
+and -4 terms off conjugate partners (_partner: a row's own for real data, the
+swapped row of the stack (u*, v*)), as the UEI2 step reads them off the
+reflections of its transforms (_conjrefl).  theta is built from
+_Uei2Stepper's symbols, and oscillatory_block reads the block's rows of its
+transforms (_Uei2Stepper._rows).
 
 All nonlinear products are formed pointwise in physical space; conjugation
 of a field is physical-space conjugation, i.e. coefficient reversal plus
@@ -217,8 +220,8 @@ def _phi_table(c, t):
 
 def _partner(a):
     """The partners of a state's rows: the row u* of real data is its own, a
-    stack's are its rows swapped, copied (a reversed view is slower to use)."""
-    return a if a.ndim == 1 else a[::-1].copy()
+    stack's are its rows swapped (a reversed view)."""
+    return a if a.ndim == 1 else a[::-1]
 
 
 def _row_weights(p):
@@ -227,29 +230,22 @@ def _row_weights(p):
     return a2 + 2.0 * _partner(a2)
 
 
-def _cubes(p, w):
-    """The branch cubes (p^2 o, w_o conj(o), conj(o)^2 conj(p)) of each row p
-    of samples, o its partner and w_o the partner's row of w = _row_weights(p):
-    UEI1's on the stack (u*, v*), and (v^3, 3|v|^2 conj(v), conj(v)^3) for a
-    row v, its own partner."""
-    o = _partner(p)
-    ob = np.conj(o)
-    return p * p * o, _partner(w) * ob, ob**2 * np.conj(p)
-
-
-def _branches(terms, phases, weights):
-    """Sum p2 w1 a + m2 w2 b + m4 w3 cc over the branches l = 2, -2, -4:
-    terms (a, b, cc) such as _cubes or their Fourier coefficients, phases
+def _branches(p, wp, phases, weights):
+    """Sum p2 w1 a + m2 w2 conj(o_wp) + m4 w3 conj(o_a) over the branches
+    l = 2, -2, -4 of each row p of samples: a = p^2 o is its one cube, o its
+    partner, and o_wp, o_a the partner rows of wp = w p (w = _row_weights(p))
+    and a, so that the last two are the cubes w_o conj(o) and conj(o)^2 conj(p)
+    (3|v|^2 conj(v) and conj(v)^3 for a row v, its own partner).  phases
     (p2, m2, m4) from _phases, weights scalars or symbols."""
-    a, b, cc = terms
+    a = p * p * _partner(p)
     p2, m2, m4 = phases
     w1, w2, w3 = weights
-    return p2 * w1 * a + m2 * w2 * b + m4 * w3 * cc
+    return p2 * w1 * a + m2 * w2 * np.conj(_partner(wp)) + m4 * w3 * np.conj(_partner(a))
 
 
 def _branch_field(v: SpectralField, phases, weights) -> SpectralField:
     vv = v.values()
-    return field_from_values(v.grid, _branches(_cubes(vv, _row_weights(vv)), phases, weights))
+    return field_from_values(v.grid, _branches(vv, _row_weights(vv) * vv, phases, weights))
 
 
 def kernel_psi(t_n: float, t: float, v: SpectralField, c: float) -> SpectralField:
@@ -352,7 +348,7 @@ class _Uei1Stepper:
         lin = _expi((-0.125 * tau) * w, out=rows[0])
         lin *= p
         lin += (0.125j * tau) * wp
-        np.add(wp, _branches(_cubes(p, w), phases, self.phi1), out=rows[1])
+        np.add(wp, _branches(p, wp, phases, self.phi1), out=rows[1])
         lin_hat, corr_hat = _to_coeffs(rows, out=rows)
         return self.exp_full * lin_hat + self.corr * corr_hat
 

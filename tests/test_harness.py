@@ -862,6 +862,8 @@ def test_cli_rejects_bad_config_file_before_running(tmp_path, monkeypatch, capsy
         (["--ref-exp", "1100"], r"step T \* 2\^-1100 underflows"),
         (["--tau-exp", "1100"], r"step T \* 2\^-1100 underflows"),
         (["--T", "1e-320"], r"step T \* 2\^-14 underflows"),
+        # a range with more than two bounds
+        (["--tau-exp", "4..6..8"], r"'4\.\.6\.\.8': expected a range m\.\.n or a comma list$"),
     ],
 )
 def test_cli_reports_invalid_values_as_usage_errors(tmp_path, monkeypatch, capsys, flag, match):
@@ -878,10 +880,12 @@ def test_cli_rejects_missing_output_directory_before_running(tmp_path, monkeypat
     )
 
 
-@pytest.mark.parametrize("name", ["missing.cfg", "cfgdir"])
+@pytest.mark.parametrize("name", ["missing.cfg", "cfgdir", "utf16.cfg"])
 def test_cli_rejects_unreadable_config_file_before_running(tmp_path, monkeypatch, capsys, name):
-    # a config file that does not exist, or a directory, names itself
+    # a config file that does not exist, a directory, or one that is not
+    # UTF-8 (it starts with a UTF-16 byte order mark) names itself
     (tmp_path / "cfgdir").mkdir()
+    (tmp_path / "utf16.cfg").write_bytes(b"\xff\xfec\x00 \x00=\x00 \x001\x00\n\x00")
     cfgfile = tmp_path / name
     _assert_usage_error(
         monkeypatch, capsys, ["sweep", "--config", str(cfgfile), "--out", str(tmp_path / "x.csv")],

@@ -177,17 +177,16 @@ def test_uei1_preserves_real_symmetry_and_matches_real_variant(grid64, rng):
     assert sobolev_norm(out.u_star - out.v_star, 1.0) < 1e-12
     out_real = step_uei1_real(p.u_star, 0.0, ctx)
     assert sobolev_norm(out.u_star - out_real, 1.0) < 1e-12
-    # the row u* is its own partner: its branch cubes and its step are
+    # the row u* is its own partner: its branch sum and its step are
     # bitwise row 0 of those of the stack (u*, u*)
     from kguniform.integrators import _STEPPERS
-    from kguniform.model import _cubes, _phases, _row_weights
+    from kguniform.model import _branches, _phases, _row_weights
 
-    row = p.u_star.values()
-    stack = np.stack([row, row])
-    for a, b in zip(_cubes(row, _row_weights(row)), _cubes(stack, _row_weights(stack))):
-        assert np.array_equal(a, b[0])
     uei1 = _STEPPERS[SchemeId.UEI1](m, 0.005)
     phases = _phases(phase_factor(2, c, 0.37))
+    row = p.u_star.values()
+    sums = [_branches(y, _row_weights(y) * y, phases, uei1.phi1) for y in (row, np.stack([row, row]))]
+    assert np.array_equal(sums[0], sums[1][0])
     x = p.u_star.coeffs
     assert np.array_equal(uei1.step(x, phases), uei1.step(np.stack([x, x]), phases)[0])
 
@@ -1095,27 +1094,29 @@ _ONE_STEP = {
 @pytest.mark.parametrize(
     "steps, where",
     [(100, "step 64 of 100"), (20, "step 20 of 20")]
-    + [pytest.param(s, "step 1 of 1", id=s.value) for s in _ONE_STEP],
+    + [pytest.param(100, "step 0 of 100", id="nan-100")]
+    + [pytest.param(s, "step 0 of 1", id=s.value) for s in _ONE_STEP],
 )
 def test_evolve_raises_on_non_finite_state(grid64, steps, where):
     # data a thousand times the standard size blow the first-order step up
     # within a few steps; the check every 64 steps, or after the last,
-    # names the run.  When steps is a scheme, its public step, given a NaN
-    # state, raises for its one step instead of returning NaN coefficients
+    # names the run.  A NaN state is caught before the first step, as step
+    # 0: in a run, and when steps is a scheme, in its public step
     from kguniform import NonFiniteStateError
 
     c, tau = 1.0, 0.01
     m, _, p0 = _standard_pair(grid64, c)
     ctx = StepContext(grid64, m, tau)
+    scale = np.nan if where.startswith("step 0 ") else 1e3
+    u, v = scale * p0.u_star, scale * p0.v_star
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonFiniteStateError) as info:
             if isinstance(steps, SchemeId):
-                scheme, nan = steps, np.nan * p0.u_star
-                _ONE_STEP[scheme](TwistedPair(nan, nan, 0.0, c), ctx)
+                scheme = steps
+                _ONE_STEP[scheme](TwistedPair(u, u, 0.0, c), ctx)
             else:
                 scheme = SchemeId.UEI1
-                big = TwistedPair(1e3 * p0.u_star, 1e3 * p0.v_star, 0.0, c)
-                evolve(scheme, big, steps * tau, ctx)
+                evolve(scheme, TwistedPair(u, v, 0.0, c), steps * tau, ctx)
     msg = str(info.value)
     assert f"{scheme.value} state is not finite at {where}" in msg
     assert f"c={c!r}" in msg and f"tau={tau!r}" in msg
