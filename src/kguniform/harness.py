@@ -122,6 +122,11 @@ class SweepConfig:
             raise ValueError(f"step T * 2^-{max(exps)} underflows; need a larger T or smaller exponents")
         if any(c <= 0 for c in self.c_list):
             raise ValueError("all c must be positive")
+        # the solver's symbols hold up to 4 c^2 (the oracle's rate, UEI2's
+        # 3 c^2): past either end the twisted pair or a step is already NaN
+        for c in map(float, self.c_list):
+            if not (np.isfinite(4.0 * c * c) and c * c >= sys.float_info.min):
+                raise ValueError(f"c={c!r} is out of range; need a normal c^2 and a finite 4 c^2")
         make_grid(1, self.K)  # raises on a grid size the solver cannot use
 
 

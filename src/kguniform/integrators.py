@@ -78,8 +78,8 @@ from .spectral import (
     MultiplierSet,
     SpectralField,
     SpectralGrid,
-    _to_coeffs_real,
-    _to_phys_real,
+    _to_coeffs,
+    _to_phys,
     sobolev_norm,
 )
 
@@ -342,11 +342,12 @@ _ORACLE_RAD_PER_PANEL = 12.0
 # max(1, _ORACLE_BLOCK_SAMPLES // (16 N)) panels of 16 nodes at N points
 # (K = 16: 16 panels, K = 64: 4, K >= 256: 1), so a complex block array is at
 # most 128 KB, or one panel's 16 N samples where they exceed the budget.  One
-# call's tracemalloc peak is 0.96, 0.98 and 1.96 MB at K = 64, 256 and 512
-# (c = 200, tau = 2^-6, 2^-7, 2^-8) and 1.05 MB at K = 16 (c = 1e4,
+# call's tracemalloc peak is 0.83, 0.86 and 1.71 MB at K = 64, 256 and 512
+# (c = 200, tau = 2^-6, 2^-7, 2^-8) and 0.92 MB at K = 16 (c = 1e4,
 # tau = 2^-11), against 3.29, 12.89, 25.69 and 12.05 MB with 16-panel blocks
 # and every node's phase formed up front, at a tied wall time (one BLAS
-# thread, 2-vCPU VM).  Benchmark `oracle` peak_rss_mb medians of 6 runs,
+# thread, 2-vCPU VM; that comparison ran on real transforms of half spectra).
+# Benchmark `oracle` peak_rss_mb medians of 6 runs,
 # measured while the Gauss-Legendre rule and the order fit still went through
 # numpy's polynomial and LAPACK routines (~1.6 MB of each figure): 42.2 MB at
 # 4,096 and 8,192 samples, 43.2 MB at 16,384 and 45.0 MB with 16-panel
@@ -416,12 +417,13 @@ def duhamel_oracle_step(
     The data are real, so the sample a = 2 Re(e^(i c^2 s) u*(s)) and its
     cube are real.  Each block folds the sample phase into its propagators
     efwd = e^(i c^2 (t_n + s)) e^(i s A_c) and ebwd = corr conj(efwd), with
-    corr = -(i/8) c<grad>_c^-1, so a level forms y = efwd d, takes one real
-    inverse transform of the half spectrum y_k + conj(y_-k), k = 0..K, cubes
-    the samples in place, takes one real forward transform, fills k < 0 by
-    conjugate reflection and multiplies by ebwd.  The running integrals
-    then hold corr, and the next level's d is u* + their sum.  A result
-    that is not finite raises NonFiniteStateError.
+    corr = -i c<grad>_c^-1, so a level forms y = efwd d, takes one inverse
+    transform, cubes the real part a/2 of the samples in place and zeroes
+    their imaginary part, takes one forward transform and multiplies by
+    ebwd: 8 (a/2)^3 = a^3 exactly, so the product is the coefficients of
+    conj(ph) a^3 times -(i/8) c<grad>_c^-1.  The running integrals then hold
+    corr, and the next level's d is u* + their sum.  A result that is not
+    finite raises NonFiniteStateError.
     """
     if nodes < 16:
         raise ValueError(f"need nodes >= 16, got {nodes}")
@@ -438,8 +440,7 @@ def duhamel_oracle_step(
     enode = _expi(offsets[:, None, None] * m.a_c)  # (q, 1, N)
 
     u0 = u.coeffs
-    corr = -0.125j * m.c_inv
-    K = u.grid.modes
+    corr = -1j * m.c_inv
     levels = 4
     carry = np.zeros((levels, 1, n), dtype=np.complex128)
     block = max(1, _ORACLE_BLOCK_SAMPLES // (q * n))
@@ -455,22 +456,16 @@ def duhamel_oracle_step(
         ebwd = np.conj(efwd)
         ebwd *= corr
         y = np.empty((q, nb, n), dtype=np.complex128)
-        half = np.empty((q, nb, K + 1), dtype=np.complex128)
-        a = np.empty((q, nb, n))
         d = u0
         for level in range(levels):
-            # a = 2 Re(samples of y) has the Hermitian coefficients
-            # y_k + conj(y_-k), of which one real inverse needs k = 0..K
+            # the samples' real part is a/2, and ebwd holds the 8 of
+            # 8 (a/2)^3 = a^3
             np.multiply(efwd, d, out=y)
-            np.conj(y[..., :1], out=half[..., :1])
-            np.conj(y[..., : K - 1 : -1], out=half[..., 1:])
-            half += y[..., : K + 1]
-            _to_phys_real(half, out=a)
-            a *= a * a
-            # the coefficients of conj(ph) a^3: those of a^3 (k < 0 by
-            # conjugate reflection) times conj(ph), which ebwd holds
-            _to_coeffs_real(a, out=y[..., : K + 1])
-            np.conj(y[..., K - 1 : 0 : -1], out=y[..., K + 1 :])
+            _to_phys(y, out=y)
+            r = y.real
+            r *= r * r
+            y.imag = 0.0
+            _to_coeffs(y, out=y)
             # an explicit out: numpy would otherwise reuse a large temporary
             # with the operands swapped, and its FMA complex product is not
             # bitwise commutative, so results would depend on the block size

@@ -284,6 +284,9 @@ def test_sweep_config_validation():
         SweepConfig(schemes=[SchemeId.UEI1, SchemeId.UEI2_REAL, SchemeId.UEI1])
     with pytest.raises(ValueError, match=r"^repeated tau exponent 5$"):
         SweepConfig(tau_exponents=[4, 5, 6, 5])
+    # the ends of c's range: 4 c^2 = 1e308 is finite and c^2 = 1e-300 is
+    # normal, and both sweep cleanly
+    SweepConfig(c_list=[5e153, 1e-150])
 
 
 def test_sweep_config_rejects_empty_scheme_and_c_lists():
@@ -864,6 +867,10 @@ def test_cli_rejects_bad_config_file_before_running(tmp_path, monkeypatch, capsy
         (["--T", "1e-320"], r"step T \* 2\^-14 underflows"),
         # a range with more than two bounds
         (["--tau-exp", "4..6..8"], r"'4\.\.6\.\.8': expected a range m\.\.n or a comma list$"),
+        # a c whose 4 c^2 overflows or whose c^2 underflows
+        (["--c", "1e200"], r"c=1e\+200 is out of range; need a normal c\^2 and a finite 4 c\^2$"),
+        (["--c", "1e154"], r"c=1e\+154 is out of range"),
+        (["--c", "1e-160"], r"c=1e-160 is out of range"),
     ],
 )
 def test_cli_reports_invalid_values_as_usage_errors(tmp_path, monkeypatch, capsys, flag, match):

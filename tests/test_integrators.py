@@ -345,7 +345,7 @@ class _CountingFft:
         self._fft = fft
         self.calls = 0
         self.rows = 0
-        self.calls_of = dict.fromkeys(["fft", "ifft", "rfft_n_even", "irfft"], 0)
+        self.calls_of = dict.fromkeys(["fft", "ifft"], 0)
 
     def _call(self, name, x, *args, **kwargs):
         self.calls += 1
@@ -358,12 +358,6 @@ class _CountingFft:
 
     def ifft(self, x, *args, **kwargs):
         return self._call("ifft", x, *args, **kwargs)
-
-    def rfft_n_even(self, x, *args, **kwargs):
-        return self._call("rfft_n_even", x, *args, **kwargs)
-
-    def irfft(self, x, *args, **kwargs):
-        return self._call("irfft", x, *args, **kwargs)
 
 
 # transforms (rows) one step computes, however they are stacked into calls
@@ -819,10 +813,9 @@ def test_oracle_block_size_does_not_change_result(grid64, monkeypatch):
             assert np.array_equal(duhamel_oracle_step(u, t_n, ctx).coeffs, want), (t_n, panels)
 
 
-def test_oracle_makes_two_real_transform_calls_per_level_and_block(grid64, monkeypatch):
-    # the samples a and the cube a^3 are real: each level of each block takes
-    # one real inverse and one real forward transform of its 16 * panels
-    # rows, and no complex one
+def test_oracle_makes_two_complex_transform_calls_per_level_and_block(grid64, monkeypatch):
+    # each level of each block takes one inverse and one forward transform
+    # of its 16 * panels rows, through the solvers' one transform pair
     from kguniform import spectral
 
     u, ctx = _oracle_c200(grid64)
@@ -831,21 +824,15 @@ def test_oracle_makes_two_real_transform_calls_per_level_and_block(grid64, monke
     counter = _CountingFft(spectral._fft)
     monkeypatch.setattr(spectral, "_fft", counter)
     duhamel_oracle_step(u, 0.0, ctx)
-    assert counter.calls_of == {
-        "fft": 0,
-        "ifft": 0,
-        "rfft_n_even": levels * blocks,
-        "irfft": levels * blocks,
-    }
+    assert counter.calls_of == {"fft": levels * blocks, "ifft": levels * blocks}
     assert counter.rows == levels * 2 * panels * 16
 
 
 @pytest.mark.parametrize("K", [3, 4])
 def test_oracle_agrees_with_fine_uei2_at_the_nyquist_mode(K):
     # random data whose Nyquist coefficient (k = -K) is not small, where the
-    # paper profile's is ~1e-36: the oracle's real transforms must carry
-    # that mode as the complex ones do.  256 UEI2 steps agree to ~1e-10, and
-    # half the Nyquist term in the oracle's half spectrum gives ~2e-3
+    # paper profile's is ~1e-36: the oracle's transforms must carry that
+    # mode as UEI2's do.  256 UEI2 steps agree to ~1e-10
     rng = np.random.default_rng(7)
     grid = make_grid(1, K)
     m = make_multipliers(grid, 1.0)

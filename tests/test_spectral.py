@@ -17,12 +17,9 @@ from kguniform import (
 )
 from kguniform.spectral import (
     _PHI_SERIES_CUTOFF,
-    _conjrefl,
     _phi_series,
     _to_coeffs,
-    _to_coeffs_real,
     _to_phys,
-    _to_phys_real,
 )
 from kguniform import verify
 from kguniform.verify import check_operator_bounds, check_stability_bounds, random_field
@@ -117,28 +114,6 @@ def test_transform_pair_is_numpy_fft_bitwise(rng, n):
             y = x.copy()
             assert ours(y, out=y) is y and np.array_equal(y, want)
         assert np.array_equal(_to_coeffs(x.real), np.fft.fft(x.real, norm="forward"))
-
-
-@pytest.mark.parametrize("K", [2, 3, 64])
-def test_real_transform_pair_matches_the_complex_pair(rng, K):
-    # y is a random stack whose Nyquist coefficient (k = -K) is not small:
-    # the inverse of the Hermitian half y_k + conj(y_-k), k = 0..K, is
-    # 2 Re of y's samples, and the forward half of real samples, with its
-    # conjugate reflection for k < 0, is _to_coeffs of them
-    n = 2 * K
-    y = rng.standard_normal((2, 3, n)) + 1j * rng.standard_normal((2, 3, n))
-    y[..., K] = 3.0 - 2.0j
-    herm = y + _conjrefl(y)
-    want = 2.0 * _to_phys(y).real
-    a = np.empty_like(want)
-    assert _to_phys_real(herm[..., : K + 1], out=a) is a
-    assert np.max(np.abs(a - want)) <= 1e-15 * np.max(np.abs(want))
-
-    half = np.empty((2, 3, K + 1), dtype=np.complex128)
-    assert _to_coeffs_real(a, out=half) is half
-    full = np.concatenate([half, np.conj(half[..., K - 1 : 0 : -1])], axis=-1)
-    want = _to_coeffs(a)
-    assert np.max(np.abs(full - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 def test_spectral_import_names_the_numpy_floor(monkeypatch):
