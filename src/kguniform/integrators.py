@@ -42,8 +42,9 @@ Writing E = e^(i tau A_c) and w_u = |u*|^2 + 2|v*|^2, the available steps are
       Strang is the Lie step of the row u* at half the symbol, -Delta/4,
       after its own half-step propagator e^(-i tau Delta/4).
 
-  LARGE_C_UEI1: the tau*c > 1 simplification dropping all phi_1 branches.
-      It, LIE_LIMIT and STRANG_LIMIT share one Lie step: one
+  LARGE_C_UEI1: the tau*c > 1 simplification u*^(n+1) = E e^(-i tau w_u/8) u*^n,
+      dropping all phi_1 branches and the -(i tau/8)(c<grad>_c^-1 - 1) E w_u u*^n
+      term of UEI1.  It, LIE_LIMIT and STRANG_LIMIT share one Lie step: one
       inverse transform of the state, one rotation of its rows (with the
       weights w of UEI1, 3|u*|^2 for a row) and one forward transform.
 
@@ -346,12 +347,9 @@ _ORACLE_RAD_PER_PANEL = 12.0
 # (c = 200, tau = 2^-6, 2^-7, 2^-8) and 0.92 MB at K = 16 (c = 1e4,
 # tau = 2^-11), against 3.29, 12.89, 25.69 and 12.05 MB with 16-panel blocks
 # and every node's phase formed up front, at a tied wall time (one BLAS
-# thread, 2-vCPU VM; that comparison ran on real transforms of half spectra).
-# Benchmark `oracle` peak_rss_mb medians of 6 runs,
-# measured while the Gauss-Legendre rule and the order fit still went through
-# numpy's polynomial and LAPACK routines (~1.6 MB of each figure): 42.2 MB at
-# 4,096 and 8,192 samples, 43.2 MB at 16,384 and 45.0 MB with 16-panel
-# blocks; 4,096 was ~35 % slower in wall_s
+# thread, 2-vCPU VM).  Benchmark `oracle` peak_rss_mb medians of 6 runs:
+# 42.2 MB at 4,096 and 8,192 samples, 43.2 MB at 16,384 and 45.0 MB with
+# 16-panel blocks; 4,096 was ~35 % slower in wall_s
 _ORACLE_BLOCK_SAMPLES = 8192
 
 

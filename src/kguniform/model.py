@@ -32,9 +32,9 @@ drives (_Uei1Stepper, _SplitStepper, _StrangStepper, _Uei2Stepper) and the
 branch sum _branches that UEI1 and the kernels share.  It reads the l = -2
 and -4 terms off conjugate partners (_partner: a row's own for real data, the
 swapped row of the stack (u*, v*)), as the UEI2 step reads them off the
-reflections of its transforms (_conjrefl).  theta is built from
-_Uei2Stepper's symbols, and oscillatory_block reads the block's rows of its
-transforms (_Uei2Stepper._rows).
+reflections of its transforms (_conjrefl).  The UEI2 step, theta and
+oscillatory_block are weighted sums of one transform pipeline,
+_Uei2Stepper._rows.
 
 All nonlinear products are formed pointwise in physical space; conjugation
 of a field is physical-space conjugation, i.e. coefficient reversal plus
@@ -310,21 +310,10 @@ def kernel_theta(t_n: float, tau: float, v: SpectralField, m: MultiplierSet) -> 
     _check_tau("kernel_theta", tau)
     _check_same_grid(m, v)
     st = _Uei2Stepper(m, tau)
-    vv = v.values()
-    av2 = np.abs(vv) ** 2
-    cau = av2 * vv
-    cau_hat, quint_hat = _to_coeffs(np.stack([cau, av2 * cau]))
-    h = _coupling(av2, vv * vv, _to_phys(st.cinvm1 * cau_hat))
-    h_hat = _to_coeffs(h, out=h)
-    return SpectralField(v.grid, (st.theta_quint * quint_hat + st.theta_w * h_hat) / (tau * tau))
-
-
-def _coupling(a2, sq, w, out=None):
-    """2|v|^2 w - v^2 conj(w) from a2 = |v|^2, sq = v^2 and w, samples or
-    stacks of them alike: with w the samples of (c<grad>_c^-1 - 1)(|v|^2 v),
-    the integrand of theta's last two terms (one transform), and with w = Y
-    that of the vartheta coupling and the block's first filtered moment."""
-    return np.subtract(2.0 * a2 * w, sq * np.conj(w), out=out)
+    # theta's rows depend on the lifted row 0 alone, so any phases and
+    # weights serve
+    rows = st._rows(np.stack([v.coeffs] * 3), _phases(1.0), st.w_step)
+    return SpectralField(v.grid, (st.theta_quint * rows[2] + st.theta_w * rows[10]) / (tau * tau))
 
 
 class _Uei1Stepper:
@@ -356,7 +345,8 @@ class _Uei1Stepper:
 class _SplitStepper:
     """Lie splitting e^(i tau L) e^(-i tau w/8) of a state, with the linear
     operator L given by its symbol: -Delta/2 for the Schroedinger limit, A_c
-    for the large-c UEI1 (which drops every phi_1 branch)."""
+    for the large-c UEI1 (which drops every phi_1 branch of UEI1 and its
+    -(i tau/8)(c<grad>_c^-1 - 1) e^(i tau A_c) w u* term)."""
 
     def __init__(self, tau: float, symbol):
         self.tau = tau
@@ -401,7 +391,8 @@ class _Uei2Stepper:
         exp_half = np.exp(0.5j * tau * m.a_c)
         exp_full = np.exp(1j * tau * m.a_c)
         # the symbols of tau^2 theta: its |v|^4 v term, and the transform of
-        # _coupling that the other two share
+        # 2|v|^2 w - v^2 conj(w), w the samples of (c<grad>_c^-1 - 1)(|v|^2 v),
+        # that the other two share
         self.theta_quint = (-9.0 / 128.0) * tau2 * cinvm1 * exp_half
         self.theta_w = (-9.0 / 128.0) * tau2 * m.c_inv * exp_half
         # stored complex, like every symbol that multiplies complex rows each
@@ -440,7 +431,7 @@ class _Uei2Stepper:
         # weighted by: e^(i tau/2 A_c) on the Strang-like core, the
         # -(3i tau/8)(c<grad>_c^-1 - 1) e^(i tau/2 A_c) correction on |U|^2 U,
         # theta's |U|^4 U term, the block's six branch rows in the order of
-        # _rows (pairs of branch l = 2, -2, -4), theta's _coupling, and
+        # _rows (pairs of branch l = 2, -2, -4), theta's w integrand, and
         # c<grad>_c^-1 on the integrand s of the block and vartheta
         cub_w = -0.375j * tau * self.cinvm1 * exp_half
         block = [cubes[0], moments[0], moments[1], cubes[1], cubes[2], moments[2]]
@@ -464,17 +455,18 @@ class _Uei2Stepper:
         # a step's Y also carries the vartheta coupling's branches
         self.w_step = _weights([w - p for w, p in zip(y, (0.0, *phi2))], v24)
 
-    def _rows(self, uc, phases, w):
-        """The twelve transformed rows of a step from the coefficients uc of
-        u*^n, phases = _phases(e^(2ic^2 t_n)) and the per-run weights w of Y
-        and v24 (w_step, or w_block for oscillatory_block): 15 transforms in
-        4 stacked calls, each formed from the outputs of the one before and
-        written over its input.  The block's term of a step, -(i/8)
-        c<grad>_c^-1 B, is its branch rows (rows[4:10]) weighted by
-        block_syms, plus c<grad>_c^-1 times its integrand (rows[11])."""
+    def _rows(self, lifted, phases, w):
+        """The twelve transformed rows of a step from lifted = lift times the
+        coefficients of u*^n (written over), phases = _phases(e^(2ic^2 t_n))
+        and the per-run weights w of Y and v24 (w_step, or w_block for
+        oscillatory_block): 15 transforms in 4 stacked calls, each formed
+        from the outputs of the one before and written over its input.  The
+        block's term of a step, -(i/8) c<grad>_c^-1 B, is its branch rows
+        (rows[4:10]) weighted by block_syms, plus c<grad>_c^-1 times its
+        integrand (rows[11]); tau^2 theta at the samples of lifted[0] is
+        rows[2] and rows[10] weighted by theta_quint and theta_w."""
         # 1. an inverse of (U, u*^n, A_c u*^n); the samples of U and u*^n take
         # their |.|^2 and squares as one stack
-        lifted = self.lift * uc
         phys = _to_phys(lifted, out=lifted)
         pair, acu = phys[:2], phys[2]
         a2 = np.abs(pair) ** 2
@@ -485,7 +477,7 @@ class _Uei2Stepper:
         # conj(u)^2 A_c u - 2|u|^2 conj(A_c u) at u = u*^n: with their
         # reflections these give every branch cube, so vartheta's transform is
         # a branch sum of them
-        rows = np.empty((12, uc.shape[-1]), dtype=np.complex128)
+        rows = np.empty((12, lifted.shape[-1]), dtype=np.complex128)
         lin = _expi((-0.375 * self.tau) * aU2, out=rows[0])
         lin *= Up
         np.multiply(aU2, Up, out=rows[1])
@@ -527,10 +519,10 @@ class _Uei2Stepper:
         b *= self.cinv_s
         _to_phys(inv, out=inv)
 
-        # 4. a forward of the integrands: the _coupling of the samples of
-        # (U, u*^n) with those of theta's w and Y, the last plus conj(u*^2)
+        # 4. a forward of the integrands 2|p|^2 w - p^2 conj(w) of the samples
+        # p of (U, u*^n) and w of theta's w and Y, the last plus conj(u*^2)
         # times the samples of v24
-        fwd = _coupling(a2, sq, inv[:2], out=rows[10:])
+        fwd = np.subtract(2.0 * a2 * inv[:2], sq * np.conj(inv[:2]), out=rows[10:])
         fwd[1] += np.conj(up2) * inv[2]
         _to_coeffs(fwd, out=fwd)
         return rows
@@ -540,7 +532,7 @@ class _Uei2Stepper:
         t_n + tau, a fresh array, from those uc of u*^n (real data is its own
         partner v*), with phases = _phases(e^(2ic^2 t_n)): one sum of the
         rows of _rows weighted by out_syms."""
-        rows = self._rows(uc, phases, self.w_step)
+        rows = self._rows(self.lift * uc, phases, self.w_step)
         # the Strang-like core and theta at U, the block and vartheta at u*^n;
         # rows[3] (3|u|^2 u) is spent
         out = (self.out_syms[:3] * rows[:3]).sum(axis=0)
@@ -560,7 +552,7 @@ def oscillatory_block(tau: float, t_n: float, u: SpectralField, m: MultiplierSet
     _check_tau("oscillatory_block", tau)
     _check_same_grid(m, u)
     st = _Uei2Stepper(m, tau)
-    rows = st._rows(u.coeffs, _phases(phase_factor(2, m.c, t_n)), st.w_block)
+    rows = st._rows(st.lift * u.coeffs, _phases(phase_factor(2, m.c, t_n)), st.w_block)
     hat = (st.block_syms * rows[4:10]).sum(axis=0)
     # undo the step's -(i/8) c<grad>_c^-1
     return SpectralField(u.grid, 8j * (hat / st.cinv + rows[11]))

@@ -220,7 +220,10 @@ def phi(j: int, z):
         raise ValueError(f"invalid phi index j={j}; need j in {{1, 2}}")
     zarr = np.asarray(z, dtype=np.complex128)
     zero = zarr == 0
-    big = ~(zarr.real**2 + zarr.imag**2 < _PHI_SERIES_CUTOFF**2)
+    # past |z| ~ 1.3e154 the square overflows to inf, which still reads as
+    # big; comparing |z| instead would move the branch of some z near the cutoff
+    with np.errstate(over="ignore"):
+        big = ~(zarr.real**2 + zarr.imag**2 < _PHI_SERIES_CUTOFF**2)
     small = ~(big | zero)
     out = np.empty_like(zarr)
     out[zero] = _INV_FACTORIALS[j]  # the series' value at 0, without its Horner steps

@@ -289,6 +289,17 @@ def test_sweep_config_validation():
     SweepConfig(c_list=[5e153, 1e-150])
 
 
+def test_sweep_at_the_largest_c_ends_without_a_warning():
+    # c^2 tau passes 1.3e154 here, where squaring |z| in phi's branch test
+    # overflows; the suite turns that warning into an error
+    cfg = SweepConfig(
+        schemes=[SchemeId.UEI1], c_list=[5e153], tau_exponents=[2, 3, 4], K=8, ref_exponent=8
+    )
+    table = run_sweep(cfg)
+    assert len(table.rows) == 3
+    assert all(r.failed is None for r in table.rows)
+
+
 def test_sweep_config_rejects_empty_scheme_and_c_lists():
     # an empty list would give a sweep of no cells, as an empty tau list would
     with pytest.raises(ValueError, match=r"^scheme list must be nonempty$"):

@@ -253,12 +253,41 @@ def test_uei1_complex_data_self_convergence(grid64, rng):
     assert 0.8 <= fit_order(pts) <= 1.3
 
 
+def _theta_reference(v, m, tau):
+    # theta of the kernel_theta docstring, term by term, with symbols and
+    # transforms of its own; the last term's (c<grad>_c^-1 - 1)(|v|^2 conj v)
+    # is transformed on its own, not conjugated from the second term's
+    from kguniform import apply_symbol
+
+    grid = v.grid
+    exp_half = np.exp(0.5j * tau * m.a_c)  # e^(i tau/2 A_c)
+    cinvm1 = m.c_inv - 1.0
+    vp = v.values()
+    a2 = np.abs(vp) ** 2
+    quint = apply_symbol(cinvm1, field_from_values(grid, a2 * a2 * vp))
+    w = apply_symbol(cinvm1, field_from_values(grid, a2 * vp)).values()
+    wc = apply_symbol(cinvm1, field_from_values(grid, a2 * np.conj(vp))).values()
+    mixed = apply_symbol(m.c_inv, field_from_values(grid, 2.0 * a2 * w - vp * vp * wc))
+    return (-9.0 / 128.0) * apply_symbol(exp_half, quint + mixed)
+
+
+def test_kernel_theta_matches_its_docstring_formula(grid64, rng):
+    # kernel_theta reads theta off the UEI2 step's rows; _theta_reference
+    # shares none of them
+    for c in (1.0, 100.0, 1e4):
+        m, _, p0 = _standard_pair(grid64, c)
+        for v in (p0.u_star, random_field(grid64, rng)):
+            for tau in (2.0**-4, 2.0**-10):
+                want = _theta_reference(v, m, tau)
+                got = kernel_theta(0.37, tau, v, m)
+                assert sobolev_norm(got - want, 1.0) <= 1e-13 * sobolev_norm(want, 1.0), (c, tau)
+
+
 def _assembled_uei2_step(u, t_n, m, tau):
     # the UEI2 step of the integrators docstring, term by term from the
-    # public kernel operations
+    # public kernel operations, with theta from _theta_reference
     from kguniform import (
         apply_symbol,
-        kernel_theta,
         kernel_vartheta,
         oscillatory_block,
     )
@@ -274,7 +303,7 @@ def _assembled_uei2_step(u, t_n, m, tau):
         m.c_inv - 1.0,
         apply_symbol(exp_half, field_from_values(grid, np.abs(Up) ** 2 * Up)),
     )
-    term3 = tau * tau * kernel_theta(t_n, tau, U, m)
+    term3 = tau * tau * _theta_reference(U, m, tau)
     up = u.values()
     xw = apply_symbol(m.c_inv, kernel_vartheta(t_n, tau, u, m.c)).values()
     term4 = (-3.0 / 64.0) * tau * tau * apply_symbol(

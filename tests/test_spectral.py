@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import math
 
@@ -250,6 +251,16 @@ def test_phi_matches_direct_large(j):
             else:
                 ref = complex((mpmath.e**zz - 1 - zz) / zz**2)
         assert abs(phi(j, z) - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+@pytest.mark.parametrize("j", [1, 2])
+def test_phi_past_the_square_overflow(j):
+    # |z|^2 overflows past |z| ~ 1.3e154, which a sweep at c = 5e153 reaches;
+    # under the suite's warnings-as-errors an overflow warning fails here
+    z = 2e154j
+    em1 = cmath.exp(z) - 1
+    ref = em1 / z if j == 1 else (em1 - z) / z / z
+    assert abs(phi(j, z) - ref) <= 1e-12 * abs(ref)
 
 
 @pytest.mark.parametrize("j", [1, 2])
