@@ -236,7 +236,7 @@ def _branches(p, wp, phases, weights):
     partner, and o_wp, o_a the partner rows of wp = w p (w = _row_weights(p))
     and a, so that the last two are the cubes w_o conj(o) and conj(o)^2 conj(p)
     (3|v|^2 conj(v) and conj(v)^3 for a row v, its own partner).  phases
-    (p2, m2, m4) from _phases, weights scalars or symbols."""
+    (p2, m2, m4) from _phases, weights Python complex scalars."""
     a = p * p * _partner(p)
     p2, m2, m4 = phases
     w1, w2, w3 = weights
@@ -371,6 +371,19 @@ class _StrangStepper(_SplitStepper):
         return super().step(self.exp_lin * x, phases)
 
 
+def _branch_symbols(m: MultiplierSet, tau: float):
+    """The UEI2 branch symbols l = 2, -2, -4, one row each: the resonant
+    i tau (2c^2 - Delta/2), then i tau (delta c^2 - A_c) for delta = -2, -4."""
+    c = m.c
+    return np.stack(
+        [
+            1j * tau * (2.0 * c * c + 0.5 * m.grid.wavenumbers**2),
+            -1j * tau * (c * c + c * m.bracket_c),
+            -1j * tau * (3.0 * c * c + c * m.bracket_c),
+        ]
+    )
+
+
 class _Uei2Stepper:
     """The UEI2 stepper: its symbols and scalar phi values, shared by the
     second-order machinery, and its step.
@@ -406,15 +419,7 @@ class _Uei2Stepper:
         # the vartheta coupling and of the block's filtered moments
         self.cinv_s = (0.046875 * tau2 * m.c_inv).astype(np.complex128)
 
-        # branch symbols l = 2, -2, -4: resonant i tau (2c^2 - Delta/2), then
-        # i tau (delta c^2 - A_c) for delta = -2, -4
-        syms = np.stack(
-            [
-                1j * tau * (2.0 * c * c + 0.5 * k2),
-                -1j * tau * (c * c + c * m.bracket_c),
-                -1j * tau * (3.0 * c * c + c * m.bracket_c),
-            ]
-        )
+        syms = _branch_symbols(m, tau)
         phi1 = phi(1, syms)
         tau_phi1 = tau * phi1
         psim = phi1 - phi(2, syms)  # phi_moment, sharing phi_1

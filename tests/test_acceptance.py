@@ -144,7 +144,7 @@ def test_criterion_4_limit_scheme_proximity():
 
 def test_criterion_5_operator_property_suite():
     start = time.perf_counter()
-    res_op = check_operator_bounds(n_fields=100)
+    res_op = check_operator_bounds()
     res_st = check_stability_bounds(n_fields=20)
     wall = time.perf_counter() - start
     ok = res_op.passed and res_st.passed and wall <= 30.0

@@ -370,29 +370,28 @@ def test_sobolev_triangle_inequality(rng):
 
 
 def test_operator_bound_suite():
-    res = check_operator_bounds(n_fields=100)
+    res = check_operator_bounds()
     assert res.passed, res.detail
 
 
-def _operator_bounds_loop(n_fields):
-    """check_operator_bounds field by field: the worst violation, from -inf."""
-    grid = make_grid(1, 64)
-    rng = np.random.default_rng(7)
+def _operator_bounds_loop():
+    """check_operator_bounds mode by mode and t by t: the worst margin, from
+    -inf, with each symbol written from its definition."""
     worst = -math.inf
+    ts = [j / 100.0 for j in range(-100, 101)]
     for c in (1.0, 10.0, 100.0, 1e4):
-        m = make_multipliers(grid, c)
-        for _ in range(n_fields):
-            f = random_field(grid, rng, decay=rng.uniform(0.0, 2.0))
-            t = rng.uniform(-1.0, 1.0)
-            e = np.exp(1j * t * m.a_c)
-            fr, fr2 = sobolev_norm(f, 1.0), sobolev_norm(f, 3.0)
-            worst = max(
-                worst,
-                sobolev_norm(apply_symbol(m.a_c, f), 1.0) - 0.5 * fr2 - 1e-10,
-                sobolev_norm(apply_symbol(m.c_inv, f), 1.0) - fr - 1e-12,
-                abs(sobolev_norm(apply_symbol(e, f), 1.0) - fr) - 1e-12 * fr,
-                sobolev_norm(apply_symbol(e - 1.0, f), 1.0) - 0.5 * abs(t) * fr2 - 1e-10,
-            )
+        for k in range(-64, 64):
+            w = 1.0 + k * k
+            bracket = math.sqrt(c * c + k * k)
+            a = c * k * k / (bracket + c)
+            worst = max(worst, a / w - 0.5 - 1e-10, c / bracket - 1.0 - 1e-12)
+            for t in ts:
+                e = cmath.exp(1j * t * a)
+                worst = max(
+                    worst,
+                    abs(abs(e) - 1.0) - 1e-12,
+                    abs(e - 1.0) / w - 0.5 * abs(t) - 1e-10,
+                )
     return worst
 
 
@@ -425,13 +424,13 @@ def _stability_bounds_loop(n_fields):
 
 
 def test_bound_checks_match_their_per_field_loops():
-    # the stacked checks draw the same fields in the same order and reduce
-    # each field's row alone, so they read what a loop over the fields
-    # reads; the operator margin is below 0, not clamped to it
-    worst = _operator_bounds_loop(20)
+    # the operator check reads what a loop over (c, mode, t) reads, and its
+    # margin is below 0, not clamped to it; the stacked stability check draws
+    # the same fields in the same order and reduces each field's row alone
+    worst = _operator_bounds_loop()
     assert worst < 0.0
-    res = check_operator_bounds(n_fields=20)
-    assert res.detail == f"worst bound violation {worst:.3e} over 20 fields x 4 c values"
+    res = check_operator_bounds()
+    assert res.detail == f"worst bound violation {worst:.3e} over 128 modes x 201 t x 4 c values"
     res = check_stability_bounds(n_fields=5)
     assert res.detail == ", ".join(f"C(c={c:g})={v:.3g}" for c, v in _stability_bounds_loop(5).items())
 
@@ -445,7 +444,24 @@ def test_operator_bounds_fail_on_a_scaled_c_inv(monkeypatch):
         return dataclasses.replace(m, c_inv=1.01 * m.c_inv)
 
     monkeypatch.setattr(verify, "make_multipliers", scaled)
-    res = check_operator_bounds(n_fields=100)
+    res = check_operator_bounds()
+    assert not res.passed, res.detail
+
+
+def test_operator_bounds_fail_on_a_scaled_nyquist_a_c(monkeypatch):
+    # A_c scaled by 1.001 at |k| = 64 alone breaks ||A_c f||_1 <= (1/2)||f||_3
+    # for f = e_-64 at c = 1e4 (A_c/(1+k^2) = 0.50037 there); random fields
+    # spread over all modes read the other modes' slack and pass
+    make = verify.make_multipliers
+
+    def scaled(grid, c):
+        m = make(grid, c)
+        return dataclasses.replace(
+            m, a_c=np.where(np.abs(grid.wavenumbers) == 64, 1.001, 1.0) * m.a_c
+        )
+
+    monkeypatch.setattr(verify, "make_multipliers", scaled)
+    res = check_operator_bounds()
     assert not res.passed, res.detail
 
 
