@@ -223,7 +223,7 @@ def main(argv=None) -> int:
     ps.set_defaults(func=_cmd_sweep)
 
     pv = sub.add_parser("verify", help="run the property/oracle suite")
-    pv.add_argument("--quick", action="store_true", help="reduced sampling")
+    pv.add_argument("--quick", action="store_true", help="skip the c = 100 local-defect case")
     pv.set_defaults(func=_cmd_verify)
 
     args = parser.parse_args(argv)

@@ -590,10 +590,13 @@ def energy(s: KgState, m: MultiplierSet) -> float:
         raise ValueError("energy is defined for real-valued states")
     k2 = s.z.grid.wavenumbers**2
     c2 = m.c * m.c
+    # |coeff|^2 as re^2 + im^2, as in sobolev_norm, not through numpy's SIMD abs
+    z, zt = s.z.coeffs, s.zt.coeffs
+    z2 = z.real**2 + z.imag**2
     quad = (
-        0.5 / c2 * np.sum(np.abs(s.zt.coeffs) ** 2)
-        + 0.5 * np.sum(k2 * np.abs(s.z.coeffs) ** 2)
-        + 0.5 * c2 * np.sum(np.abs(s.z.coeffs) ** 2)
+        0.5 / c2 * np.sum(zt.real**2 + zt.imag**2)
+        + 0.5 * np.sum(k2 * z2)
+        + 0.5 * c2 * np.sum(z2)
     )
     quart = 0.25 * np.mean(zv.real**4)
     return float(2.0 * np.pi * (quad - quart))

@@ -256,14 +256,11 @@ def apply_symbol(symbol: np.ndarray, f: SpectralField) -> SpectralField:
 
 
 def sobolev_norm(f: SpectralField, r: float) -> float:
-    """Discrete H^r norm: sqrt(sum_k (1 + |k|^2)^r |u_k|^2)."""
-    return float(_sobolev_norms(f.grid, f.coeffs, r))
-
-
-def _sobolev_norms(grid: SpectralGrid, coeffs: np.ndarray, r: float) -> np.ndarray:
-    """sobolev_norm of each coefficient row of a stack, one reduction over
-    the last axis (a row's norm is bitwise the norm of its field)."""
+    """Discrete H^r norm: sqrt(sum_k (1 + |k|^2)^r |u_k|^2), with |u_k|^2
+    formed as re^2 + im^2 from correctly rounded operations alone (numpy's
+    SIMD complex abs rounds differently from CPU to CPU)."""
     if r < 0:
         raise ValueError(f"need r >= 0, got r={r}")
-    w = (1.0 + grid.wavenumbers**2) ** r
-    return np.sqrt(np.sum(w * np.abs(coeffs) ** 2, axis=-1))
+    co = f.coeffs
+    w = (1.0 + f.grid.wavenumbers**2) ** r
+    return float(np.sqrt(np.sum(w * (co.real**2 + co.imag**2))))

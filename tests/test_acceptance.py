@@ -145,7 +145,7 @@ def test_criterion_4_limit_scheme_proximity():
 def test_criterion_5_operator_property_suite():
     start = time.perf_counter()
     res_op = check_operator_bounds()
-    res_st = check_stability_bounds(n_fields=20)
+    res_st = check_stability_bounds()
     wall = time.perf_counter() - start
     ok = res_op.passed and res_st.passed and wall <= 30.0
     _report(5, ok, f"{res_op.detail}; {res_st.detail}; wall {wall:.1f}s (<=30)")

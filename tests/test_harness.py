@@ -808,6 +808,19 @@ def test_cli_verify_quick():
     assert cli_main(["verify", "--quick"]) == 0
 
 
+def test_cli_verify_and_quick_print_the_same_bound_lines(capsys):
+    # both bound checks are exact maxima over the modes, with no sample for
+    # --quick to shrink, so the two runs print the same bound lines
+    heads = ("PASS operator_bounds:", "PASS stability_bounds:")
+    bounds = []
+    for argv in (["verify"], ["verify", "--quick"]):
+        assert cli_main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        bounds.append([ln for ln in lines if ln.startswith(heads)])
+    assert len(bounds[0]) == 2
+    assert bounds[0] == bounds[1]
+
+
 def test_cli_out_of_band_order_fails(tmp_path, monkeypatch):
     # an order-checked scheme whose fitted slope misses its band -> exit 1
     import kguniform.cli as cli_mod

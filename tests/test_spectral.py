@@ -395,44 +395,53 @@ def _operator_bounds_loop():
     return worst
 
 
-def _stability_bounds_loop(n_fields):
-    """check_stability_bounds field by field: C for each c."""
+def _stability_bounds_loop():
+    """check_stability_bounds pair by pair: C for each c, the worst ratio over
+    every single-mode pair (v, w) = (e_a, e_b), each product v A_c w taken
+    through numpy.fft, each symbol and H^1 norm written from its definition."""
     grid = make_grid(1, 64)
     n = grid.n_points
-    rng = np.random.default_rng(11)
+    k = grid.wavenumbers
+
+    def h1(co):
+        return np.sqrt(np.sum((1.0 + k * k) * np.abs(co) ** 2, axis=-1))
+
+    modes = np.eye(n, dtype=np.complex128)  # row b: the coefficients of e_b
+    norms = h1(modes)
     ratios = {}
     for c in (1.0, 10.0, 100.0, 1e4):
         m = make_multipliers(grid, c)
-        worst = 0.0
-        for tau in (1e-3, 1e-2, 1e-1):
-            syms = [
+        aw = np.fft.ifft(m.a_c * modes) * n  # row b: samples of A_c e_b
+        kernels = [
+            (tau, phi_moment(s))
+            for tau in (1e-3, 1e-2, 1e-1)
+            for s in (
                 -1j * tau * (c * c + c * m.bracket_c),
                 -1j * tau * (3 * c * c + c * m.bracket_c),
-                1j * tau * (2 * c * c + 0.5 * grid.wavenumbers**2),
-            ]
-            for _ in range(n_fields):
-                v = random_field(grid, rng, decay=1.0)
-                w = random_field(grid, rng, decay=1.0)
-                prod = v.values() * (np.fft.ifft(m.a_c * w.coeffs) * n)
-                ph = field_from_values(grid, prod)
-                denom = tau * sobolev_norm(v, 1.0) * sobolev_norm(w, 1.0)
-                for s in syms:
-                    val = tau * tau * sobolev_norm(apply_symbol(phi_moment(s), ph), 1.0)
-                    worst = max(worst, val / denom)
+                1j * tau * (2 * c * c + 0.5 * k * k),
+            )
+        ]
+        worst = 0.0
+        for a in range(n):
+            # row b: coefficients of e_a A_c e_b
+            ph = np.fft.fft(np.fft.ifft(modes[a]) * n * aw) / n
+            for tau, kern in kernels:
+                val = tau * tau * h1(kern * ph) / (tau * norms[a] * norms)
+                worst = max(worst, float(np.max(val)))
         ratios[c] = worst
     return ratios
 
 
 def test_bound_checks_match_their_per_field_loops():
     # the operator check reads what a loop over (c, mode, t) reads, and its
-    # margin is below 0, not clamped to it; the stacked stability check draws
-    # the same fields in the same order and reduces each field's row alone
+    # margin is below 0, not clamped to it; the stability check reads what
+    # the products of every single-mode pair read
     worst = _operator_bounds_loop()
     assert worst < 0.0
     res = check_operator_bounds()
     assert res.detail == f"worst bound violation {worst:.3e} over 128 modes x 201 t x 4 c values"
-    res = check_stability_bounds(n_fields=5)
-    assert res.detail == ", ".join(f"C(c={c:g})={v:.3g}" for c, v in _stability_bounds_loop(5).items())
+    res = check_stability_bounds()
+    assert res.detail == ", ".join(f"C(c={c:g})={v:.3g}" for c, v in _stability_bounds_loop().items())
 
 
 def test_operator_bounds_fail_on_a_scaled_c_inv(monkeypatch):
@@ -466,13 +475,23 @@ def test_operator_bounds_fail_on_a_scaled_nyquist_a_c(monkeypatch):
 
 
 def test_stability_bounds_fail_on_scaled_kernels(monkeypatch):
-    # phi-moment kernels scaled by 200 take C(c=1) from 0.215 to 43.1, above
-    # the bound of 25 (a factor of 100 would pass at 21.5); every C scales
-    # alike, so the uniform-in-c rule alone would not catch it
+    # phi-moment kernels scaled by 200 take C(c=1) from 1.2 to 240, above the
+    # bound of 25 (a factor of 20 would pass at 23.97); every C scales alike,
+    # so the uniform-in-c rule alone would not catch it
     monkeypatch.setattr(verify, "phi_moment", lambda z: 200.0 * phi_moment(z))
-    res = check_stability_bounds(n_fields=20)
+    res = check_stability_bounds()
     assert not res.passed, res.detail
-    assert res.detail.startswith("C(c=1)=43.1,"), res.detail
+    assert res.detail.startswith("C(c=1)=240,"), res.detail
+
+
+def test_stability_bounds_fail_on_a_kernel_scaled_at_the_nyquist_mode(monkeypatch):
+    # phi-moment kernels scaled by 30 at |k| = 64 alone: the pairs whose
+    # product lands on the Nyquist mode read the scaled kernel, and C(c=1)
+    # reaches 28.1, above the bound of 25
+    nyquist = np.where(np.abs(make_grid(1, 64).wavenumbers) == 64, 30.0, 1.0)
+    monkeypatch.setattr(verify, "phi_moment", lambda z: nyquist * phi_moment(z))
+    res = check_stability_bounds()
+    assert not res.passed, res.detail
 
 
 def test_package_imports_no_scipy():
