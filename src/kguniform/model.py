@@ -36,9 +36,9 @@ reflections of its transforms (_conjrefl).  The UEI2 step, theta and
 oscillatory_block are weighted sums of one transform pipeline,
 _Uei2Stepper._rows.
 
-All nonlinear products are formed pointwise in physical space; conjugation
-of a field is physical-space conjugation, i.e. coefficient reversal plus
-conjugation on the Fourier side.
+All nonlinear products are formed pointwise in physical space, with |.|^2 as
+spectral._abs2; conjugation of a field is physical-space conjugation, i.e.
+coefficient reversal plus conjugation on the Fourier side.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ import numpy as np
 from .spectral import (
     MultiplierSet,
     SpectralField,
+    _abs2,
     _conjrefl,
     _to_coeffs,
     _to_phys,
@@ -226,7 +227,7 @@ def _partner(a):
 
 def _row_weights(p):
     """w = |p|^2 + 2|partner|^2 of each row of the samples p (3|u*|^2 for a row)."""
-    a2 = np.abs(p) ** 2
+    a2 = _abs2(p)
     return a2 + 2.0 * _partner(a2)
 
 
@@ -474,7 +475,7 @@ class _Uei2Stepper:
         # their |.|^2 and squares as one stack
         phys = _to_phys(lifted, out=lifted)
         pair, acu = phys[:2], phys[2]
-        a2 = np.abs(pair) ** 2
+        a2 = _abs2(pair)
         sq = pair * pair
         (Up, up), (aU2, au2), up2 = pair, a2, sq[1]
         # 2. a forward of e^(-3i tau|U|^2/8) U, |U|^2 U and |U|^4 U (the
@@ -590,11 +591,9 @@ def energy(s: KgState, m: MultiplierSet) -> float:
         raise ValueError("energy is defined for real-valued states")
     k2 = s.z.grid.wavenumbers**2
     c2 = m.c * m.c
-    # |coeff|^2 as re^2 + im^2, as in sobolev_norm, not through numpy's SIMD abs
-    z, zt = s.z.coeffs, s.zt.coeffs
-    z2 = z.real**2 + z.imag**2
+    z2 = _abs2(s.z.coeffs)
     quad = (
-        0.5 / c2 * np.sum(zt.real**2 + zt.imag**2)
+        0.5 / c2 * np.sum(_abs2(s.zt.coeffs))
         + 0.5 * np.sum(k2 * z2)
         + 0.5 * c2 * np.sum(z2)
     )

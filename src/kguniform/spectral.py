@@ -13,7 +13,7 @@ Sobolev norm is
 
     ||u||_r^2 = sum_k (1 + |k|^2)^r |u_k|^2,
 
-so ||1||_r = 1 for every r.
+so ||1||_r = 1 for every r; every |.|^2 here and in model is _abs2, re^2 + im^2.
 
 The module also provides the diagonal operator symbols used throughout:
 
@@ -117,6 +117,12 @@ def _conjrefl(coeffs: np.ndarray, out=None) -> np.ndarray:
     out[..., :1] = coeffs[..., :1]
     out[..., 1:] = coeffs[..., :0:-1]
     return np.conj(out, out=out)
+
+
+def _abs2(x):
+    """|x|^2 as re^2 + im^2: correctly rounded operations alone, where numpy's
+    SIMD complex abs rounds differently from CPU to CPU."""
+    return x.real**2 + x.imag**2
 
 
 @dataclass(eq=False)
@@ -223,7 +229,7 @@ def phi(j: int, z):
     # past |z| ~ 1.3e154 the square overflows to inf, which still reads as
     # big; comparing |z| instead would move the branch of some z near the cutoff
     with np.errstate(over="ignore"):
-        big = ~(zarr.real**2 + zarr.imag**2 < _PHI_SERIES_CUTOFF**2)
+        big = ~(_abs2(zarr) < _PHI_SERIES_CUTOFF**2)
     small = ~(big | zero)
     out = np.empty_like(zarr)
     out[zero] = _INV_FACTORIALS[j]  # the series' value at 0, without its Horner steps
@@ -256,11 +262,8 @@ def apply_symbol(symbol: np.ndarray, f: SpectralField) -> SpectralField:
 
 
 def sobolev_norm(f: SpectralField, r: float) -> float:
-    """Discrete H^r norm: sqrt(sum_k (1 + |k|^2)^r |u_k|^2), with |u_k|^2
-    formed as re^2 + im^2 from correctly rounded operations alone (numpy's
-    SIMD complex abs rounds differently from CPU to CPU)."""
+    """Discrete H^r norm: sqrt(sum_k (1 + |k|^2)^r |u_k|^2)."""
     if r < 0:
         raise ValueError(f"need r >= 0, got r={r}")
-    co = f.coeffs
     w = (1.0 + f.grid.wavenumbers**2) ** r
-    return float(np.sqrt(np.sum(w * (co.real**2 + co.imag**2))))
+    return float(np.sqrt(np.sum(w * _abs2(f.coeffs))))

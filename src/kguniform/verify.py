@@ -22,6 +22,7 @@ import numpy.fft as _fft
 from .harness import fit_order, paper_initial_data
 from .integrators import (
     StepContext,
+    _NORM_R,
     _duhamel_panels,
     _legendre_rule,
     duhamel_oracle_step,
@@ -40,12 +41,10 @@ from .spectral import (
 
 __all__ = ["CheckResult", "random_field", "run_all"]
 
-# the checks' grid size (2K points), the c values, times t and Sobolev order
-# of the operator and stability bounds, and the step sizes of the defect slopes
+# the checks' grid size (2K points), the bounds' c and t, the defect slopes' steps
 _K = 64
 _BOUND_CS = (1.0, 10.0, 100.0, 1e4)
 _BOUND_TS = tuple(j / 100.0 for j in range(-100, 101))
-_R = 1.0
 _TAUS = tuple(2.0**-e for e in range(6, 13))
 
 
@@ -119,7 +118,7 @@ def check_stability_bounds():
     """
     grid = make_grid(1, _K)
     n = grid.n_points
-    br = (1.0 + grid.wavenumbers**2) ** (_R / 2.0)  # <k> = ||e_k||_r
+    br = (1.0 + grid.wavenumbers**2) ** (_NORM_R / 2.0)  # <k> = ||e_k||_r
     idx = np.arange(n)
     partner = br[(idx[:, None] - idx) % n]  # <j - b>: row j, column b
     ratio_by_c = {}
@@ -178,7 +177,7 @@ def check_omega_quadrature():
         for l in (-4, -2, 2):
             wph = w_nodes * np.exp(1j * l * c * c * s_nodes)
             quad = SpectralField(grid, _fft.fft(wph @ psi / tau**2) / n)
-            diff = sobolev_norm(quad - kernel_omega(t_n, tau, v, c, l), 1.0)
+            diff = sobolev_norm(quad - kernel_omega(t_n, tau, v, c, l), _NORM_R)
             mom = abs(wph @ s_nodes - tau**2 * phi_moment(1j * l * c * c * tau))
             worst = max(worst, diff, mom)
     return CheckResult(
@@ -238,7 +237,7 @@ def check_block_quadrature():
     c, t_n = 10.0, 0.37
     m, u = _paper_data(c)
     block = [
-        sobolev_norm(_block_quadrature(tau, t_n, u, m) - oscillatory_block(tau, t_n, u, m), 1.0)
+        sobolev_norm(_block_quadrature(tau, t_n, u, m) - oscillatory_block(tau, t_n, u, m), _NORM_R)
         for tau in _TAUS
     ]
     return CheckResult("block_quadrature", *_slopes(c, {"block": block}, {"block": 2.7}))
@@ -256,8 +255,8 @@ def check_local_defects(cases=((1.0, 0.37), (100.0, 0.0))):
         for tau in _TAUS:
             ctx = StepContext(m.grid, m, tau)
             oracle = duhamel_oracle_step(u, t_n, ctx, nodes=64)
-            defects["uei1"].append(sobolev_norm(step_uei1_real(u, t_n, ctx) - oracle, 1.0))
-            defects["uei2"].append(sobolev_norm(step_uei2_real(u, t_n, ctx) - oracle, 1.0))
+            defects["uei1"].append(sobolev_norm(step_uei1_real(u, t_n, ctx) - oracle, _NORM_R))
+            defects["uei2"].append(sobolev_norm(step_uei2_real(u, t_n, ctx) - oracle, _NORM_R))
         results.append(_slopes(c, defects, {"uei1": 1.8, "uei2": 2.7}))
     passed = all(ok for ok, _ in results)
     return CheckResult("local_defects", passed, "; ".join(d for _, d in results))

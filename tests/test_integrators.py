@@ -15,7 +15,10 @@ from kguniform import (
     evolve,
     field_from_values,
     from_first_order,
+    kernel_omega,
+    kernel_psi,
     kernel_theta,
+    kernel_vartheta,
     make_grid,
     make_multipliers,
     oscillatory_block,
@@ -127,6 +130,53 @@ def test_phase_table_chunks_leave_runs_bitwise(grid64, monkeypatch):
     for scheme, a, b in zip(SchemeId, *runs.values()):
         assert np.array_equal(a.u_star.coeffs, b.u_star.coeffs), scheme
         assert np.array_equal(a.v_star.coeffs, b.v_star.coeffs), scheme
+
+
+def test_results_do_not_depend_on_numpys_complex_abs(grid64, monkeypatch):
+    # numpy's SIMD complex abs rounds differently from CPU to CPU: made one
+    # ulp off, it moves no bit of a run of any scheme, a kernel, the block,
+    # the oracle, a norm, the energy or phi's branch at radii within a few
+    # ulps of its cutoff 0.1.  At tau = 2^-9 and c = 1 and 100 no |x_j| of
+    # the Omega weights lies within an ulp of their threshold 1.
+    from kguniform.integrators import _REAL_ONLY
+
+    tau, t_n = 2.0**-9, 0.41
+    z = np.outer(0.1 + np.arange(-8, 9) * 2.0**-56, np.exp(1j * np.arange(8)))
+    rng = np.random.default_rng(44)
+    v = random_field(grid64, rng)
+    cases = []
+    for c in (1.0, 100.0):
+        m, s0, real = _standard_pair(grid64, c)
+        real = TwistedPair(real.u_star, real.v_star, t_n, c)
+        cases.append((m, s0, real, TwistedPair(v, random_field(grid64, rng), t_n, c)))
+
+    def outputs():
+        out = [phi(1, z), phi(2, z)]
+        for m, s0, real, pair in cases:
+            ctx = StepContext(grid64, m, tau)
+            for s in SchemeId:
+                out.append(_state(s, evolve(s, real if s in _REAL_ONLY else pair, 3 * tau, ctx)))
+            fields = [
+                kernel_psi(t_n, tau, v, m.c),
+                kernel_vartheta(t_n, tau, v, m.c),
+                *(kernel_omega(t_n, tau, v, m.c, l) for l in (-4, -2, 2)),
+                kernel_theta(t_n, tau, v, m),
+                oscillatory_block(tau, t_n, real.u_star, m),
+                duhamel_oracle_step(real.u_star, t_n, ctx),
+            ]
+            out += [f.coeffs for f in fields] + [sobolev_norm(f, 1.0) for f in (v, *fields)]
+            out.append(energy(s0, m))
+        return out
+
+    plain = outputs()
+
+    def abs_ulp_up(x, *args, **kwargs):
+        y = np.absolute(x, *args, **kwargs)
+        return np.nextafter(y, np.inf) if np.iscomplexobj(x) else y
+
+    monkeypatch.setattr(np, "abs", abs_ulp_up)
+    for i, (a, b) in enumerate(zip(plain, outputs(), strict=True)):
+        assert np.array_equal(a, b), i
 
 
 def test_step_context_is_immutable(grid64):
