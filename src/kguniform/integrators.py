@@ -282,7 +282,9 @@ _NEWTON_MAX_STEPS = 20
 
 @lru_cache(maxsize=8)
 def _legendre_rule(q: int):
-    """The q-point Gauss-Legendre nodes and weights on [-1, 1], read-only.
+    """The q-point Gauss-Legendre nodes x and weights w on [-1, 1], and the
+    rule's partial-integration matrix PM[i, j] = int_{-1}^{x_i} ell_j(x) dx
+    (Lagrange basis), all read-only.
 
     The nodes are Newton's method on P_q from the classical guesses
     -cos(pi (i - 1/4) / (q + 1/2)), i = 1..q (ascending), with
@@ -291,7 +293,11 @@ def _legendre_rule(q: int):
     _NEWTON_MAX_STEPS); then the nodes are made symmetric about 0.  The
     weights are 2 (1 - x^2) / (q (x P_q(x) - P_(q-1)(x)))^2 at the nodes.
     Against mpmath the nodes are off by <= 6.4e-17, and the weights by
-    5.7e-14 relative at q = 64 and 2e-15 at q = 16.
+    5.7e-14 relative at q = 64 and 2e-15 at q = 16.  PM is built from the
+    exact ell_j = w_j sum_k (k + 1/2) P_k(x_j) P_k and
+    int_{-1}^x P_k = (P_(k+1) - P_(k-1))(x) / (2k + 1), int_{-1}^x P_0 = x + 1,
+    from the weights' own table at the nodes: unlike a monomial fit it stays
+    well conditioned at large q.
     """
     x = -np.cos(np.pi * (np.arange(1, q + 1) - 0.25) / (q + 0.5))
     for _ in range(_NEWTON_MAX_STEPS):
@@ -305,25 +311,13 @@ def _legendre_rule(q: int):
     x = 0.5 * (x - x[::-1])
     p = _legendre_table(x, q)
     w = 2.0 * (1.0 - x) * (1.0 + x) / (q * (x * p[q] - p[q - 1])) ** 2
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
-
-
-@lru_cache(maxsize=8)
-def _panel_rule(q: int):
-    """The partial-integration matrix PM[i, j] = int_{-1}^{x_i} ell_j(x) dx of
-    the q-point rule _legendre_rule(q) (Lagrange basis), built from the exact
-    ell_j = w_j sum_k (k + 1/2) P_k(x_j) P_k and
-    int_{-1}^x P_k = (P_(k+1) - P_(k-1))(x) / (2k + 1), int_{-1}^x P_0 = x + 1,
-    all from one recurrence table: unlike a monomial fit it stays well
-    conditioned at large q."""
-    xg, wg = _legendre_rule(q)
-    p = _legendre_table(xg, q)
     ints = np.empty((q, q))  # ints[k, i] = (k + 1/2) int_{-1}^{x_i} P_k
-    ints[0] = 0.5 * (xg + 1.0)
+    ints[0] = 0.5 * (x + 1.0)
     ints[1:] = 0.5 * (p[2:] - p[: q - 1])
-    return ints.T @ (p[:q] * wg)
+    pm = ints.T @ (p[:q] * w)
+    for a in (x, w, pm):
+        a.flags.writeable = False
+    return x, w, pm
 
 
 _ORACLE_MAX_PANELS = 20000
@@ -378,7 +372,7 @@ def _duhamel_panels(tau: float, m: MultiplierSet, nodes: int):
             "reduce tau, c, or the grid size"
         )
     h = tau / panels
-    xg, wg = _legendre_rule(16)
+    xg, wg, _ = _legendre_rule(16)
     return h * (np.arange(panels) + 0.5), h, 0.5 * h * xg, 0.5 * h * wg
 
 
@@ -432,7 +426,7 @@ def duhamel_oracle_step(
     c = m.c
     centres, h, offsets, weights = _duhamel_panels(tau, m, nodes)
     q = len(offsets)
-    rule = np.vstack([0.5 * h * _panel_rule(q), weights])  # (q + 1, q)
+    rule = np.vstack([0.5 * h * _legendre_rule(q)[2], weights])  # (q + 1, q)
     # e^(i s A_c) is a per-panel factor times a per-node factor, so cos and
     # sin run on (panels, N) and (q, N) values rather than on (panels * q, N)
     enode = _expi(offsets[:, None, None] * m.a_c)  # (q, 1, N)

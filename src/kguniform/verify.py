@@ -6,9 +6,11 @@ single-mode pair, closed-form kernels against Gauss-Legendre quadrature of
 their defining integrals, and single-step defects of both schemes against
 the brute-force Duhamel oracle.
 
-The block and local-defect checks fit their defect slopes by one rule
-(_slopes) on the paper data: the block check steps from t_n = 0.37, the
-local-defect check from t_n = 0.37 at c = 1 and from t_n = 0 at c = 100.
+Every kernel and defect check runs on the paper data (_paper_data), and
+both quadratures sample on the oracle's panels (_duhamel_panels).  The
+block and local-defect checks fit their defect slopes by one rule
+(_slopes): the block check steps from t_n = 0.37, the local-defect check
+from t_n = 0.37 at c = 1 and from t_n = 0 at c = 100.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .integrators import (
     StepContext,
     _NORM_R,
     _duhamel_panels,
-    _legendre_rule,
     duhamel_oracle_step,
     step_uei1_real,
     step_uei2_real,
@@ -39,7 +40,7 @@ from .spectral import (
     sobolev_norm,
 )
 
-__all__ = ["CheckResult", "random_field", "run_all"]
+__all__ = ["CheckResult", "run_all"]
 
 # the checks' grid size (2K points), the bounds' c and t, the defect slopes' steps
 _K = 64
@@ -53,15 +54,6 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
-
-
-def random_field(grid, rng, decay: float = 1.0) -> SpectralField:
-    """Random complex field with |coeff_k| ~ (1 + k^2)^(-decay/2)."""
-    n = grid.n_points
-    co = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * (
-        1.0 + grid.wavenumbers**2
-    ) ** (-decay / 2.0)
-    return SpectralField(grid, co)
 
 
 # ---------------------------------------------------------------------------
@@ -157,32 +149,35 @@ def _psi_raw(t_n, s, vv, c):
     )
 
 
+def _panel_nodes(tau, m, nodes):
+    """The nodes and weights of _duhamel_panels(tau, m, nodes), flat in panel order."""
+    centres, _, offsets, weights = _duhamel_panels(tau, m, nodes)
+    return (centres[:, None] + offsets).ravel(), np.tile(weights, len(centres))
+
+
 def check_omega_quadrature():
-    """Omega_l against 64-node Gauss-Legendre quadrature of its defining
-    integral, plus the moment identity int_0^tau e^(ilc^2 s) s ds
-    = tau^2 phi_moment(ilc^2 tau), both to 1e-10: each (c, l) forms its
-    weighted phases w_j e^(ilc^2 s_j) once, and each quadrature is one
+    """Omega_l of the paper data at c = 1, 10 against the quadrature of its
+    defining integral on the oracle's 64-node panels, plus the moment identity
+    int_0^tau e^(ilc^2 s) s ds = tau^2 phi_moment(ilc^2 tau), each to 1e-12
+    relative to the closed form (in the r-norm for Omega_l): each (c, l) forms
+    its weighted phases w_j e^(ilc^2 s_j) once, and each quadrature is one
     product with them."""
-    grid = make_grid(1, _K)
-    n = grid.n_points
-    rng = np.random.default_rng(3)
-    v = random_field(grid, rng, decay=2.0)
-    vv = _fft.ifft(v.coeffs) * n
     tau, t_n = 0.01, 0.37
     worst = 0.0
-    xg, wg = _legendre_rule(64)
-    s_nodes, w_nodes = 0.5 * tau + 0.5 * tau * xg, 0.5 * tau * wg
     for c in (1.0, 10.0):
-        psi = _psi_raw(t_n, s_nodes, vv, c)
+        m, u = _paper_data(c)
+        n = m.grid.n_points
+        s, w = _panel_nodes(tau, m, 64)
+        psi = _psi_raw(t_n, s, _fft.ifft(u.coeffs) * n, c)
         for l in (-4, -2, 2):
-            wph = w_nodes * np.exp(1j * l * c * c * s_nodes)
-            quad = SpectralField(grid, _fft.fft(wph @ psi / tau**2) / n)
-            diff = sobolev_norm(quad - kernel_omega(t_n, tau, v, c, l), _NORM_R)
-            mom = abs(wph @ s_nodes - tau**2 * phi_moment(1j * l * c * c * tau))
-            worst = max(worst, diff, mom)
-    return CheckResult(
-        "omega_quadrature", worst <= 1e-10, f"worst |closed form - quadrature| = {worst:.3e}"
-    )
+            wph = w * np.exp(1j * l * c * c * s)
+            quad = SpectralField(m.grid, _fft.fft(wph @ psi / tau**2) / n)
+            closed = kernel_omega(t_n, tau, u, c, l)
+            moment = tau**2 * phi_moment(1j * l * c * c * tau)
+            diff = sobolev_norm(quad - closed, _NORM_R) / sobolev_norm(closed, _NORM_R)
+            worst = max(worst, diff, abs(wph @ s - moment) / abs(moment))
+    detail = f"worst |closed form - quadrature| / |closed form| = {worst:.3e}"
+    return CheckResult("omega_quadrature", worst <= 1e-12, detail)
 
 
 def _paper_data(c):
@@ -216,8 +211,7 @@ def _block_quadrature(tau, t_n, u, m):
     c = m.c
     uv = _fft.ifft(u.coeffs) * n
     uau = np.abs(uv) ** 2 * uv
-    centres, _, offsets, weights = _duhamel_panels(tau, m, nodes=32)
-    s = (centres[:, None] + offsets).ravel()
+    s, w = _panel_nodes(tau, m, 32)
     sc = s[:, None]
     inner = 3.0 * sc * uau + _psi_raw(t_n, s, uv, c)
     ut_hat = np.exp(1j * sc * m.a_c) * u.coeffs - 0.125j * m.c_inv * (_fft.fft(inner) / n)
@@ -227,7 +221,7 @@ def _block_quadrature(tau, t_n, u, m):
     wau = np.abs(wv) ** 2 * wv
     g = ph**2 * w3 + 3.0 * ph.conjugate() ** 2 * np.conj(wau) + ph.conjugate() ** 4 * np.conj(w3)
     terms = np.exp(1j * (tau - sc) * m.a_c) * (_fft.fft(g) / n)
-    return SpectralField(grid, np.tile(weights, len(centres)) @ terms)
+    return SpectralField(grid, w @ terms)
 
 
 def check_block_quadrature():

@@ -14,6 +14,15 @@ def grid64():
     return make_grid(1, 64)
 
 
+def random_field(grid, rng, decay=1.0):
+    """Random complex field with |coeff_k| ~ (1 + k^2)^(-decay/2)."""
+    n = grid.n_points
+    co = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * (
+        1.0 + grid.wavenumbers**2
+    ) ** (-decay / 2.0)
+    return SpectralField(grid, co)
+
+
 def random_real_state(grid, rng, scale=0.3):
     """Random smooth real-valued (z, z_t) pair."""
     n = grid.n_points

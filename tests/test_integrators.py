@@ -37,13 +37,12 @@ from kguniform import (
     untwist,
 )
 from kguniform.harness import fit_order, paper_initial_data
-from kguniform.integrators import _legendre_rule, _panel_rule
+from kguniform.integrators import _legendre_rule
 from kguniform.model import TwistedPair
 from kguniform.spectral import _conjrefl
 from kguniform import verify
-from kguniform.verify import random_field
 
-from conftest import const_field, random_real_state
+from conftest import const_field, random_field, random_real_state
 
 
 def _standard_pair(grid, c):
@@ -669,23 +668,21 @@ def test_largec_close_to_uei1(grid64):
 # Duhamel oracle
 
 
-def test_panel_rule_partial_weights():
+def test_legendre_rule_partial_weights():
     # exact partial integrals of every monomial the rule resolves:
     # int_{-1}^{x_i} x^p dx for p < q
     for q in (16, 32, 64):
-        xg, _ = _legendre_rule(q)
-        pm = _panel_rule(q)
+        xg, _, pm = _legendre_rule(q)
         for p in range(q):
             ref = (xg ** (p + 1) - (-1.0) ** (p + 1)) / (p + 1)
             np.testing.assert_allclose(pm @ xg**p, ref, rtol=0, atol=1e-13, err_msg=f"q={q} p={p}")
 
 
-def test_panel_rule_resolves_six_radians_per_panel():
+def test_legendre_rule_resolves_six_radians_per_panel():
     # e^(i w x) over [-1, 1] turns through up to 6 rad, half the oracle's
     # budget, and the 16-node rule's partial integrals and sum stay exact to
     # 2.4e-12 and round-off
-    xg, wg = _legendre_rule(16)
-    pm = _panel_rule(16)
+    xg, wg, pm = _legendre_rule(16)
     for w in np.linspace(-3.0, 3.0, 60):  # an even count skips w = 0
         f = np.exp(1j * w * xg)
         partial = (f - np.exp(-1j * w)) / (1j * w)
@@ -693,11 +690,10 @@ def test_panel_rule_resolves_six_radians_per_panel():
         assert abs(wg @ f - 2.0 * np.sin(w) / w) <= 1e-15, w
 
 
-def test_panel_rule_at_the_oracles_twelve_radians_per_panel():
+def test_legendre_rule_at_the_oracles_twelve_radians_per_panel():
     # at the oracle's budget the panel sum stays exact to round-off, and the
     # partial integrals, which feed only the inner Picard levels, to 1.1e-7
-    xg, wg = _legendre_rule(16)
-    pm = _panel_rule(16)
+    xg, wg, pm = _legendre_rule(16)
     for w in np.linspace(-6.0, 6.0, 60):
         f = np.exp(1j * w * xg)
         partial = (f - np.exp(-1j * w)) / (1j * w)
@@ -763,7 +759,7 @@ def _mp_legendre_rule(q):
 
 @pytest.mark.parametrize("q", [16, 64])
 def test_gauss_legendre_reference_rule_against_mpmath(q):
-    xg, wg = _legendre_rule(q)
+    xg, wg, _ = _legendre_rule(q)
     x_ref, w_ref = _mp_legendre_rule(q)
     np.testing.assert_allclose(xg, x_ref, rtol=0, atol=1e-15)
     rel = max(float(abs((w - wr) / wr)) for w, wr in zip(wg, w_ref))
@@ -779,15 +775,16 @@ def test_gauss_legendre_rule_raises_when_newton_does_not_converge(monkeypatch):
     with pytest.raises(RuntimeError, match="q=16 did not converge"):
         _legendre_rule.__wrapped__(16)
     monkeypatch.setattr(integrators_mod, "_NEWTON_MAX_STEPS", 4)
-    x, w = _legendre_rule.__wrapped__(16)
-    assert np.array_equal(x, _legendre_rule(16)[0]) and np.array_equal(w, _legendre_rule(16)[1])
+    for new, cached in zip(_legendre_rule.__wrapped__(16), _legendre_rule(16)):
+        assert np.array_equal(new, cached)
 
 
 def test_sweep_verify_and_oracle_call_no_lapack_and_load_no_numpy_polynomial(tmp_path):
     # numpy's LAPACK gufuncs are replaced by a stand-in that raises on any
     # use (np.polyfit binds lstsq and leggauss reaches eigvalsh through it),
-    # both rule caches are cleared, and a sweep, the quick verify suite and
-    # one oracle step then run without it and without numpy.polynomial
+    # the rule cache is cleared, and a sweep, the quick verify suite and one
+    # oracle step then run without it and without numpy.polynomial or
+    # numpy.random
     import os
     import subprocess
     import sys
@@ -814,7 +811,6 @@ def test_sweep_verify_and_oracle_call_no_lapack_and_load_no_numpy_polynomial(tmp
         from kguniform.harness import SweepConfig, paper_initial_data, run_sweep
 
         integrators._legendre_rule.cache_clear()
-        integrators._panel_rule.cache_clear()
         grid = kg.make_grid(1, 16)
         m = kg.make_multipliers(grid, 100.0)
         u, _ = kg.to_first_order(paper_initial_data(grid, 100.0), m)
@@ -825,6 +821,7 @@ def test_sweep_verify_and_oracle_call_no_lapack_and_load_no_numpy_polynomial(tmp
         for res in verify.run_all(fast=True):
             assert res.passed, (res.name, res.detail)
         assert "numpy.polynomial" not in sys.modules
+        assert "numpy.random" not in sys.modules
     """))
     src = os.path.dirname(os.path.dirname(kguniform.__file__))
     proc = subprocess.run(

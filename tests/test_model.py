@@ -27,13 +27,9 @@ from kguniform import (
 from kguniform import verify
 from kguniform.integrators import _duhamel_panels
 from kguniform.model import _omega_weights, _phi_table
-from kguniform.verify import (
-    check_block_quadrature,
-    check_omega_quadrature,
-    random_field,
-)
+from kguniform.verify import check_block_quadrature, check_omega_quadrature
 
-from conftest import const_field, random_real_state
+from conftest import const_field, random_field, random_real_state
 
 
 def test_phase_factor_accuracy():
@@ -269,6 +265,28 @@ def test_kernel_omega_contract(grid64, rng):
         kernel_omega(0.1, 0.01, v, 2.0, 2.0)
     res = check_omega_quadrature()
     assert res.passed, res.detail
+
+
+def test_omega_quadrature_fails_on_mutated_kernels(monkeypatch):
+    # the check passes, and fails on Omega_l's weights scaled by 1 + 1e-11,
+    # on its branch phases taken at t = 0 and on its branches 2 and -2
+    # swapped; _psi_raw keeps verify's own phase_factor, so only the closed
+    # form moves
+    from kguniform import model
+
+    res = check_omega_quadrature()
+    assert res.passed, res.detail
+    scale = 1 + 1e-11
+    mutants = [
+        ("_omega_weights", lambda t, ls: [[scale * w for w in ws] for ws in _omega_weights(t, ls)]),
+        ("phase_factor", lambda l, c, t: phase_factor(l, c, 0.0)),
+        ("_omega_weights", lambda t, ls: [[w2, w1, w3] for w1, w2, w3 in _omega_weights(t, ls)]),
+    ]
+    for name, mutant in mutants:
+        with monkeypatch.context() as mp:
+            mp.setattr(model, name, mutant)
+            res = check_omega_quadrature()
+        assert not res.passed, (name, res.detail)
 
 
 def test_kernel_theta_trivial_and_decay(grid64, rng):

@@ -23,9 +23,9 @@ from kguniform.spectral import (
     _to_phys,
 )
 from kguniform import verify
-from kguniform.verify import check_operator_bounds, check_stability_bounds, random_field
+from kguniform.verify import check_operator_bounds, check_stability_bounds
 
-from conftest import const_field
+from conftest import const_field, random_field
 
 
 # ---------------------------------------------------------------------------
