@@ -156,15 +156,17 @@ def _panel_nodes(tau, m, nodes):
 
 
 def check_omega_quadrature():
-    """Omega_l of the paper data at c = 1, 10 against the quadrature of its
-    defining integral on the oracle's 64-node panels, plus the moment identity
+    """Omega_l of the paper data at (c, tau) = (1, 0.01), (10, 0.01) and
+    (1, 1e-6) against the quadrature of its defining integral on the oracle's
+    64-node panels, plus the moment identity
     int_0^tau e^(ilc^2 s) s ds = tau^2 phi_moment(ilc^2 tau), each to 1e-12
     relative to the closed form (in the r-norm for Omega_l): each (c, l) forms
     its weighted phases w_j e^(ilc^2 s_j) once, and each quadrature is one
-    product with them."""
-    tau, t_n = 0.01, 0.37
+    product with them.  At c^2 tau = 1e-6 every weight takes _omega_weights'
+    x phi_2 form, whose phi_1 differences would lose ~5 digits there."""
+    t_n = 0.37
     worst = 0.0
-    for c in (1.0, 10.0):
+    for c, tau in ((1.0, 0.01), (10.0, 0.01), (1.0, 1e-6)):
         m, u = _paper_data(c)
         n = m.grid.n_points
         s, w = _panel_nodes(tau, m, 64)

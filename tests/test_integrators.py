@@ -40,7 +40,6 @@ from kguniform.harness import fit_order, paper_initial_data
 from kguniform.integrators import _legendre_rule
 from kguniform.model import TwistedPair
 from kguniform.spectral import _conjrefl
-from kguniform import verify
 
 from conftest import const_field, random_field, random_real_state
 
@@ -701,39 +700,6 @@ def test_legendre_rule_at_the_oracles_twelve_radians_per_panel():
         assert abs(wg @ f - 2.0 * np.sin(w) / w) <= 1e-15, w
 
 
-def test_local_defects_fail_on_a_nan_defect(monkeypatch):
-    # a defect that is not finite fails the check, naming c and tau, instead
-    # of dropping out of the order fit
-    step = verify.step_uei2_real
-    bad_tau = 2.0**-9
-
-    def nan_at_one_tau(u, t_n, ctx):
-        out = step(u, t_n, ctx)
-        if ctx.tau == bad_tau:
-            out.coeffs[:] = np.nan
-        return out
-
-    monkeypatch.setattr(verify, "step_uei2_real", nan_at_one_tau)
-    res = verify.check_local_defects(cases=((1.0, 0.37),))
-    assert not res.passed
-    assert "c=1:" in res.detail and f"tau={bad_tau:g}" in res.detail, res.detail
-
-
-def test_local_defects_fail_on_phases_that_ignore_t_n(monkeypatch):
-    # steppers whose branch phase table is taken at t = 0: invisible from
-    # t_n = 0, where every phase is 1, but the c = 1 case steps from 0.37
-    from kguniform import integrators
-
-    phase = integrators.phase_factor
-
-    def phases_at_zero(l, c, t, k=0, tau=1.0):
-        return phase(l, c, 0.0 if l == 2 else t, k, tau)
-
-    monkeypatch.setattr(integrators, "phase_factor", phases_at_zero)
-    res = verify.check_local_defects(cases=((1.0, 0.37),))
-    assert not res.passed, res.detail
-
-
 def _mp_legendre_rule(q):
     """Gauss-Legendre nodes and weights on [-1, 1] by Newton's method at 40
     digits, from the classical starting guesses cos(pi (i - 1/4) / (q + 1/2))."""
@@ -994,11 +960,12 @@ def test_oracle_rejects_too_many_panels_before_allocating():
     assert peak <= 2**18
 
 
-def test_oracle_defects_are_uniform_up_to_c_1e4():
-    # the oracle as a witness at the large-c end, at t_n = 0.37 where no
-    # branch phase is 1: at c = 1e4 both schemes keep their local orders,
-    # and each defect is within 2x of the one at c = 1e3.  The c = 1e4,
-    # tau = 2^-13 call takes ~4,070 panels
+def _oracle_uniformity_faults():
+    """The oracle as a witness at the large-c end, at t_n = 0.37 where no
+    branch phase is 1: at c = 1e4 both schemes keep their local orders, and
+    each defect is within 2x of the one at c = 1e3.  Returns each order or
+    ratio that is not, empty on a pass.  The c = 1e4, tau = 2^-13 call takes
+    ~4,070 panels."""
     grid = make_grid(1, 64)
     t_n = 0.37
     taus = [2.0**-e for e in range(13, 17)]
@@ -1012,11 +979,21 @@ def test_oracle_defects_are_uniform_up_to_c_1e4():
             oracle = duhamel_oracle_step(u, t_n, ctx)
             for step, _ in schemes:
                 defects[step, c, tau] = sobolev_norm(step(u, t_n, ctx) - oracle, 1.0)
+    faults = []
     for step, slope in schemes:
-        assert fit_order([(tau, defects[step, 1e4, tau]) for tau in taus]) >= slope, step
+        order = fit_order([(tau, defects[step, 1e4, tau]) for tau in taus])
+        if not order >= slope:
+            faults.append(f"{step.__name__} order {order:.3g} at c=1e4 (>={slope:g})")
         for tau in taus:
             ratio = defects[step, 1e4, tau] / defects[step, 1e3, tau]
-            assert 0.5 <= ratio <= 2.0, (step, tau, ratio)
+            if not 0.5 <= ratio <= 2.0:
+                faults.append(f"{step.__name__} defect ratio {ratio:.3g} at tau={tau:g}")
+    return faults
+
+
+def test_oracle_defects_are_uniform_up_to_c_1e4():
+    faults = _oracle_uniformity_faults()
+    assert not faults, faults
 
 
 def test_oracle_memory_is_bounded_by_the_block():
@@ -1231,11 +1208,13 @@ def _rel(a, b):
     return np.max(np.abs(a - b)) / np.max(np.abs(b))
 
 
-@pytest.mark.parametrize("scheme", list(SchemeId))
-def test_schemes_commute_with_the_equations_symmetries(scheme):
-    # translation and reflection for every scheme; for the stack schemes also
-    # conjugation, (u*, v*) -> (v*, u*), bitwise, and the gauge
-    # z -> e^(i alpha) z, (u*, v*) -> (e^(i alpha) u*, e^(-i alpha) v*)
+def _broken_symmetries(scheme):
+    """Each map whose worst gap |run(g(x)) - g(run(x))| / |g(run(x))| over
+    three (c, tau) cases exceeds 1e-14, with that gap; empty on a pass.  The
+    maps: translation and reflection for every scheme; for the stack schemes
+    also the gauge z -> e^(i alpha) z, (u*, v*) -> (e^(i alpha) u*,
+    e^(-i alpha) v*), and conjugation, the swap (u*, v*) -> (v*, u*), which
+    must commute bitwise (a gap of 0)."""
     from kguniform.integrators import _REAL_ONLY
 
     grid = make_grid(1, 32)
@@ -1244,7 +1223,9 @@ def test_schemes_commute_with_the_equations_symmetries(scheme):
     stack = scheme not in _REAL_ONLY
     if stack:
         maps["gauge"] = lambda x: np.exp(0.7j * np.array([[1.0], [-1.0]])) * x
+        maps["swap"] = lambda x: x[::-1]
     t_n = 0.37
+    gaps = dict.fromkeys(maps, 0.0)
     for c, tau in ((1.0, 0.05), (7.0, 0.01), (1e4, 2.0**-10)):
         ctx = StepContext(grid, make_multipliers(grid, c), tau)
 
@@ -1256,9 +1237,19 @@ def test_schemes_commute_with_the_equations_symmetries(scheme):
         x = _smooth_coeffs(grid, rng, (2,) if stack else ())
         out = run(x)
         for name, g in maps.items():
-            assert _rel(run(g(x)), g(out)) <= 1e-14, (name, c, tau)
-        if stack:
-            assert np.array_equal(run(x[::-1]), out[::-1]), (c, tau)
+            # np.maximum keeps a NaN gap
+            gaps[name] = np.maximum(gaps[name], _rel(run(g(x)), g(out)))
+    return [
+        f"{name} {gap:.3g}"
+        for name, gap in gaps.items()
+        if not gap <= (0.0 if name == "swap" else 1e-14)
+    ]
+
+
+@pytest.mark.parametrize("scheme", list(SchemeId))
+def test_schemes_commute_with_the_equations_symmetries(scheme):
+    broken = _broken_symmetries(scheme)
+    assert not broken, broken
 
 
 def test_oracle_and_block_commute_with_translation_and_reflection():
